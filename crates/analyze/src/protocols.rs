@@ -23,9 +23,10 @@
 //! One line suffices: the substrate treats lines independently (there is
 //! no cross-line coherence state), so any multi-line violation projects
 //! onto a single-line one.  The transition relation below mirrors
-//! `laec_smp::CoherentMemory`'s write-back/write-allocate flows — the
-//! shape every `smpN` platform runs — consulting the *real* trait objects,
-//! so a future table edit is model-checked, not grandfathered.
+//! `laec_mem::MemorySystem`'s write-back/write-allocate flows — the one
+//! hierarchy every core count runs, and the shape of every `smpN`
+//! platform — consulting the *real* trait objects, so a future table edit
+//! is model-checked, not grandfathered.
 
 use std::collections::BTreeMap;
 
@@ -92,7 +93,7 @@ impl ProtocolReport {
 }
 
 /// Applies `op` by cache `actor` to `state`, mirroring the
-/// `laec_smp::CoherentMemory` write-back/write-allocate flows.
+/// `laec_mem::MemorySystem` write-back/write-allocate flows.
 fn step(table: &dyn CoherenceProtocol, state: &SystemState, actor: usize, op: Op) -> SystemState {
     let mut next = state.clone();
     match op {

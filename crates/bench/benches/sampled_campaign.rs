@@ -10,7 +10,7 @@
 //! and interval widths next to it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use laec_bench::{run_full as run_campaign, run_sampled as run_campaign_sampled};
+use laec_bench::{run_full, run_sampled};
 use laec_core::campaign::{CampaignSpec, PlatformVariant, WorkloadSet};
 use laec_core::sampling::{SampleExecution, SamplingPlan};
 use laec_pipeline::EccScheme;
@@ -54,14 +54,14 @@ fn report_matched_precision_speedup() {
     let runs = 3u32;
     let start = Instant::now();
     for _ in 0..runs {
-        black_box(run_campaign(&exhaustive_spec, 1));
+        black_box(run_full(&exhaustive_spec, 1));
     }
     let exhaustive = start.elapsed();
 
     let start = Instant::now();
     let mut last = None;
     for _ in 0..runs {
-        last = Some(run_campaign_sampled(
+        last = Some(run_sampled(
             &sampled_spec,
             &sampled_plan,
             1,
@@ -102,7 +102,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("kernels_3x3_budget64", |b| {
         b.iter(|| {
-            run_campaign_sampled(
+            run_sampled(
                 black_box(&sampled_spec),
                 &sampled_plan,
                 0,
@@ -112,7 +112,7 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("kernels_3x3_budget64_trace_backed", |b| {
         b.iter(|| {
-            run_campaign_sampled(
+            run_sampled(
                 black_box(&sampled_spec),
                 &sampled_plan,
                 0,

@@ -4,10 +4,7 @@
 //! simulations, while producing a byte-identical report.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use laec_bench::{
-    bench_shape, report_shape, run_full as run_campaign,
-    run_trace_backed as run_campaign_trace_backed,
-};
+use laec_bench::{bench_shape, report_shape, run_full, run_trace_backed};
 use laec_core::campaign::{CampaignSpec, PlatformVariant, WorkloadSet};
 use laec_pipeline::EccScheme;
 use std::hint::black_box;
@@ -36,13 +33,13 @@ fn report_speedup(spec: &CampaignSpec) {
     let runs = 3;
     let start = Instant::now();
     for _ in 0..runs {
-        black_box(run_campaign(spec, 1));
+        black_box(run_full(spec, 1));
     }
     let full = start.elapsed();
     let start = Instant::now();
     let mut traced_stats = None;
     for _ in 0..runs {
-        let traced = run_campaign_trace_backed(spec, 1, None);
+        let traced = run_trace_backed(spec, 1, None);
         traced_stats = Some(traced.stats);
         black_box(traced);
     }
@@ -70,10 +67,10 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_replay");
     group.sample_size(10);
     group.bench_function("full_sim_campaign", |b| {
-        b.iter(|| black_box(run_campaign(&spec, 1).total_jobs))
+        b.iter(|| black_box(run_full(&spec, 1).total_jobs))
     });
     group.bench_function("trace_backed_campaign", |b| {
-        b.iter(|| black_box(run_campaign_trace_backed(&spec, 1, None).report.total_jobs))
+        b.iter(|| black_box(run_trace_backed(&spec, 1, None).report.total_jobs))
     });
     group.finish();
 }

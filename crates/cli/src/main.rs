@@ -795,8 +795,8 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// Rejects specs whose engine cannot trace fault lifecycles (sampled and
-/// forced-SMP modes).
+/// Rejects specs whose engine cannot trace fault lifecycles (sampled
+/// mode).
 fn check_forensics_mode(validated: &ValidatedSpec) -> Result<(), String> {
     let caps = engine_for(validated.mode()).capabilities();
     if caps.forensics {

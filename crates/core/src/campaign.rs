@@ -21,10 +21,9 @@
 //! exactly that.
 //!
 //! This module holds the grid *description* ([`CampaignSpec`]) and the
-//! full-simulation engine.  New code should drive campaigns through the
-//! unified, serializable API in [`crate::spec`] ([`crate::spec::Campaign`]
-//! dispatches every execution mode behind one entry point); the free
-//! function [`run_campaign`] remains as a deprecated shim.
+//! full-simulation engine.  Campaigns run through the unified, serializable
+//! API in [`crate::spec`] ([`crate::spec::Campaign`] dispatches every
+//! execution mode behind one entry point).
 //!
 //! # Example
 //!
@@ -108,20 +107,6 @@ impl PlatformVariant {
             PlatformVariant::Smp(cores) => cores,
             _ => 1,
         }
-    }
-
-    /// Stable label used in reports and on the CLI.
-    #[deprecated(note = "use the `Display` impl (`to_string()`) instead")]
-    #[must_use]
-    pub fn label(self) -> String {
-        self.to_string()
-    }
-
-    /// Parses a CLI label.
-    #[deprecated(note = "use the `FromStr` impl (`label.parse()`) instead")]
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Self> {
-        label.parse().ok()
     }
 
     /// Every label the [`FromStr`](std::str::FromStr) impl accepts for a distinct
@@ -222,20 +207,6 @@ impl std::str::FromStr for PlatformVariant {
             }
         }
     }
-}
-
-/// Stable label for a scheme, used in reports and on the CLI.
-#[deprecated(note = "use `EccScheme`'s `Display` impl (`scheme.to_string()`) instead")]
-#[must_use]
-pub fn scheme_label(scheme: EccScheme) -> String {
-    scheme.to_string()
-}
-
-/// Parses a CLI scheme label; `speculate-flushN` selects an N-cycle penalty.
-#[deprecated(note = "use `EccScheme`'s `FromStr` impl (`label.parse()`) instead")]
-#[must_use]
-pub fn scheme_from_label(label: &str) -> Option<EccScheme> {
-    label.parse().ok()
 }
 
 /// The full description of one campaign: every axis of the grid plus the
@@ -573,8 +544,8 @@ pub(crate) fn job_injection_seed(spec: &CampaignSpec, job: Job, axis_seed: u64) 
     )
 }
 
-/// The number of worker threads [`run_campaign`] uses when the caller passes
-/// `0`: the machine's available parallelism.
+/// The number of worker threads the engines use when the caller passes `0`:
+/// the machine's available parallelism.
 #[must_use]
 pub fn default_threads() -> usize {
     // laec-lint: allow(ambient-parallelism) -- the worker count only picks how
@@ -583,24 +554,14 @@ pub fn default_threads() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Expands `spec` into its job grid and executes it on `threads` workers
+/// The full-simulation grid engine behind [`crate::spec::FullSimEngine`]:
+/// expands `spec` into its job grid and executes it on `threads` workers
 /// (`0` = [`default_threads`]).
 ///
 /// # Panics
 ///
 /// Panics if a worker thread panics (the underlying simulator is panic-free
 /// on valid programs; a panic indicates a bug, not bad input).
-#[deprecated(
-    note = "build a `laec_core::spec::CampaignSpec` with `ExecutionMode::Full` and use \
-            `laec_core::spec::Campaign::run` (reports are byte-identical)"
-)]
-#[must_use]
-pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> CampaignReport {
-    execute_full(spec, threads, &Obs::disabled())
-}
-
-/// The full-simulation grid engine behind [`run_campaign`] and
-/// [`crate::spec::FullSimEngine`].
 #[must_use]
 pub(crate) fn execute_full(spec: &CampaignSpec, threads: usize, obs: &Obs) -> CampaignReport {
     execute_full_impl(spec, threads, obs, false).0
@@ -1320,15 +1281,6 @@ mod tests {
                 "`{bogus}` must not parse"
             );
         }
-        // The deprecated wrappers stay behaviourally identical.
-        #[allow(deprecated)]
-        {
-            assert_eq!(
-                scheme_from_label(&scheme_label(EccScheme::Laec)),
-                Some(EccScheme::Laec)
-            );
-            assert_eq!(scheme_from_label("bogus"), None);
-        }
     }
 
     /// Display → FromStr is the identity over every platform variant,
@@ -1344,19 +1296,10 @@ mod tests {
                 "`{bogus}` must not parse"
             );
         }
-        #[allow(deprecated)]
-        {
-            assert_eq!(
-                PlatformVariant::from_label(&PlatformVariant::ContendedBus(8).label()),
-                Some(PlatformVariant::ContendedBus(8))
-            );
-            assert_eq!(PlatformVariant::from_label("bogus"), None);
-        }
     }
 
     /// `--platforms smp1` must parse and collapse to the uniprocessor
-    /// exactly like `PlatformVariant::smp(1)` does (the old `from_label`
-    /// rejected it while the constructor deliberately collapsed it).
+    /// exactly like `PlatformVariant::smp(1)` does.
     #[test]
     fn smp1_label_parses_and_collapses_to_write_back() {
         assert_eq!(
@@ -1367,12 +1310,5 @@ mod tests {
             "smp1".parse::<PlatformVariant>().unwrap(),
             PlatformVariant::smp(1)
         );
-        #[allow(deprecated)]
-        {
-            assert_eq!(
-                PlatformVariant::from_label("smp1"),
-                Some(PlatformVariant::WriteBack)
-            );
-        }
     }
 }

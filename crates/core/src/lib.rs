@@ -33,8 +33,8 @@
 //! versioned [`spec::CampaignSpec`] (grid axes + [`spec::ExecutionMode`]),
 //! a fluent [`spec::CampaignBuilder`] with typed validation
 //! ([`spec::SpecError`]), and one dispatch point — [`spec::Campaign::run`]
-//! — over the four [`spec::CampaignEngine`] implementations (full
-//! simulation, trace-backed replay, stratified sampling, forced SMP).  The
+//! — over the three [`spec::CampaignEngine`] implementations (full
+//! simulation, trace-backed replay, stratified sampling).  The
 //! `laec-cli` binary drives all layers from the command line and can dump
 //! or load any campaign as a JSON spec file.
 //!
@@ -79,24 +79,13 @@ pub use sampling::{
 pub use smp_campaign::run_observed_core;
 pub use spec::{
     engine_for, Campaign, CampaignBuilder, CampaignEngine, CampaignOutcome, EngineCaps,
-    ExecutionMode, FullSimEngine, PlanViolation, SampledEngine, SmpEngine, SpecError,
-    TraceBackedEngine, ValidatedSpec, SPEC_VERSION,
+    ExecutionMode, FullSimEngine, PlanViolation, SampledEngine, SpecError, TraceBackedEngine,
+    ValidatedSpec, SPEC_VERSION,
 };
 pub use trace_backed::{
     cell_fingerprint, record_cell, replay_cell, replay_cell_events, replay_cell_events_forensic,
     trace_file_name, TraceBackedStats, TracedCampaign,
 };
-
-// The four legacy entry points remain importable from the crate root; they
-// are thin shims over the engines behind `spec::Campaign::run`.
-#[allow(deprecated)]
-pub use campaign::run_campaign;
-#[allow(deprecated)]
-pub use sampling::run_campaign_sampled;
-#[allow(deprecated)]
-pub use smp_campaign::run_campaign_smp;
-#[allow(deprecated)]
-pub use trace_backed::run_campaign_trace_backed;
 
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use experiment::{

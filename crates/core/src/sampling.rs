@@ -1374,29 +1374,13 @@ impl Sampler {
     }
 }
 
-/// Runs a sampled campaign to completion and returns its report.
+/// The stratified-sampling engine behind [`crate::spec::SampledEngine`]:
+/// runs to completion and returns the report plus the trace record/replay
+/// counters (all zero in full-sim mode).
 ///
 /// # Panics
 ///
 /// As [`Sampler::new`] and [`Sampler::run_rounds`].
-#[deprecated(
-    note = "build a `laec_core::spec::CampaignSpec` with `ExecutionMode::Sampled` and use \
-            `laec_core::spec::Campaign::run` (reports are byte-identical)"
-)]
-#[must_use]
-pub fn run_campaign_sampled(
-    spec: &CampaignSpec,
-    plan: &SamplingPlan,
-    threads: usize,
-    execution: &SampleExecution,
-) -> SampledReport {
-    execute_sampled(spec, plan, threads, execution, &Obs::disabled()).0
-}
-
-/// The stratified-sampling engine behind [`run_campaign_sampled`] and
-/// [`crate::spec::SampledEngine`]: runs to completion and returns the
-/// report plus the trace record/replay counters (all zero in full-sim
-/// mode).
 #[must_use]
 pub(crate) fn execute_sampled(
     spec: &CampaignSpec,

@@ -1,32 +1,19 @@
-//! Campaign execution on the multi-core engine.
+//! Campaign cells on the multi-core platforms.
 //!
-//! Two entry points:
-//!
-//! * [`run_observed_core`] — runs one campaign cell on an N-core
-//!   [`laec_smp::SmpSystem`]: the observed workload on core 0 (which alone
-//!   carries the cell's fault campaign), read-only background-traffic
-//!   kernels on the other cores.  The background cores contend for the
-//!   shared bus and L2 through their own MESI-coherent DL1s but never write
-//!   a byte, so the observed core's architectural results — and therefore
-//!   the campaign's cross-scheme equivalence checks — are untouched.
-//!   [`crate::campaign::run_campaign`] routes every
-//!   [`crate::campaign::PlatformVariant::Smp`] cell through here.
-//! * [`run_campaign_smp`] — runs an *entire* spec through the SMP engine,
-//!   including the single-core platforms (as 1-core systems).  This exists
-//!   for the equivalence anchor: a 1-core SMP system must reproduce the
-//!   uniprocessor engine byte-for-byte, which `tests/smp_equivalence.rs`
-//!   asserts over the full workload × scheme grid.
+//! [`run_observed_core`] runs one campaign cell on an N-core
+//! [`laec_smp::SmpSystem`]: the observed workload on core 0 (which alone
+//! carries the cell's fault campaign), read-only background-traffic kernels
+//! on the other cores.  The background cores contend for the shared bus and
+//! L2 through their own coherent DL1s but never write a byte, so the
+//! observed core's architectural results — and therefore the campaign's
+//! cross-scheme equivalence checks — are untouched.  The full-simulation
+//! engine routes every [`crate::campaign::PlatformVariant::Smp`] cell
+//! through here.
 
 use laec_mem::ProtocolKind;
-use laec_obs::{Obs, Phase, ProgressEvent};
 use laec_pipeline::{PipelineConfig, SimResult};
 use laec_smp::{SmpSystem, StopPolicy};
 use laec_workloads::{background_traffic, Workload};
-
-use crate::campaign::{
-    assemble_report, cell_from_result, default_threads, job_config, run_pool, CampaignReport,
-    CampaignSpec, Job,
-};
 
 /// Base address of the first background core's private streaming region —
 /// far above every workload data region (inputs/outputs live below 1 MiB).
@@ -82,105 +69,10 @@ pub fn run_observed_core(
     result
 }
 
-/// Runs the whole campaign grid through the SMP engine — every cell
-/// becomes an N-core system with N = its platform's core count (1 for the
-/// single-core platforms).  Reports are byte-identical for any `threads`
-/// value, and for single-core platforms byte-identical to the
-/// full-simulation engine.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-#[deprecated(
-    note = "build a `laec_core::spec::CampaignSpec` with `ExecutionMode::Smp` and use \
-            `laec_core::spec::Campaign::run` (reports are byte-identical)"
-)]
-#[must_use]
-pub fn run_campaign_smp(spec: &CampaignSpec, threads: usize) -> CampaignReport {
-    execute_smp(spec, threads, &Obs::disabled())
-}
-
-/// The forced-SMP grid engine behind [`run_campaign_smp`] and
-/// [`crate::spec::SmpEngine`].
-#[must_use]
-pub(crate) fn execute_smp(spec: &CampaignSpec, threads: usize, obs: &Obs) -> CampaignReport {
-    let workloads = spec.materialize_workloads();
-    let threads = if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    };
-    let mut jobs = Vec::new();
-    for workload in 0..workloads.len() {
-        for platform in 0..spec.platforms.len() {
-            for scheme in 0..spec.schemes.len() {
-                jobs.push(Job {
-                    workload,
-                    scheme,
-                    platform,
-                    fault: None,
-                });
-                for fault in 0..spec.fault_seeds.len() {
-                    jobs.push(Job {
-                        workload,
-                        scheme,
-                        platform,
-                        fault: Some(fault),
-                    });
-                }
-            }
-        }
-    }
-    let total = jobs.len() as u64;
-    obs.emit(&ProgressEvent::CampaignStart {
-        engine: "smp",
-        jobs: total,
-    });
-    let cells = run_pool(jobs.len(), threads, |index| {
-        let job = jobs[index];
-        let workload = &workloads[job.workload];
-        let platform = spec.platforms[job.platform];
-        let config = job_config(spec, job);
-        let phase = if job.fault.is_some() {
-            Phase::Inject
-        } else {
-            Phase::FullSim
-        };
-        let result = {
-            let _span = obs.span(phase);
-            run_observed_core(workload, config, platform.cores(), spec.protocol)
-        };
-        let cell = cell_from_result(
-            workload,
-            spec.schemes[job.scheme],
-            platform,
-            job.fault.map(|f| spec.fault_seeds[f]),
-            &result,
-        );
-        obs.emit(&ProgressEvent::Cell {
-            index: index as u64,
-            total,
-            workload: &cell.workload,
-            scheme: &cell.scheme,
-            platform: &cell.platform,
-            fault_seed: cell.fault_seed,
-            cycles: cell.cycles,
-            phase: phase.label(),
-            outcomes: None,
-        });
-        cell
-    });
-    obs.emit(&ProgressEvent::CampaignEnd {
-        engine: "smp",
-        executed: total,
-    });
-    assemble_report(spec, &workloads, cells)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{execute_full, PlatformVariant, WorkloadSet};
+    use crate::campaign::{execute_full, CampaignSpec, PlatformVariant, WorkloadSet};
     use laec_pipeline::EccScheme;
 
     #[test]

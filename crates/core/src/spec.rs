@@ -1,14 +1,9 @@
 //! The unified campaign API: one serializable, validated spec; one engine
 //! dispatch.
 //!
-//! Historically the campaign layer grew four divergent entry points —
-//! `run_campaign`, `run_campaign_trace_backed`, `run_campaign_sampled`,
-//! `run_campaign_smp` — each with its own option struct, and their mutual
-//! incompatibilities (trace-backed and sampled execution cannot drive
-//! multi-core platforms) were enforced as string checks scattered through
-//! the CLI.  This module replaces that surface with one discipline,
-//! following the single-declarative-experiment-description approach of
-//! gem5-class simulators:
+//! Every way of running a campaign goes through one discipline, following
+//! the single-declarative-experiment-description approach of gem5-class
+//! simulators:
 //!
 //! * [`CampaignSpec`] — a *versioned, JSON-serializable* description of an
 //!   entire campaign: every grid axis **plus** the [`ExecutionMode`] it
@@ -22,14 +17,14 @@
 //!   a **structured** [`SpecError`] (unknown workload, mode × platform
 //!   incompatibility, sampling knobs without sampling mode, …) instead of
 //!   panics or ad-hoc CLI strings.
-//! * [`CampaignEngine`] — the trait the four execution engines implement;
+//! * [`CampaignEngine`] — the trait the three execution engines implement;
 //!   [`engine_for`] maps a mode to its engine, and [`Campaign::run`] is
 //!   the one dispatch point.  Each engine advertises [`EngineCaps`], which
 //!   is what validation checks modes and platforms against.
 //!
-//! Reports are **byte-identical** to the four legacy entry points for
-//! every mode (asserted end-to-end in `tests/spec.rs`): the engines are
-//! the same code the deprecated free functions shim onto.
+//! The platform axis, not the mode, decides the core count: the full
+//! engine runs `smpN` cells on an N-core system and every other platform on
+//! the uniprocessor, and both are the one `laec_mem::MemorySystem`.
 //!
 //! # Example
 //!
@@ -60,21 +55,19 @@ use serde_json::Value;
 use crate::campaign::{self, CampaignReport, PlatformVariant, WorkloadSet};
 use crate::forensics::ForensicsReport;
 use crate::sampling::{self, SampleExecution, SampledReport, SamplingPlan};
-use crate::smp_campaign;
 use crate::trace_backed::{self, TraceBackedStats};
 
 /// The campaign-spec wire-format version this build writes and reads.
 ///
-/// Version 1 is the pre-serialization era (the four free functions and
-/// their separate option structs); version 2 is the first on-disk format.
+/// Version 1 is the pre-serialization era; version 2 is the first on-disk
+/// format.
 pub const SPEC_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // Execution modes
 // ---------------------------------------------------------------------------
 
-/// How a campaign's grid is executed — the knob that used to be "which of
-/// the four entry points you call".
+/// How a campaign's grid is executed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecutionMode {
     /// Every cell runs the full pipeline + memory simulation (the
@@ -99,10 +92,6 @@ pub enum ExecutionMode {
         /// How each sample executes (full simulation or trace replay).
         execution: SampleExecution,
     },
-    /// Every cell — including single-core platforms — runs through the
-    /// N-core SMP engine.  Exists for the equivalence anchor: a 1-core SMP
-    /// system reproduces the uniprocessor byte-for-byte.
-    Smp,
 }
 
 impl ExecutionMode {
@@ -113,7 +102,6 @@ impl ExecutionMode {
             ExecutionMode::Full => "full",
             ExecutionMode::TraceBacked { .. } => "trace-backed",
             ExecutionMode::Sampled { .. } => "sampled",
-            ExecutionMode::Smp => "smp",
         }
     }
 }
@@ -187,8 +175,6 @@ pub enum SpecError {
     SamplingKnobWithoutSampling(&'static str),
     /// The sampling plan violates a structural invariant.
     InvalidPlan(PlanViolation),
-    /// Two mutually exclusive execution modes were requested.
-    ConflictingModes(&'static str, &'static str),
 }
 
 impl fmt::Display for SpecError {
@@ -231,9 +217,6 @@ impl fmt::Display for SpecError {
                 write!(f, "{knob} needs sampled execution (a sample budget)")
             }
             SpecError::InvalidPlan(violation) => write!(f, "invalid sampling plan: {violation}"),
-            SpecError::ConflictingModes(a, b) => {
-                write!(f, "conflicting execution modes: {a} and {b}")
-            }
         }
     }
 }
@@ -471,7 +454,7 @@ impl Serialize for ModeJson<'_> {
         serializer.begin_object();
         serializer.field("kind", self.0.kind());
         match self.0 {
-            ExecutionMode::Full | ExecutionMode::Smp => {}
+            ExecutionMode::Full => {}
             ExecutionMode::TraceBacked { cache_dir } => {
                 path_field(serializer, "cache_dir", cache_dir.as_ref());
             }
@@ -594,10 +577,6 @@ mod decode {
             "full" => {
                 reject_unknown(members, &["kind"])?;
                 Ok(ExecutionMode::Full)
-            }
-            "smp" => {
-                reject_unknown(members, &["kind"])?;
-                Ok(ExecutionMode::Smp)
             }
             "trace-backed" => {
                 reject_unknown(members, &["kind", "cache_dir"])?;
@@ -808,7 +787,7 @@ impl ValidatedSpec {
 ///
 /// Mirrors the CLI's flag surface: grid axes, fault knobs, and the
 /// execution-mode toggles ([`CampaignBuilder::trace_backed`],
-/// [`CampaignBuilder::sampled`], [`CampaignBuilder::smp_engine`]).
+/// [`CampaignBuilder::sampled`]).
 /// Sampling knobs set without [`CampaignBuilder::sampled`] are a
 /// [`SpecError::SamplingKnobWithoutSampling`], not silently ignored.
 ///
@@ -836,7 +815,6 @@ pub struct CampaignBuilder {
     min_samples: Option<u64>,
     trace_backed: bool,
     cache_dir: Option<PathBuf>,
-    smp_engine: bool,
 }
 
 impl CampaignBuilder {
@@ -850,7 +828,6 @@ impl CampaignBuilder {
             min_samples: None,
             trace_backed: false,
             cache_dir: None,
-            smp_engine: false,
         }
     }
 
@@ -1000,29 +977,15 @@ impl CampaignBuilder {
         self
     }
 
-    /// Forces every cell through the N-core SMP engine (the equivalence
-    /// anchor; see [`ExecutionMode::Smp`]).
-    #[must_use]
-    pub fn smp_engine(mut self) -> Self {
-        self.smp_engine = true;
-        self
-    }
-
     /// Assembles the [`CampaignSpec`] without semantic validation.
     ///
     /// # Errors
     ///
-    /// * [`SpecError::SamplingKnobWithoutSampling`] — a sampling knob was
-    ///   set without [`CampaignBuilder::sampled`],
-    /// * [`SpecError::ConflictingModes`] — e.g. both
-    ///   [`CampaignBuilder::smp_engine`] and trace-backed/sampled
-    ///   execution.
+    /// [`SpecError::SamplingKnobWithoutSampling`] — a sampling knob was set
+    /// without [`CampaignBuilder::sampled`].
     pub fn build(self) -> Result<CampaignSpec, SpecError> {
         let mode = match self.budget {
             Some(budget) => {
-                if self.smp_engine {
-                    return Err(SpecError::ConflictingModes("sampled", "smp"));
-                }
                 let mut plan = SamplingPlan::new(budget);
                 if let Some(confidence) = self.confidence {
                     plan.confidence = confidence;
@@ -1056,14 +1019,9 @@ impl CampaignBuilder {
                     return Err(SpecError::SamplingKnobWithoutSampling(knob));
                 }
                 if self.trace_backed {
-                    if self.smp_engine {
-                        return Err(SpecError::ConflictingModes("trace-backed", "smp"));
-                    }
                     ExecutionMode::TraceBacked {
                         cache_dir: self.cache_dir,
                     }
-                } else if self.smp_engine {
-                    ExecutionMode::Smp
                 } else {
                     ExecutionMode::Full
                 }
@@ -1107,10 +1065,9 @@ pub struct EngineCaps {
 
 /// One campaign execution engine.
 ///
-/// The four implementations ([`FullSimEngine`], [`TraceBackedEngine`],
-/// [`SampledEngine`], [`SmpEngine`]) wrap the same code the four legacy
-/// free functions ran, so their reports are byte-identical to the
-/// pre-redesign API.  [`Campaign::run`] dispatches to the engine matching
+/// There are three implementations ([`FullSimEngine`],
+/// [`TraceBackedEngine`] and [`SampledEngine`]).  [`Campaign::run`]
+/// dispatches to the engine matching
 /// the spec's [`ExecutionMode`]; validation consults
 /// [`CampaignEngine::capabilities`] so an engine is never handed a spec it
 /// cannot drive.
@@ -1276,30 +1233,6 @@ impl CampaignEngine for SampledEngine {
     }
 }
 
-/// The forced-SMP engine: every cell runs as an N-core system
-/// ([`ExecutionMode::Smp`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SmpEngine;
-
-impl CampaignEngine for SmpEngine {
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            name: "smp",
-            multi_core: true,
-            fault_seed_axis: true,
-            statistical: false,
-            forensics: false,
-        }
-    }
-
-    fn execute(&self, spec: &ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome {
-        CampaignOutcome::Grid {
-            report: smp_campaign::execute_smp(&spec.grid(), threads, obs),
-            trace_stats: None,
-        }
-    }
-}
-
 /// The engine that executes a given mode.
 #[must_use]
 pub fn engine_for(mode: &ExecutionMode) -> &'static dyn CampaignEngine {
@@ -1307,7 +1240,6 @@ pub fn engine_for(mode: &ExecutionMode) -> &'static dyn CampaignEngine {
         ExecutionMode::Full => &FullSimEngine,
         ExecutionMode::TraceBacked { .. } => &TraceBackedEngine,
         ExecutionMode::Sampled { .. } => &SampledEngine,
-        ExecutionMode::Smp => &SmpEngine,
     }
 }
 
@@ -1320,19 +1252,17 @@ pub fn engine_for(mode: &ExecutionMode) -> &'static dyn CampaignEngine {
 /// trace-backed engine earned the result.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignOutcome {
-    /// An exhaustive grid ([`ExecutionMode::Full`],
-    /// [`ExecutionMode::TraceBacked`] or [`ExecutionMode::Smp`]).
+    /// An exhaustive grid ([`ExecutionMode::Full`] or
+    /// [`ExecutionMode::TraceBacked`]).
     Grid {
-        /// The grid report — byte-identical to the legacy entry point of
-        /// the same mode.
+        /// The grid report.
         report: CampaignReport,
         /// Record/replay counters (trace-backed mode only).
         trace_stats: Option<TraceBackedStats>,
     },
     /// A sampled campaign ([`ExecutionMode::Sampled`]).
     Sampled {
-        /// The statistical report — byte-identical to the legacy
-        /// `run_campaign_sampled`.
+        /// The statistical report.
         report: SampledReport,
         /// Record/replay counters (trace-backed sampling only).
         trace_stats: Option<TraceBackedStats>,
@@ -1396,8 +1326,7 @@ impl CampaignOutcome {
         }
     }
 
-    /// The report as pretty-printed JSON — byte-identical to the legacy
-    /// entry point of the same mode.
+    /// The report as pretty-printed JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
         match self {
@@ -1417,7 +1346,7 @@ impl CampaignOutcome {
 }
 
 /// A validated campaign, ready to run — the single dispatch point over the
-/// four execution engines.
+/// three execution engines.
 ///
 /// ```
 /// use laec_core::spec::{Campaign, CampaignBuilder};
@@ -1453,8 +1382,8 @@ impl Campaign {
 
     /// Runs the campaign on `threads` workers (`0` = all cores).
     ///
-    /// One dispatch, four engines: the report is byte-identical to the
-    /// legacy entry point of the spec's mode, for any thread count.
+    /// One dispatch, three engines: the report is byte-identical for any
+    /// thread count.
     #[must_use]
     pub fn run(&self, threads: usize) -> CampaignOutcome {
         self.run_observed(threads, &Obs::disabled())
@@ -1542,9 +1471,6 @@ mod tests {
             }
         );
 
-        let spec = CampaignBuilder::smoke().smp_engine().build().unwrap();
-        assert_eq!(spec.mode, ExecutionMode::Smp);
-
         let spec = CampaignBuilder::smoke()
             .sampled(64)
             .confidence(0.99)
@@ -1577,18 +1503,6 @@ mod tests {
                 Err(SpecError::SamplingKnobWithoutSampling(knob))
             );
         }
-    }
-
-    #[test]
-    fn conflicting_mode_toggles_are_rejected() {
-        assert_eq!(
-            CampaignBuilder::smoke().smp_engine().sampled(8).build(),
-            Err(SpecError::ConflictingModes("sampled", "smp"))
-        );
-        assert_eq!(
-            CampaignBuilder::smoke().smp_engine().trace_backed().build(),
-            Err(SpecError::ConflictingModes("trace-backed", "smp"))
-        );
     }
 
     #[test]
@@ -1657,15 +1571,10 @@ mod tests {
                 .err(),
             Some(SpecError::FaultSeedsWithSampling)
         );
-        // The full and SMP engines accept both.
+        // The full engine accepts both.
         assert!(CampaignBuilder::smoke()
             .platforms([PlatformVariant::smp(2)])
             .fault_seeds([1])
-            .validate()
-            .is_ok());
-        assert!(CampaignBuilder::smoke()
-            .platforms([PlatformVariant::smp(2)])
-            .smp_engine()
             .validate()
             .is_ok());
     }
@@ -1785,7 +1694,6 @@ mod tests {
                 true,
                 false,
             ),
-            (ExecutionMode::Smp, true, true, false, false),
         ] {
             let caps = engine_for(&mode).capabilities();
             assert_eq!(caps.name, mode.kind());
@@ -1831,6 +1739,11 @@ mod tests {
         assert_eq!(
             CampaignSpec::from_json(&valid.replace("\"full\"", "\"fulll\"")),
             Err(SpecError::UnknownModeKind("fulll".to_string()))
+        );
+        // The forced-SMP mode is gone: the platform axis sets the core count.
+        assert_eq!(
+            CampaignSpec::from_json(&valid.replace("\"full\"", "\"smp\"")),
+            Err(SpecError::UnknownModeKind("smp".to_string()))
         );
         assert_eq!(
             CampaignSpec::from_json(

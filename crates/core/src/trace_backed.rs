@@ -1,7 +1,7 @@
 //! Trace-backed campaign execution: record once, replay per fault seed.
 //!
-//! [`crate::campaign::run_campaign`] simulates every grid cell from
-//! scratch, although all faulty runs of one workload × platform × scheme
+//! The full-simulation engine simulates every grid cell from scratch,
+//! although all faulty runs of one workload × platform × scheme
 //! cell share the fault-free run's access stream — only the injected
 //! faults differ.  This module exploits that: the fault-free run of each
 //! cell (which the grid contains anyway) is executed once under a
@@ -13,9 +13,9 @@
 //!
 //! # The byte-identical guarantee
 //!
-//! [`run_campaign_trace_backed`] produces a [`CampaignReport`] that
-//! serialises *byte-identically* to [`crate::campaign::run_campaign`] for
-//! the same spec (asserted end-to-end by `tests/trace_replay.rs`):
+//! The trace-backed engine produces a [`CampaignReport`] that serialises
+//! *byte-identically* to the full-simulation engine's for the same spec
+//! (asserted end-to-end by `tests/trace_replay.rs`):
 //!
 //! * pipeline-side cell fields (cycles, CPI, hit rates, look-ahead rate)
 //!   are taken from the recorded summary — valid because the replay driver
@@ -38,7 +38,7 @@
 use std::fs;
 use std::path::Path;
 
-use laec_mem::{CellForensics, FaultCampaignConfig, ReplayMemory};
+use laec_mem::{CellForensics, FaultCampaignConfig, MemoryPort, ReplayMemory};
 use laec_obs::{Obs, Phase, ProgressEvent};
 use laec_pipeline::{EccScheme, PipelineConfig, Simulator};
 use laec_trace::{
@@ -81,7 +81,7 @@ impl std::fmt::Display for TraceBackedStats {
 /// A campaign report plus how the trace engine earned it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TracedCampaign {
-    /// The report — byte-identical to `run_campaign` on the same spec.
+    /// The report — byte-identical to full simulation of the same spec.
     pub report: CampaignReport,
     /// Record/replay/fallback counters.
     pub stats: TraceBackedStats,
@@ -265,9 +265,9 @@ fn replay_cell_events_impl(
     let faults_injected = target.campaign_report().injected;
     let unrecoverable_errors = target.system().unrecoverable_errors();
     let memory_checksum = target.drain_to_memory();
-    let meta_faults_injected = target.system().dl1().meta_faults_injected();
-    let lost_writebacks = target.system().dl1().lost_writebacks();
-    let stale_metadata_reads = target.system().dl1().stale_reads();
+    let meta_faults_injected = target.system().meta_faults_injected();
+    let lost_writebacks = target.system().lost_writebacks();
+    let stale_metadata_reads = target.system().stale_metadata_reads();
     // Like `Simulator::finalize`: the forensics set closes only after the
     // drain has settled every pending lifecycle.
     let forensics = target.take_forensics().unwrap_or_default();
@@ -373,8 +373,9 @@ pub(crate) fn obtain_recording(
     (cell, trace, events, Origin::Recorded { cache_write_failed })
 }
 
-/// Runs the campaign in trace-backed mode: fault-free cells are simulated
-/// (or loaded from `cache_dir`) once per workload × platform × scheme and
+/// The record-once/replay-per-seed engine behind
+/// [`crate::spec::TraceBackedEngine`]: fault-free cells are simulated (or
+/// loaded from `cache_dir`) once per workload × platform × scheme and
 /// recorded; faulty cells replay the recording per fault seed, falling
 /// back to full simulation on divergence.  The report is byte-identical to
 /// the full-simulation engine with the same spec.
@@ -382,21 +383,6 @@ pub(crate) fn obtain_recording(
 /// # Panics
 ///
 /// Panics if a worker thread panics.
-#[deprecated(
-    note = "build a `laec_core::spec::CampaignSpec` with `ExecutionMode::TraceBacked` and use \
-            `laec_core::spec::Campaign::run` (reports are byte-identical)"
-)]
-#[must_use]
-pub fn run_campaign_trace_backed(
-    spec: &CampaignSpec,
-    threads: usize,
-    cache_dir: Option<&Path>,
-) -> TracedCampaign {
-    execute_trace_backed(spec, threads, cache_dir, &Obs::disabled())
-}
-
-/// The record-once/replay-per-seed engine behind [`run_campaign_trace_backed`]
-/// and [`crate::spec::TraceBackedEngine`].
 #[must_use]
 pub(crate) fn execute_trace_backed(
     spec: &CampaignSpec,

@@ -1,5 +1,5 @@
-//! The full memory system seen by one core: private DL1, shared bus, shared
-//! L2 and main memory.
+//! The memory hierarchy: one private DL1 per core in front of the shared
+//! bus, the shared L2 and main memory.
 //!
 //! The model is functional *and* timed: every access returns both the correct
 //! architectural value and the number of extra stall cycles beyond a 1-cycle
@@ -7,53 +7,50 @@
 //! keeps the timing interface simple: the pipeline adds `extra_cycles` stall
 //! cycles to the memory stage.
 //!
+//! # One hierarchy for 1..N cores
+//!
 //! Only one core executes a task in the paper's evaluation (§IV); the other
-//! cores' bus traffic can be represented with
-//! [`Interference`] for the contention-oriented
-//! ablation.
+//! cores' bus traffic can be represented with [`Interference`] for the
+//! contention-oriented ablation.  [`MemorySystem::new`] builds that
+//! uniprocessor.  [`MemorySystem::with_cores`] builds the real N-core
+//! topology: every bus transaction a core issues snoops the *other* cores'
+//! DL1 tag arrays, and what the snooped copies do is decided by the
+//! configured [`CoherenceProtocol`](crate::CoherenceProtocol) table:
+//!
+//! * **MESI** (the default): remote reads downgrade `Modified`/`Exclusive`
+//!   copies to `Shared` (a `Modified` owner supplies the line and refreshes
+//!   the L2), remote write intents invalidate, and stores to `Shared` lines
+//!   first broadcast an upgrade (BusUpgr) that invalidates the other copies.
+//! * **Dragon**: update-based — stores to shared (`Sc`/`Sm`) lines
+//!   broadcast the written word (BusUpd) into the surviving remote copies
+//!   instead of invalidating them, and a dirty supplier keeps its writeback
+//!   obligation (`Sm`) rather than refreshing the L2.
+//! * **MOESI**: a `Modified` copy snooped by a remote read becomes `Owned` —
+//!   it supplies the line cache-to-cache and stays dirty, so the L2 and
+//!   memory remain stale until the owner evicts.
+//!
+//! Both are the same code: every flow takes the issuing core, and with one
+//! core the snoop loops are empty.  The core count enters exactly one
+//! decision — **the N = 1 rule**: the shared-line write action (BusUpgr or
+//! BusUpd) is taken only when another DL1 exists.  On one core a line can
+//! only be `Shared` because a fault flipped its state bits, and with no
+//! copy to invalidate or update the broadcast would cost a bus transaction
+//! the uniprocessor never issues.
+//!
+//! The trace sink and the forensics log observe the hierarchy as a whole;
+//! the campaign engines attach them to one-core systems only.
 
 use laec_ecc::{ErrorInjector, FlipPlan, Outcome};
 use laec_trace::{MemLevel, TraceSink};
 
 use crate::bus::{Bus, Interference};
 use crate::cache::{Cache, EvictedLine};
+use crate::coherence::{LineState, LocalWriteAction, ProtocolKind};
 use crate::config::{AllocatePolicy, HierarchyConfig, WritePolicy};
 use crate::fault::{FaultCampaignConfig, FaultPattern, FaultTarget};
 use crate::forensics::{ActivationKind, CellForensics, DataObservation, ForensicsLog};
 use crate::memory::MainMemory;
-use crate::stats::MemStats;
-
-/// Injects one random campaign strike into `cache` — shared by the
-/// uniprocessor [`MemorySystem`] and the coherent per-core DL1s of
-/// `laec_smp`, so both engines draw the exact same injector stream for the
-/// same configuration (a prerequisite for their byte-identical reports).
-pub fn inject_random_cache_fault(
-    cache: &mut Cache,
-    injector: &mut ErrorInjector,
-    config: &FaultCampaignConfig,
-) -> Option<u32> {
-    match config.target {
-        FaultTarget::Data => {
-            let resident = cache.resident_word_addresses();
-            if resident.is_empty() {
-                return None;
-            }
-            let address = resident[injector.next_below(resident.len() as u64) as usize];
-            let check_bits = cache.config().protection.check_bits();
-            let plan = match config.pattern {
-                FaultPattern::SingleBit => {
-                    injector.random_event(32, check_bits.max(1), config.double_fraction)
-                }
-                FaultPattern::Adjacent2 | FaultPattern::Adjacent4 => {
-                    injector.random_adjacent(32, config.pattern.cluster_bits())
-                }
-            };
-            cache.inject_fault(address, &plan);
-            Some(address)
-        }
-        FaultTarget::State | FaultTarget::Tag => cache.inject_meta_fault(injector, config.target),
-    }
-}
+use crate::stats::{CoherenceStats, MemStats};
 
 /// Result of a load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,19 +75,31 @@ pub struct StoreResponse {
     pub extra_cycles: u32,
 }
 
-/// The per-core memory system.
+/// One core's private side of the hierarchy: its DL1 and the counters kept
+/// on its behalf.
 #[derive(Debug)]
-pub struct MemorySystem {
-    config: HierarchyConfig,
+struct CoreSide {
     dl1: Cache,
-    l2: Cache,
-    bus: Bus,
-    memory: MainMemory,
+    /// Bus, memory and coherence traffic this core caused.  The `dl1` and
+    /// `l2` members are filled in by [`MemorySystem::core_stats`].
     stats: MemStats,
     /// Uncorrectable DL1 errors on dirty data (unrecoverable in a WB DL1).
     unrecoverable_errors: u64,
     /// Uncorrectable DL1 errors recovered by refetching from L2 (WT DL1).
     recovered_by_refetch: u64,
+}
+
+/// The memory hierarchy of a 1..N-core system (see the module docs).
+#[derive(Debug)]
+pub struct MemorySystem {
+    config: HierarchyConfig,
+    protocol: ProtocolKind,
+    /// Index = core id.
+    cores: Vec<CoreSide>,
+    l2: Cache,
+    bus: Bus,
+    memory: MainMemory,
+    coherence: CoherenceStats,
     /// Optional capture hook for hierarchy-level trace events (line fills,
     /// writebacks).  `None` by default: emission is a single branch.
     sink: Option<Box<dyn TraceSink>>,
@@ -100,25 +109,53 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    /// Builds an empty memory system.
+    /// Builds an empty one-core (uniprocessor) memory system.
     ///
     /// # Panics
     ///
     /// Panics if either cache configuration is invalid.
     #[must_use]
     pub fn new(config: HierarchyConfig) -> Self {
+        MemorySystem::with_cores(config, 1, ProtocolKind::Mesi)
+    }
+
+    /// Builds an empty `cores`-core hierarchy whose DL1s are kept coherent
+    /// by `protocol`'s decision table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0` or a cache configuration is invalid.
+    #[must_use]
+    pub fn with_cores(config: HierarchyConfig, cores: usize, protocol: ProtocolKind) -> Self {
+        assert!(cores >= 1, "a memory system needs at least one core");
         MemorySystem {
-            dl1: Cache::new(config.dl1),
+            protocol,
+            cores: (0..cores)
+                .map(|_| {
+                    let mut dl1 = Cache::new(config.dl1);
+                    dl1.set_protocol(protocol);
+                    CoreSide {
+                        dl1,
+                        stats: MemStats::new(),
+                        unrecoverable_errors: 0,
+                        recovered_by_refetch: 0,
+                    }
+                })
+                .collect(),
             l2: Cache::new(config.l2),
             bus: Bus::new(config.bus_latency),
             memory: MainMemory::new(config.memory_latency),
-            stats: MemStats::new(),
-            unrecoverable_errors: 0,
-            recovered_by_refetch: 0,
+            coherence: CoherenceStats::default(),
             sink: None,
             forensics: None,
             config,
         }
+    }
+
+    /// Number of cores (private DL1s).
+    #[must_use]
+    pub fn cores(&self) -> usize {
+        self.cores.len()
     }
 
     /// Turns on fault forensics: every injected fault gets a lifecycle
@@ -129,13 +166,14 @@ impl MemorySystem {
         if self.forensics.is_none() {
             self.forensics = Some(Box::default());
         }
-        self.dl1.enable_journal();
+        for side in &mut self.cores {
+            side.dl1.enable_journal();
+        }
     }
 
     /// Closes all still-latent fault records and takes the cell's forensics,
     /// or `None` when forensics was never enabled.  Call after
-    /// [`MemorySystem::drain_to_memory`] so end-of-run flush activations are
-    /// included.
+    /// [`MemorySystem::drain`] so end-of-run flush activations are included.
     pub fn take_forensics(&mut self) -> Option<CellForensics> {
         self.forensics_drain_journal();
         self.forensics.as_deref_mut().map(ForensicsLog::finish)
@@ -152,8 +190,10 @@ impl MemorySystem {
     /// activation cycles equal the triggering access's memory clock.
     fn forensics_drain_journal(&mut self) {
         if let Some(log) = self.forensics.as_deref_mut() {
-            for event in self.dl1.drain_journal() {
-                log.apply(event);
+            for side in &mut self.cores {
+                for event in side.dl1.drain_journal() {
+                    log.apply(event);
+                }
             }
         }
     }
@@ -181,14 +221,14 @@ impl MemorySystem {
     /// a non-destructive probe of the word *before* the write re-encodes it.
     /// Bytes the store overwrites cannot carry SDC; a full-word overwrite
     /// masks the fault outright.
-    fn forensics_store_probe(&mut self, address: u32, byte_mask: u8) {
+    fn forensics_store_probe(&mut self, core: usize, address: u32, byte_mask: u8) {
         let Some(log) = self.forensics.as_deref_mut() else {
             return;
         };
         if !log.pending_at(address) {
             return;
         }
-        let Some((value, outcome)) = self.dl1.probe_decoded(address) else {
+        let Some((value, outcome)) = self.cores[core].dl1.probe_decoded(address) else {
             // Not resident: the store miss path (allocate or forward) never
             // touches the struck copy; the fill hook settles the record.
             return;
@@ -218,23 +258,24 @@ impl MemorySystem {
     /// evaporate; stale records inside the filled line's range (their struck
     /// incarnation left the cache clean earlier) are masked by the fresh
     /// data.
-    fn forensics_evict_probe(&mut self, address: u32) {
+    fn forensics_evict_probe(&mut self, core: usize, address: u32) {
         let line_bytes = self.config.dl1.line_bytes;
-        let fill_base = self.dl1.line_base(address);
+        let dl1 = &self.cores[core].dl1;
+        let fill_base = dl1.line_base(address);
         let Some(log) = self.forensics.as_deref_mut() else {
             return;
         };
         if !log.has_pending_data() {
             return;
         }
-        if let Some(victim_base) = self.dl1.victim_probe(address) {
-            let dirty = self.dl1.coherence_state(victim_base).is_dirty();
+        if let Some(victim_base) = dl1.victim_probe(address) {
+            let dirty = dl1.coherence_state(victim_base).is_dirty();
             for pending_address in log.pending_in_line(victim_base, line_bytes) {
                 if !dirty {
                     log.evaporate_data(pending_address);
                     continue;
                 }
-                if let Some((value, outcome)) = self.dl1.probe_decoded(pending_address) {
+                if let Some((value, outcome)) = dl1.probe_decoded(pending_address) {
                     log.activate_data(
                         pending_address,
                         ActivationKind::WritebackDrain,
@@ -256,15 +297,16 @@ impl MemorySystem {
     /// Classifies pending data faults in dirty lines the end-of-run flush is
     /// about to drain.  Faults in clean or non-resident locations stay
     /// latent and close as masked when the log finishes.
-    fn forensics_flush_probe(&mut self) {
+    fn forensics_flush_probe(&mut self, core: usize) {
         let Some(log) = self.forensics.as_deref_mut() else {
             return;
         };
+        let dl1 = &self.cores[core].dl1;
         for pending_address in log.pending_data_addresses() {
-            if !self.dl1.coherence_state(pending_address).is_dirty() {
+            if !dl1.coherence_state(pending_address).is_dirty() {
                 continue;
             }
-            if let Some((value, outcome)) = self.dl1.probe_decoded(pending_address) {
+            if let Some((value, outcome)) = dl1.probe_decoded(pending_address) {
                 log.activate_data(
                     pending_address,
                     ActivationKind::WritebackDrain,
@@ -296,7 +338,7 @@ impl MemorySystem {
         &self.config
     }
 
-    /// Installs bus interference standing in for the other cores' traffic.
+    /// Installs bus interference standing in for off-model cores' traffic.
     pub fn set_bus_interference(&mut self, interference: Interference) {
         self.bus.set_interference(interference);
     }
@@ -319,12 +361,19 @@ impl MemorySystem {
     }
 
     /// Reads the architecturally current value of the aligned word at
-    /// `address` — DL1 first, then L2, then memory — without updating any
-    /// statistics or timing state.  Used by result-checking code.
+    /// `address` — any dirty DL1 copy (`M`/`Sm`/`O`) first, then any DL1
+    /// copy, then the L2, then memory — without updating any statistics or
+    /// timing state.  Used by result-checking code.
     #[must_use]
     pub fn peek_coherent(&self, address: u32) -> u32 {
-        if let Some(value) = self.dl1.peek_word(address) {
-            return value;
+        let dirty = self
+            .cores
+            .iter()
+            .filter(|side| side.dl1.coherence_state(address).is_dirty());
+        for side in dirty.chain(&self.cores) {
+            if let Some(value) = side.dl1.peek_word(address) {
+                return value;
+            }
         }
         if let Some(value) = self.l2.peek_word(address) {
             return value;
@@ -332,21 +381,21 @@ impl MemorySystem {
         self.memory.peek_word(address)
     }
 
-    /// Performs a load of the aligned word containing `address` at cycle
-    /// `now`.
-    pub fn load_word(&mut self, address: u32, now: u64) -> LoadResponse {
+    /// Performs `core`'s load of the aligned word containing `address` at
+    /// cycle `now`.
+    pub fn load(&mut self, core: usize, address: u32, now: u64) -> LoadResponse {
         if self.forensics.is_some() {
             self.forensics_tick(now);
         }
-        let response = self.load_word_inner(address, now);
+        let response = self.load_inner(core, address, now);
         if self.forensics.is_some() {
             self.forensics_drain_journal();
         }
         response
     }
 
-    fn load_word_inner(&mut self, address: u32, now: u64) -> LoadResponse {
-        if let Some(hit) = self.dl1.read_word(address) {
+    fn load_inner(&mut self, core: usize, address: u32, now: u64) -> LoadResponse {
+        if let Some(hit) = self.cores[core].dl1.read_word(address) {
             if hit.outcome.is_usable() {
                 if self.forensics.is_some() {
                     self.forensics_read(address, hit.value, hit.outcome);
@@ -367,12 +416,9 @@ impl MemorySystem {
             // a write-through DL1, and any unmodified line in a write-back
             // one) still have a valid copy below: invalidate and refetch.
             if !hit.dirty {
-                self.recovered_by_refetch += 1;
-                self.dl1.invalidate(address);
-                let (line, extra) = self.fetch_line(self.dl1.line_base(address), now);
-                let word_index = ((address & (self.config.dl1.line_bytes - 1)) >> 2) as usize;
-                let value = line[word_index];
-                self.fill_dl1(address, &line, now);
+                self.cores[core].recovered_by_refetch += 1;
+                self.cores[core].dl1.invalidate(address);
+                let (value, extra) = self.read_refill(core, address, now);
                 return LoadResponse {
                     value,
                     dl1_hit: false,
@@ -381,7 +427,7 @@ impl MemorySystem {
                 };
             }
             // A dirty write-back line holds the only copy: data is lost.
-            self.unrecoverable_errors += 1;
+            self.cores[core].unrecoverable_errors += 1;
             return LoadResponse {
                 value: hit.value,
                 dl1_hit: true,
@@ -390,11 +436,7 @@ impl MemorySystem {
             };
         }
         // DL1 miss: blocking refill from L2 (or memory).
-        let base = self.dl1.line_base(address);
-        let (line, extra) = self.fetch_line(base, now);
-        let word_index = ((address & (self.config.dl1.line_bytes - 1)) >> 2) as usize;
-        let value = line[word_index];
-        self.fill_dl1(address, &line, now);
+        let (value, extra) = self.read_refill(core, address, now);
         LoadResponse {
             value,
             dl1_hit: false,
@@ -403,10 +445,23 @@ impl MemorySystem {
         }
     }
 
-    /// Performs a store of `value` (bytes selected by `byte_mask`) to the
-    /// aligned word containing `address` at cycle `now`.
-    pub fn store_word_masked(
+    /// Fetches the line holding `address` with a plain read and installs it
+    /// in the protocol's read-fill state, returning the requested word and
+    /// the stall penalty.
+    fn read_refill(&mut self, core: usize, address: u32, now: u64) -> (u32, u32) {
+        let base = self.cores[core].dl1.line_base(address);
+        let (line, extra, sharers) = self.fetch_line(core, base, now, false);
+        let value = line[((address & (self.config.dl1.line_bytes - 1)) >> 2) as usize];
+        let state = self.protocol.table().read_fill_state(sharers);
+        self.fill_dl1(core, address, &line, now, state);
+        (value, extra)
+    }
+
+    /// Performs `core`'s store of `value` (bytes selected by `byte_mask`) to
+    /// the aligned word containing `address` at cycle `now`.
+    pub fn store(
         &mut self,
+        core: usize,
         address: u32,
         value: u32,
         byte_mask: u8,
@@ -414,96 +469,255 @@ impl MemorySystem {
     ) -> StoreResponse {
         if self.forensics.is_some() {
             self.forensics_tick(now);
-            self.forensics_store_probe(address, byte_mask);
+            self.forensics_store_probe(core, address, byte_mask);
         }
-        let response = self.store_word_masked_inner(address, value, byte_mask, now);
+        let response = self.store_inner(core, address, value, byte_mask, now);
         if self.forensics.is_some() {
             self.forensics_drain_journal();
         }
         response
     }
 
-    fn store_word_masked_inner(
+    fn store_inner(
         &mut self,
+        core: usize,
         address: u32,
         value: u32,
         byte_mask: u8,
         now: u64,
     ) -> StoreResponse {
-        match self.config.dl1.write_policy {
-            WritePolicy::WriteBack => {
-                if self.dl1.write_word_masked(address, value, byte_mask) {
+        if self.config.dl1.write_policy == WritePolicy::WriteThrough {
+            // Update the DL1 copy if present (stays clean), and always
+            // propagate over the bus to the L2.
+            let dl1_hit = self.cores[core]
+                .dl1
+                .write_word_masked(address, value, byte_mask);
+            let extra = self.store_to_l2(core, address, value, byte_mask, now);
+            return StoreResponse {
+                dl1_hit,
+                extra_cycles: extra,
+            };
+        }
+        let mut upgrade_extra = 0;
+        // The N = 1 rule: the shared-line write action needs another DL1.
+        if self.cores.len() > 1 {
+            let held = self.cores[core].dl1.coherence_state(address);
+            match self.protocol.table().local_write_action(held) {
+                LocalWriteAction::Silent => {}
+                LocalWriteAction::Invalidate => {
+                    // BusUpgr: broadcast the write intent before modifying.
+                    // Any remote owner's copy is identical to ours (it
+                    // supplied us on our fill), so the supplied words can be
+                    // dropped.
+                    upgrade_extra =
+                        self.config.bus_latency + self.bus_transaction(core, now, false);
+                    let base = self.cores[core].dl1.line_base(address);
+                    self.snoop_remote(core, base, true);
+                    self.coherence.upgrades += 1;
+                }
+                LocalWriteAction::Update => {
+                    // Dragon BusUpd: merge the written bytes into every remote
+                    // copy instead of invalidating it.
+                    let extra = self.broadcast_update(core, address, value, byte_mask, now);
                     return StoreResponse {
                         dl1_hit: true,
-                        extra_cycles: 0,
+                        extra_cycles: extra,
                     };
-                }
-                // Write miss.
-                match self.config.dl1.allocate_policy {
-                    AllocatePolicy::WriteAllocate => {
-                        let base = self.dl1.line_base(address);
-                        let (line, extra) = self.fetch_line(base, now);
-                        self.fill_dl1(address, &line, now);
-                        let wrote = self.dl1.write_word_masked(address, value, byte_mask);
-                        debug_assert!(wrote, "line was just filled");
-                        StoreResponse {
-                            dl1_hit: false,
-                            extra_cycles: extra,
-                        }
-                    }
-                    AllocatePolicy::NoWriteAllocate => {
-                        let extra = self.store_to_l2(address, value, byte_mask, now);
-                        StoreResponse {
-                            dl1_hit: false,
-                            extra_cycles: extra,
-                        }
-                    }
-                }
-            }
-            WritePolicy::WriteThrough => {
-                // Update the DL1 copy if present (stays clean), and always
-                // propagate over the bus to the L2.
-                let dl1_hit = self.dl1.write_word_masked(address, value, byte_mask);
-                let extra = self.store_to_l2(address, value, byte_mask, now);
-                StoreResponse {
-                    dl1_hit,
-                    extra_cycles: extra,
                 }
             }
         }
+        if self.cores[core]
+            .dl1
+            .write_word_masked(address, value, byte_mask)
+        {
+            return StoreResponse {
+                dl1_hit: true,
+                extra_cycles: upgrade_extra,
+            };
+        }
+        // Write miss.
+        let extra = match self.config.dl1.allocate_policy {
+            AllocatePolicy::WriteAllocate if self.protocol.table().uses_update_bus() => {
+                // Dragon fetches with a plain read (surviving copies move to
+                // `Sc`), then broadcasts the written word into them.
+                let base = self.cores[core].dl1.line_base(address);
+                let (line, extra, sharers) = self.fetch_line(core, base, now, false);
+                let state = self.protocol.table().read_fill_state(sharers);
+                self.fill_dl1(core, address, &line, now, state);
+                if sharers {
+                    extra + self.broadcast_update(core, address, value, byte_mask, now)
+                } else {
+                    self.write_filled(core, address, value, byte_mask, LineState::Modified);
+                    extra
+                }
+            }
+            AllocatePolicy::WriteAllocate => {
+                let base = self.cores[core].dl1.line_base(address);
+                let (line, extra, _) = self.fetch_line(core, base, now, true);
+                self.fill_dl1(core, address, &line, now, LineState::Exclusive);
+                let wrote = self.cores[core]
+                    .dl1
+                    .write_word_masked(address, value, byte_mask);
+                debug_assert!(wrote, "line was just filled");
+                extra
+            }
+            AllocatePolicy::NoWriteAllocate => {
+                self.store_to_l2(core, address, value, byte_mask, now)
+            }
+        };
+        StoreResponse {
+            dl1_hit: false,
+            extra_cycles: extra,
+        }
     }
 
-    /// Full-word store convenience wrapper.
-    pub fn store_word(&mut self, address: u32, value: u32, now: u64) -> StoreResponse {
-        self.store_word_masked(address, value, 0xF, now)
+    /// Writes into `core`'s resident copy of `address` and sets its state.
+    fn write_filled(
+        &mut self,
+        core: usize,
+        address: u32,
+        value: u32,
+        byte_mask: u8,
+        state: LineState,
+    ) {
+        let dl1 = &mut self.cores[core].dl1;
+        let wrote = dl1.write_word_masked(address, value, byte_mask);
+        debug_assert!(wrote, "the line is resident");
+        dl1.set_coherence_state(address, state);
     }
 
-    /// Fetches a whole DL1 line from the L2 (refilling the L2 from memory if
-    /// needed), returning the line data and the stall penalty.
-    fn fetch_line(&mut self, base: u32, now: u64) -> (Vec<u32>, u32) {
+    /// Arbitrates for the bus on `core`'s behalf — one transaction, a
+    /// round trip or a one-way (posted) transfer — and returns the
+    /// arbitration wait in cycles.
+    fn bus_transaction(&mut self, core: usize, now: u64, round_trip: bool) -> u32 {
+        let grant = if round_trip {
+            self.bus.round_trip(now)
+        } else {
+            self.bus.one_way(now)
+        };
+        let stats = &mut self.cores[core].stats;
+        stats.bus_transactions += 1;
+        stats.bus_wait_cycles += grant.wait_cycles;
+        u32::try_from(grant.wait_cycles).unwrap_or(u32::MAX)
+    }
+
+    /// Snoops every DL1 except `core`'s for the line at `base` — a remote
+    /// read (`exclusive == false`) or a write intent.  A dirty owner
+    /// supplies the line: under MESI the supplied words are reflected into
+    /// the L2, so the requester's refill reads fresh data; under
+    /// Dragon/MOESI the owner keeps the writeback obligation and the words
+    /// travel cache-to-cache only (returned to the caller; the L2 and memory
+    /// stay stale).  Returns whether any remote copy survives, and the
+    /// directly-supplied line if any.
+    fn snoop_remote(
+        &mut self,
+        core: usize,
+        base: u32,
+        exclusive: bool,
+    ) -> (bool, Option<Vec<u32>>) {
+        let mut sharers = false;
+        let mut supplied_direct = None;
+        for other in 0..self.cores.len() {
+            if other == core {
+                continue;
+            }
+            self.cores[core].stats.snoop_lookups += 1;
+            self.coherence.snoop_lookups += 1;
+            let result = self.cores[other].dl1.snoop(base, exclusive);
+            if !result.had_line {
+                continue;
+            }
+            if let Some(words) = result.supplied {
+                if self.protocol.table().supplies_through_l2() {
+                    // Cache-to-cache intervention: the dirty owner refreshes
+                    // the L2 on the same bus transaction (no extra
+                    // arbitration).
+                    self.write_line_into_l2(core, base, &words);
+                } else {
+                    supplied_direct = Some(words);
+                }
+                self.cores[core].stats.interventions += 1;
+                self.coherence.interventions += 1;
+            }
+            if exclusive {
+                self.cores[core].stats.invalidations_sent += 1;
+                self.cores[other].stats.invalidations_received += 1;
+                self.coherence.invalidations += 1;
+            } else {
+                sharers = true;
+            }
+        }
+        (sharers, supplied_direct)
+    }
+
+    /// Broadcasts a Dragon bus update (BusUpd) for `core`'s write to its
+    /// resident copy of `address`: one bus grant, then every remote copy
+    /// merges the written bytes in place and moves to `SharedClean`.  The
+    /// writer performs the write and holds `SharedModified` while copies
+    /// remain (`Modified` otherwise).  Returns the stall cost.
+    fn broadcast_update(
+        &mut self,
+        core: usize,
+        address: u32,
+        value: u32,
+        byte_mask: u8,
+        now: u64,
+    ) -> u32 {
+        let cost = self.config.bus_latency + self.bus_transaction(core, now, false);
+        let mut sharers = false;
+        for other in 0..self.cores.len() {
+            if other == core {
+                continue;
+            }
+            self.cores[core].stats.snoop_lookups += 1;
+            self.coherence.snoop_lookups += 1;
+            if self.cores[other]
+                .dl1
+                .apply_update(address, value, byte_mask, LineState::SharedClean)
+            {
+                sharers = true;
+                self.cores[core].stats.bus_updates_sent += 1;
+                self.coherence.bus_updates += 1;
+            }
+        }
+        let state = if sharers {
+            LineState::SharedModified
+        } else {
+            LineState::Modified
+        };
+        self.write_filled(core, address, value, byte_mask, state);
+        cost
+    }
+
+    /// Fetches a whole DL1 line for `core` from the L2 (refilling the L2 from
+    /// memory if needed) after snooping the other DL1s, returning the line
+    /// data, the stall penalty and whether remote copies remain.
+    fn fetch_line(
+        &mut self,
+        core: usize,
+        base: u32,
+        now: u64,
+        exclusive: bool,
+    ) -> (Vec<u32>, u32, bool) {
         let words = self.config.dl1.words_per_line();
-        let grant = self.bus.round_trip(now);
-        self.stats.bus_transactions += 1;
-        self.stats.bus_wait_cycles += grant.wait_cycles;
-
         let mut extra = 2 * self.config.bus_latency + self.config.l2_latency;
-        extra += u32::try_from(grant.wait_cycles).unwrap_or(u32::MAX);
+        extra += self.bus_transaction(core, now, true);
+
+        let (sharers, supplied) = self.snoop_remote(core, base, exclusive);
+        if let Some(line) = supplied {
+            // Dragon/MOESI cache-to-cache supply: the owner's copy travels
+            // directly on this transaction; the L2 and memory stay stale
+            // until the owner writes back.  No memory latency is paid.
+            return (line, extra, sharers);
+        }
 
         if !self.l2.probe(base) {
             // L2 miss: refill the L2 line from main memory first.
             extra += self.config.memory_latency;
-            self.stats.memory_accesses += 1;
-            let l2_base = self.l2.line_base(base);
             if let Some(sink) = &mut self.sink {
-                sink.record_line_fill(MemLevel::L2, l2_base);
+                sink.record_line_fill(MemLevel::L2, self.l2.line_base(base));
             }
-            let l2_words = self.config.l2.words_per_line();
-            let line = self.memory.read_line(l2_base, l2_words);
-            if let Some(evicted) = self.l2.fill(l2_base, &line) {
-                if evicted.dirty {
-                    self.memory.write_line(evicted.base_address, &evicted.words);
-                }
-            }
+            self.allocate_l2(core, base);
         }
 
         let line = self.l2.read_line_words(base, words).unwrap_or_else(|| {
@@ -516,96 +730,109 @@ impl MemorySystem {
                     match self.l2.read_word(word_address) {
                         Some(hit) => hit.value,
                         None => {
-                            self.stats.memory_accesses += 1;
+                            self.cores[core].stats.memory_accesses += 1;
                             self.memory.read_word(word_address)
                         }
                     }
                 })
                 .collect()
         });
-        self.stats.l2 = *self.l2.stats();
-        (line, extra)
+        (line, extra, sharers)
     }
 
-    /// Installs a fetched line in the DL1, writing back any dirty victim to
-    /// the L2 (posted, so it does not add to the requesting load's latency).
-    fn fill_dl1(&mut self, address: u32, line: &[u32], now: u64) {
+    /// Installs a fetched line in `core`'s DL1 in `state`, writing back any
+    /// dirty victim to the L2 (posted, so it does not add to the requesting
+    /// access's latency).
+    fn fill_dl1(&mut self, core: usize, address: u32, line: &[u32], now: u64, state: LineState) {
         if self.forensics.is_some() {
-            self.forensics_evict_probe(address);
+            self.forensics_evict_probe(core, address);
         }
         if let Some(sink) = &mut self.sink {
-            sink.record_line_fill(MemLevel::Dl1, self.dl1.line_base(address));
+            sink.record_line_fill(MemLevel::Dl1, self.cores[core].dl1.line_base(address));
         }
-        if let Some(evicted) = self.dl1.fill(address, line) {
+        if let Some(evicted) = self.cores[core].dl1.fill(address, line) {
             if evicted.dirty {
-                self.writeback_to_l2(&evicted, now);
+                self.writeback_to_l2(core, &evicted, now);
             }
         }
-        self.stats.dl1 = *self.dl1.stats();
+        if state != LineState::Exclusive {
+            // `Cache::fill` installs Exclusive; downgrade when remote copies
+            // survive.
+            self.cores[core].dl1.set_coherence_state(address, state);
+        }
     }
 
-    fn writeback_to_l2(&mut self, evicted: &EvictedLine, now: u64) {
+    fn writeback_to_l2(&mut self, core: usize, evicted: &EvictedLine, now: u64) {
         if let Some(sink) = &mut self.sink {
             sink.record_writeback(MemLevel::Dl1, evicted.base_address);
         }
-        let grant = self.bus.one_way(now);
-        self.stats.bus_transactions += 1;
-        self.stats.bus_wait_cycles += grant.wait_cycles;
-        // Ensure the line is present in the L2 (inclusive-style allocate).
-        if !self.l2.probe(evicted.base_address) {
-            let l2_base = self.l2.line_base(evicted.base_address);
-            let l2_words = self.config.l2.words_per_line();
-            self.stats.memory_accesses += 1;
-            let line = self.memory.read_line(l2_base, l2_words);
-            if let Some(victim) = self.l2.fill(l2_base, &line) {
-                if victim.dirty {
-                    self.memory.write_line(victim.base_address, &victim.words);
-                }
+        self.bus_transaction(core, now, false);
+        self.write_line_into_l2(core, evicted.base_address, &evicted.words);
+    }
+
+    /// Writes a DL1 line into the L2, allocating the enclosing L2 line first
+    /// if needed (inclusive-style allocate).
+    fn write_line_into_l2(&mut self, core: usize, base: u32, words: &[u32]) {
+        if !self.l2.probe(base) {
+            self.allocate_l2(core, base);
+        }
+        for (i, &word) in words.iter().enumerate() {
+            self.l2.write_word(base + 4 * i as u32, word);
+        }
+    }
+
+    /// Reads the L2 line holding `address` from main memory into the L2 on
+    /// `core`'s behalf, writing back a dirty L2 victim.
+    fn allocate_l2(&mut self, core: usize, address: u32) {
+        self.cores[core].stats.memory_accesses += 1;
+        let l2_base = self.l2.line_base(address);
+        let line = self
+            .memory
+            .read_line(l2_base, self.config.l2.words_per_line());
+        if let Some(victim) = self.l2.fill(l2_base, &line) {
+            if victim.dirty {
+                self.memory.write_line(victim.base_address, &victim.words);
             }
         }
-        for (i, &word) in evicted.words.iter().enumerate() {
-            self.l2
-                .write_word(evicted.base_address + 4 * i as u32, word);
-        }
-        self.stats.l2 = *self.l2.stats();
     }
 
     /// Propagates a write-through / no-allocate store to the L2, returning
-    /// the occupancy cost in cycles.
-    fn store_to_l2(&mut self, address: u32, value: u32, byte_mask: u8, now: u64) -> u32 {
-        let grant = self.bus.one_way(now);
-        self.stats.bus_transactions += 1;
-        self.stats.bus_wait_cycles += grant.wait_cycles;
+    /// the occupancy cost in cycles.  The write intent invalidates remote
+    /// copies under every protocol (the SMP platforms are write-back, so
+    /// only one-core configurations reach this path in practice).
+    fn store_to_l2(
+        &mut self,
+        core: usize,
+        address: u32,
+        value: u32,
+        byte_mask: u8,
+        now: u64,
+    ) -> u32 {
+        let wait = self.bus_transaction(core, now, false);
+        let base = self.cores[core].dl1.line_base(address);
+        self.snoop_remote(core, base, true);
         let mut extra = self.config.bus_latency + self.config.l2_latency;
-        extra += u32::try_from(grant.wait_cycles).unwrap_or(u32::MAX);
+        extra += wait;
         if !self.l2.write_word_masked(address, value, byte_mask) {
             // L2 write miss: allocate (the L2 is write-back/write-allocate).
             extra += self.config.memory_latency;
-            self.stats.memory_accesses += 1;
-            let l2_base = self.l2.line_base(address);
-            let l2_words = self.config.l2.words_per_line();
-            let line = self.memory.read_line(l2_base, l2_words);
-            if let Some(victim) = self.l2.fill(l2_base, &line) {
-                if victim.dirty {
-                    self.memory.write_line(victim.base_address, &victim.words);
-                }
-            }
+            self.allocate_l2(core, address);
             let wrote = self.l2.write_word_masked(address, value, byte_mask);
             debug_assert!(wrote, "L2 line was just filled");
         }
-        self.stats.l2 = *self.l2.stats();
         extra
     }
 
-    /// Flushes all dirty state (DL1 → L2 → memory) so the memory image holds
-    /// the final architectural values, and returns that image's checksum.
-    pub fn drain_to_memory(&mut self) -> u64 {
+    /// Flushes `core`'s dirty DL1 lines into the L2, then the L2 into memory,
+    /// so the memory image holds the final architectural values, and returns
+    /// that image's checksum.
+    pub fn drain(&mut self, core: usize) -> u64 {
         if self.forensics.is_some() {
-            self.forensics_flush_probe();
+            self.forensics_flush_probe(core);
         }
-        let dirty_dl1 = self.dl1.flush_dirty();
+        let dirty_dl1 = self.cores[core].dl1.flush_dirty();
         for line in &dirty_dl1 {
-            self.writeback_to_l2(line, 0);
+            self.writeback_to_l2(core, line, 0);
         }
         for line in self.l2.flush_dirty() {
             if let Some(sink) = &mut self.sink {
@@ -613,71 +840,104 @@ impl MemorySystem {
             }
             self.memory.write_line(line.base_address, &line.words);
         }
-        self.stats.dl1 = *self.dl1.stats();
-        self.stats.l2 = *self.l2.stats();
         if self.forensics.is_some() {
             self.forensics_drain_journal();
         }
         self.memory.checksum()
     }
 
-    /// Injects a bit-flip plan into the DL1 word at `address`, if resident.
-    pub fn inject_dl1_fault_at(&mut self, address: u32, plan: &FlipPlan) -> bool {
-        let struck = self.dl1.inject_fault(address, plan);
+    /// Injects a bit-flip plan into `core`'s DL1 word at `address`, if
+    /// resident.
+    pub fn inject_dl1_fault_at(&mut self, core: usize, address: u32, plan: &FlipPlan) -> bool {
+        let struck = self.cores[core].dl1.inject_fault(address, plan);
         if self.forensics.is_some() {
             self.forensics_drain_journal();
         }
         struck
     }
 
-    /// Injects a random fault into the DL1 following the campaign's target
-    /// and strike pattern, returning the struck address (or `None` if the
-    /// DL1 holds nothing to strike).  Data strikes hit a random resident
-    /// word's data/check bits; metadata strikes (see [`FaultTarget`]) flip a
-    /// MESI state bit or tag bit of a random resident line.
+    /// Injects a random fault into `core`'s DL1 following the campaign's
+    /// target and strike pattern, returning the struck address (or `None`
+    /// if the DL1 holds nothing to strike).  Data strikes hit a random
+    /// resident word's data/check bits; metadata strikes (see
+    /// [`FaultTarget`]) flip a coherence-state bit or tag bit of a random
+    /// resident line.
     pub fn inject_random_dl1_fault(
         &mut self,
+        core: usize,
         injector: &mut ErrorInjector,
         config: &FaultCampaignConfig,
     ) -> Option<u32> {
-        let struck = inject_random_cache_fault(&mut self.dl1, injector, config);
+        let dl1 = &mut self.cores[core].dl1;
+        let struck = match config.target {
+            FaultTarget::Data => {
+                let resident = dl1.resident_word_addresses();
+                if resident.is_empty() {
+                    None
+                } else {
+                    let address = resident[injector.next_below(resident.len() as u64) as usize];
+                    let check_bits = dl1.config().protection.check_bits();
+                    let plan = match config.pattern {
+                        FaultPattern::SingleBit => {
+                            injector.random_event(32, check_bits.max(1), config.double_fraction)
+                        }
+                        FaultPattern::Adjacent2 | FaultPattern::Adjacent4 => {
+                            injector.random_adjacent(32, config.pattern.cluster_bits())
+                        }
+                    };
+                    dl1.inject_fault(address, &plan);
+                    Some(address)
+                }
+            }
+            FaultTarget::State | FaultTarget::Tag => dl1.inject_meta_fault(injector, config.target),
+        };
         if self.forensics.is_some() {
             self.forensics_drain_journal();
         }
         struck
     }
 
-    /// Accumulated statistics.
+    /// `core`'s accumulated statistics (its DL1, the shared L2, and the bus,
+    /// memory and coherence traffic it caused).
     #[must_use]
-    pub fn stats(&self) -> MemStats {
-        let mut stats = self.stats;
-        stats.dl1 = *self.dl1.stats();
+    pub fn core_stats(&self, core: usize) -> MemStats {
+        let side = &self.cores[core];
+        let mut stats = side.stats;
+        stats.dl1 = *side.dl1.stats();
         stats.l2 = *self.l2.stats();
         stats
     }
 
-    /// Direct access to the DL1 (inspection in tests / campaigns).
+    /// Uncorrectable errors in `core`'s DL1 that hit dirty data
+    /// (unrecoverable).
     #[must_use]
-    pub fn dl1(&self) -> &Cache {
-        &self.dl1
+    pub fn core_unrecoverable_errors(&self, core: usize) -> u64 {
+        self.cores[core].unrecoverable_errors
     }
 
-    /// Direct access to the L2.
+    /// Uncorrectable errors in `core`'s DL1 recovered by refetching from
+    /// the L2.
+    #[must_use]
+    pub fn core_recovered_by_refetch(&self, core: usize) -> u64 {
+        self.cores[core].recovered_by_refetch
+    }
+
+    /// System-wide coherence counters.
+    #[must_use]
+    pub fn coherence_stats(&self) -> CoherenceStats {
+        self.coherence
+    }
+
+    /// `core`'s DL1 (inspection in tests / campaigns).
+    #[must_use]
+    pub fn dl1(&self, core: usize) -> &Cache {
+        &self.cores[core].dl1
+    }
+
+    /// The shared L2.
     #[must_use]
     pub fn l2(&self) -> &Cache {
         &self.l2
-    }
-
-    /// Uncorrectable DL1 errors that hit dirty data (unrecoverable).
-    #[must_use]
-    pub fn unrecoverable_errors(&self) -> u64 {
-        self.unrecoverable_errors
-    }
-
-    /// Uncorrectable DL1 errors recovered by refetching from the L2.
-    #[must_use]
-    pub fn recovered_by_refetch(&self) -> u64 {
-        self.recovered_by_refetch
     }
 
     /// Total bus transactions issued so far.
@@ -685,12 +945,20 @@ impl MemorySystem {
     pub fn bus_transactions(&self) -> u64 {
         self.bus.transactions()
     }
+
+    /// The checksum of the main-memory image as it stands (call after every
+    /// core drained for the final state).
+    #[must_use]
+    pub fn memory_checksum(&self) -> u64 {
+        self.memory.checksum()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
+    use crate::port::MemoryPort;
     use laec_ecc::CodeKind;
 
     fn wb_system() -> MemorySystem {
@@ -729,7 +997,7 @@ mod tests {
         for i in 1..=4 {
             system.load_word(0x2000 + i * 4096, 10 * u64::from(i));
         }
-        assert!(!system.dl1().probe(0x2000));
+        assert!(!system.dl1(0).probe(0x2000));
         let refetch = system.load_word(0x2000, 1000);
         assert!(!refetch.dl1_hit);
         assert_eq!(refetch.value, 7);
@@ -742,7 +1010,7 @@ mod tests {
         system.preload_word(0x3000, 1);
         system.load_word(0x3000, 0);
         let bus_before = system.bus_transactions();
-        let response = system.store_word(0x3000, 99, 10);
+        let response = system.store_word_masked(0x3000, 99, 0xF, 10);
         assert!(response.dl1_hit);
         assert_eq!(response.extra_cycles, 0);
         assert_eq!(
@@ -750,17 +1018,17 @@ mod tests {
             bus_before,
             "WB store hit stays on-core"
         );
-        assert_eq!(system.dl1().dirty_lines(), 1);
+        assert_eq!(system.dl1(0).dirty_lines(), 1);
         assert_eq!(system.load_word(0x3000, 20).value, 99);
     }
 
     #[test]
     fn write_back_store_miss_allocates() {
         let mut system = wb_system();
-        let response = system.store_word(0x4000, 5, 0);
+        let response = system.store_word_masked(0x4000, 5, 0xF, 0);
         assert!(!response.dl1_hit);
         assert!(response.extra_cycles >= system.config().l2_hit_penalty());
-        assert!(system.dl1().probe(0x4000));
+        assert!(system.dl1(0).probe(0x4000));
         assert_eq!(system.load_word(0x4000, 50).value, 5);
     }
 
@@ -770,14 +1038,14 @@ mod tests {
         system.preload_word(0x5000, 0);
         system.load_word(0x5000, 0);
         let bus_before = system.bus_transactions();
-        let response = system.store_word(0x5000, 42, 10);
+        let response = system.store_word_masked(0x5000, 42, 0xF, 10);
         assert!(response.dl1_hit, "the DL1 copy is updated");
         assert!(
             response.extra_cycles > 0,
             "and the store still travels to the L2"
         );
         assert_eq!(system.bus_transactions(), bus_before + 1);
-        assert_eq!(system.dl1().dirty_lines(), 0, "WT lines are never dirty");
+        assert_eq!(system.dl1(0).dirty_lines(), 0, "WT lines are never dirty");
         // The L2 received the store.
         assert!(system.l2().probe(0x5000));
     }
@@ -788,8 +1056,8 @@ mod tests {
         let mut wt = wt_system();
         for i in 0..64u32 {
             let address = 0x6000 + 4 * (i % 16);
-            wb.store_word(address, i, u64::from(i));
-            wt.store_word(address, i, u64::from(i));
+            wb.store_word_masked(address, i, 0xF, u64::from(i));
+            wt.store_word_masked(address, i, 0xF, u64::from(i));
         }
         assert!(
             wt.bus_transactions() > 4 * wb.bus_transactions(),
@@ -802,12 +1070,12 @@ mod tests {
     #[test]
     fn dirty_eviction_writes_back_and_preserves_data() {
         let mut system = wb_system();
-        system.store_word(0x7000, 0xDEAD, 0);
+        system.store_word_masked(0x7000, 0xDEAD, 0xF, 0);
         // Evict by filling the set with conflicting lines.
         for i in 1..=4u32 {
             system.load_word(0x7000 + i * 4096, u64::from(i) * 10);
         }
-        assert!(!system.dl1().probe(0x7000));
+        assert!(!system.dl1(0).probe(0x7000));
         // The dirty value survived in the L2.
         assert_eq!(system.load_word(0x7000, 1000).value, 0xDEAD);
     }
@@ -826,7 +1094,7 @@ mod tests {
     #[test]
     fn drain_to_memory_reaches_main_memory() {
         let mut system = wb_system();
-        system.store_word(0x9000, 77, 0);
+        system.store_word_masked(0x9000, 77, 0xF, 0);
         assert_eq!(system.peek_memory(0x9000), 0, "still only in the DL1");
         let checksum = system.drain_to_memory();
         assert_eq!(system.peek_memory(0x9000), 77);
@@ -838,7 +1106,7 @@ mod tests {
         let mut system = wb_system();
         system.preload_word(0xA000, 5);
         assert_eq!(system.peek_coherent(0xA000), 5);
-        system.store_word(0xA000, 6, 0);
+        system.store_word_masked(0xA000, 6, 0xF, 0);
         let stats_before = system.stats();
         assert_eq!(system.peek_coherent(0xA000), 6);
         let stats_after = system.stats();
@@ -850,7 +1118,7 @@ mod tests {
         let mut system = wb_system();
         system.preload_word(0xB000, 0x1234_5678);
         system.load_word(0xB000, 0);
-        assert!(system.inject_dl1_fault_at(0xB000, &FlipPlan::single_data(7)));
+        assert!(system.inject_dl1_fault_at(0, 0xB000, &FlipPlan::single_data(7)));
         let hit = system.load_word(0xB000, 10);
         assert_eq!(hit.value, 0x1234_5678);
         assert!(hit.outcome.is_error() && hit.outcome.is_usable());
@@ -860,8 +1128,8 @@ mod tests {
     #[test]
     fn double_fault_on_dirty_wb_data_is_unrecoverable() {
         let mut system = wb_system();
-        system.store_word(0xC000, 1, 0);
-        assert!(system.inject_dl1_fault_at(0xC000, &FlipPlan::double_data(0, 1)));
+        system.store_word_masked(0xC000, 1, 0xF, 0);
+        assert!(system.inject_dl1_fault_at(0, 0xC000, &FlipPlan::double_data(0, 1)));
         let hit = system.load_word(0xC000, 10);
         assert!(hit.outcome.is_uncorrectable());
         assert_eq!(system.unrecoverable_errors(), 1);
@@ -873,7 +1141,7 @@ mod tests {
         system.preload_word(0xD000, 0xFEED);
         system.load_word(0xD000, 0);
         // Parity detects but cannot correct; the WT DL1 refetches from L2.
-        assert!(system.inject_dl1_fault_at(0xD000, &FlipPlan::single_data(3)));
+        assert!(system.inject_dl1_fault_at(0, 0xD000, &FlipPlan::single_data(3)));
         let reload = system.load_word(0xD000, 10);
         assert_eq!(reload.value, 0xFEED, "clean copy restored from the L2");
         assert!(!reload.dl1_hit);
@@ -890,11 +1158,11 @@ mod tests {
         let mut injector = ErrorInjector::new(1);
         let config = FaultCampaignConfig::single_bit(1, 1);
         assert!(system
-            .inject_random_dl1_fault(&mut injector, &config)
+            .inject_random_dl1_fault(0, &mut injector, &config)
             .is_none());
         system.load_word(0xE000, 0);
         let address = system
-            .inject_random_dl1_fault(&mut injector, &config)
+            .inject_random_dl1_fault(0, &mut injector, &config)
             .expect("a resident word exists");
         assert_eq!(
             address & !31,
@@ -915,7 +1183,7 @@ mod tests {
         let config = FaultCampaignConfig::with_pattern(7, 1, FaultPattern::Adjacent2);
         for round in 0..20u64 {
             let struck = system
-                .inject_random_dl1_fault(&mut injector, &config)
+                .inject_random_dl1_fault(0, &mut injector, &config)
                 .expect("line is resident");
             let read = system.load_word(struck, 10 * (round + 1));
             assert!(read.outcome.is_uncorrectable(), "double must be detected");
@@ -930,12 +1198,12 @@ mod tests {
     #[test]
     fn adjacent_mbu2_on_dirty_secded_line_is_unrecoverable() {
         let mut system = wb_system();
-        system.store_word(0xE200, 0xFACE, 0);
+        system.store_word_masked(0xE200, 0xFACE, 0xF, 0);
         let mut injector = ErrorInjector::new(9);
         let config = FaultCampaignConfig::with_pattern(9, 1, FaultPattern::Adjacent2);
         // The DL1 holds exactly one (dirty) line, so the strike hits it.
         system
-            .inject_random_dl1_fault(&mut injector, &config)
+            .inject_random_dl1_fault(0, &mut injector, &config)
             .expect("line is resident");
         // The strike may land in any of the line's words; read them all.
         for i in 0..8u32 {
@@ -954,7 +1222,7 @@ mod tests {
         let mut system = MemorySystem::new(config);
         system.preload_word(0xF000, 100);
         system.load_word(0xF000, 0);
-        system.inject_dl1_fault_at(0xF000, &FlipPlan::single_data(0));
+        system.inject_dl1_fault_at(0, 0xF000, &FlipPlan::single_data(0));
         let hit = system.load_word(0xF000, 10);
         assert_eq!(hit.outcome, Outcome::Clean, "no code, no detection");
         assert_eq!(hit.value, 101, "silent corruption");
@@ -993,5 +1261,35 @@ mod tests {
         let q = quiet.load_word(0x1_0000, 0);
         let n = noisy.load_word(0x1_0000, 0);
         assert_eq!(n.extra_cycles, q.extra_cycles + 8);
+    }
+
+    #[test]
+    fn shared_line_writes_broadcast_only_when_another_dl1_exists() {
+        // On one core a `Shared` line can only come from a state-bit
+        // strike; with no copy to invalidate, the store stays on-core.
+        let mut one = wb_system();
+        one.load_word(0x3000, 0);
+        one.cores[0]
+            .dl1
+            .set_coherence_state(0x3000, LineState::Shared);
+        let bus_before = one.bus_transactions();
+        assert_eq!(one.store_word_masked(0x3000, 1, 0xF, 10).extra_cycles, 0);
+        assert_eq!(one.bus_transactions(), bus_before);
+        assert_eq!(one.coherence_stats(), CoherenceStats::default());
+
+        // The same store on a two-core system broadcasts the upgrade.
+        let config = HierarchyConfig::ngmp_write_back();
+        let mut two = MemorySystem::with_cores(config, 2, ProtocolKind::Mesi);
+        two.load(0, 0x3000, 0);
+        two.cores[0]
+            .dl1
+            .set_coherence_state(0x3000, LineState::Shared);
+        let bus_before = two.bus_transactions();
+        let response = two.store(0, 0x3000, 1, 0xF, 10);
+        assert_eq!(response.extra_cycles, config.bus_latency);
+        assert_eq!(two.bus_transactions(), bus_before + 1);
+        assert_eq!(two.coherence_stats().upgrades, 1);
+        // The refill and the upgrade each probed core 1's DL1.
+        assert_eq!(two.coherence_stats().snoop_lookups, 2);
     }
 }

@@ -18,7 +18,9 @@
 //!   "stall until completely empty" backpressure,
 //! * [`bus`] — the shared bus with an interference model for unobserved cores,
 //! * [`memory`] — flat main memory,
-//! * [`hierarchy`] — [`MemorySystem`], the per-core façade the pipeline talks to,
+//! * [`hierarchy`] — [`MemorySystem`], the one hierarchy for 1..N cores:
+//!   per-core DL1s kept coherent by snooping, the shared bus, L2 and memory,
+//! * [`port`] — [`MemoryPort`], the per-core interface the pipeline drives,
 //! * [`fault`] — periodic soft-error injection campaigns (single-bit and
 //!   adjacent-bit MBU patterns),
 //! * [`forensics`] — per-fault lifecycle records (strike → latent residency →
@@ -31,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use laec_mem::{HierarchyConfig, MemorySystem};
+//! use laec_mem::{HierarchyConfig, MemoryPort, MemorySystem};
 //!
 //! let mut system = MemorySystem::new(HierarchyConfig::ngmp_write_back());
 //! system.preload_word(0x1000, 42);
@@ -71,9 +73,9 @@ pub use fault::{
     ParseFaultTargetError,
 };
 pub use forensics::{ActivationKind, CellForensics, FaultOutcome, FaultRecord};
-pub use hierarchy::{inject_random_cache_fault, LoadResponse, MemorySystem, StoreResponse};
+pub use hierarchy::{LoadResponse, MemorySystem, StoreResponse};
 pub use memory::MainMemory;
 pub use port::MemoryPort;
 pub use replay::ReplayMemory;
-pub use stats::{CacheStats, MemStats};
+pub use stats::{CacheStats, CoherenceStats, MemStats};
 pub use write_buffer::{PendingStore, WriteBuffer};

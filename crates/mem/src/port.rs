@@ -1,12 +1,12 @@
 //! The memory interface the pipeline drives.
 //!
 //! `laec_pipeline::Simulator` talks to its data memory exclusively through
-//! this trait, so the same pipeline model runs against the uniprocessor
-//! [`MemorySystem`] *and* against one core's
-//! port of the MESI-coherent multi-core hierarchy in `laec_smp` — the
-//! coherent port mirrors the uniprocessor's timing and statistics exactly
-//! when no other core shares the system, which is what makes single-core SMP
-//! campaign reports byte-identical to the uniprocessor engine.
+//! this trait: one core's view of a [`MemorySystem`].  The uniprocessor
+//! pipeline owns a one-core `MemorySystem` outright (its port is core 0, with
+//! no shared-ownership cost on the hot path); each pipeline of a `laec_smp`
+//! system holds a shared handle on one N-core `MemorySystem` plus its core
+//! index.  Both run the same access flows, so a one-core SMP system is the
+//! uniprocessor.
 
 use laec_ecc::ErrorInjector;
 
@@ -47,20 +47,14 @@ pub trait MemoryPort {
 
     /// Dirty lines silently dropped because of corrupted cache metadata
     /// (MESI state / tag strikes) — a silent-data-corruption class.
-    fn lost_writebacks(&self) -> u64 {
-        0
-    }
+    fn lost_writebacks(&self) -> u64;
 
     /// Reads served wrong data because of corrupted cache metadata — the
     /// other silent-data-corruption class.
-    fn stale_metadata_reads(&self) -> u64 {
-        0
-    }
+    fn stale_metadata_reads(&self) -> u64;
 
     /// Metadata faults injected so far (state/tag strikes).
-    fn meta_faults_injected(&self) -> u64 {
-        0
-    }
+    fn meta_faults_injected(&self) -> u64;
 
     /// Injects one random fault into this core's DL1 following the
     /// campaign's target and strike pattern, returning the struck address
@@ -72,7 +66,7 @@ pub trait MemoryPort {
     ) -> Option<u32>;
 
     /// Turns on per-fault lifecycle forensics, if the port supports it.
-    /// Ports without forensics (e.g. the coherent SMP port) silently ignore
+    /// Ports without forensics (e.g. the shared SMP port) silently ignore
     /// the request and keep returning `None` from
     /// [`MemoryPort::take_forensics`].
     fn enable_forensics(&mut self) {}
@@ -85,9 +79,10 @@ pub trait MemoryPort {
     }
 }
 
+/// A `MemorySystem` owned by one pipeline is core 0's port.
 impl MemoryPort for MemorySystem {
     fn load_word(&mut self, address: u32, now: u64) -> LoadResponse {
-        MemorySystem::load_word(self, address, now)
+        self.load(0, address, now)
     }
 
     fn store_word_masked(
@@ -97,35 +92,35 @@ impl MemoryPort for MemorySystem {
         byte_mask: u8,
         now: u64,
     ) -> StoreResponse {
-        MemorySystem::store_word_masked(self, address, value, byte_mask, now)
+        self.store(0, address, value, byte_mask, now)
     }
 
     fn drain_to_memory(&mut self) -> u64 {
-        MemorySystem::drain_to_memory(self)
+        self.drain(0)
     }
 
     fn stats(&self) -> MemStats {
-        MemorySystem::stats(self)
+        self.core_stats(0)
     }
 
     fn unrecoverable_errors(&self) -> u64 {
-        MemorySystem::unrecoverable_errors(self)
+        self.core_unrecoverable_errors(0)
     }
 
     fn recovered_by_refetch(&self) -> u64 {
-        MemorySystem::recovered_by_refetch(self)
+        self.core_recovered_by_refetch(0)
     }
 
     fn lost_writebacks(&self) -> u64 {
-        self.dl1().lost_writebacks()
+        self.dl1(0).lost_writebacks()
     }
 
     fn stale_metadata_reads(&self) -> u64 {
-        self.dl1().stale_reads()
+        self.dl1(0).stale_reads()
     }
 
     fn meta_faults_injected(&self) -> u64 {
-        self.dl1().meta_faults_injected()
+        self.dl1(0).meta_faults_injected()
     }
 
     fn inject_random_fault(
@@ -133,7 +128,7 @@ impl MemoryPort for MemorySystem {
         injector: &mut ErrorInjector,
         config: &FaultCampaignConfig,
     ) -> Option<u32> {
-        self.inject_random_dl1_fault(injector, config)
+        self.inject_random_dl1_fault(0, injector, config)
     }
 
     fn enable_forensics(&mut self) {

@@ -16,6 +16,7 @@ use crate::config::HierarchyConfig;
 use crate::fault::{FaultCampaign, FaultCampaignConfig, FaultCampaignReport};
 use crate::forensics::CellForensics;
 use crate::hierarchy::MemorySystem;
+use crate::port::MemoryPort;
 use crate::stats::MemStats;
 
 /// A memory system (plus optional fault campaign) driven by a trace.
@@ -173,7 +174,7 @@ mod tests {
             cycle += 1 + u64::from(response.extra_cycles);
             if i % 3 == 0 {
                 let value = 0xA000 + i;
-                original.store_word(address, value, cycle);
+                original.store_word_masked(address, value, 0xF, cycle);
                 recorder.record_mem_write(address, cycle, value, 0xF);
                 recorder.record_commit();
                 cycle += 1;

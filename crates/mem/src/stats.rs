@@ -154,6 +154,23 @@ impl MemStats {
     }
 }
 
+/// System-wide coherence-protocol event counters (all zero on one core).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoherenceStats {
+    /// Remote DL1 tag lookups triggered by bus transactions.
+    pub snoop_lookups: u64,
+    /// Copies invalidated by remote write intents (BusRdX/BusUpgr and
+    /// write-through propagation).
+    pub invalidations: u64,
+    /// Dirty lines supplied cache-to-cache (owner → requester).
+    pub interventions: u64,
+    /// Stores to `Shared` lines that had to broadcast an upgrade first.
+    pub upgrades: u64,
+    /// Bus-update payloads delivered into remote copies (Dragon's BusUpd;
+    /// zero under the invalidate-based protocols).
+    pub bus_updates: u64,
+}
+
 impl fmt::Display for MemStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "DL1: {}", self.dl1)?;

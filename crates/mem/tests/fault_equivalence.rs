@@ -14,7 +14,7 @@
 //! injects) and chunks that end exactly at an injection boundary
 //! (`remaining == until_next` entering the bulk call).
 
-use laec_mem::{FaultCampaign, FaultCampaignConfig, HierarchyConfig, MemorySystem};
+use laec_mem::{FaultCampaign, FaultCampaignConfig, HierarchyConfig, MemoryPort, MemorySystem};
 
 /// A memory system with a populated DL1 so every strike finds a target.
 fn populated_system() -> MemorySystem {

@@ -106,10 +106,9 @@ struct RecentProducer {
 
 /// The simulator for one program under one configuration.
 ///
-/// Generic over its data-memory backend: the default
-/// [`MemorySystem`] is the paper's uniprocessor
-/// hierarchy; `laec_smp` plugs in one core's port of a MESI-coherent
-/// multi-core hierarchy instead.
+/// Generic over its data-memory backend: by default it owns a one-core
+/// [`MemorySystem`], the paper's uniprocessor; `laec_smp` plugs in one
+/// core's shared port of an N-core `MemorySystem` instead.
 #[derive(Debug)]
 pub struct Simulator<M: MemoryPort = MemorySystem> {
     config: PipelineConfig,
@@ -172,7 +171,7 @@ impl<M: MemoryPort> Simulator<M> {
     /// Creates a simulator for `program` against an externally built memory
     /// backend (the data image must already be loaded into it).  This is how
     /// `laec_smp` attaches each core's pipeline to its port of the shared,
-    /// MESI-coherent hierarchy.
+    /// coherent hierarchy.
     #[must_use]
     pub fn with_port(program: Program, config: PipelineConfig, port: M) -> Self {
         let fault_campaign = config.fault_campaign.map(FaultCampaign::new);

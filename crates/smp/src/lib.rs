@@ -10,13 +10,11 @@
 //! axis: the [`laec_mem::CoherenceProtocol`] decision table (MESI by
 //! default; Dragon and MOESI via [`SmpSystem::with_protocol`]).
 //!
-//! * [`memory`] — [`CoherentMemory`]: per-core DL1s with coherence states,
-//!   the snoop machinery (downgrades, invalidations, dirty interventions,
-//!   Dragon bus updates), per-core statistics and coherence counters.  Each
-//!   core's [`CorePort`] implements `laec_mem::MemoryPort` and mirrors the
-//!   uniprocessor `MemorySystem` exactly when no other core exists —
-//!   single-core SMP campaign reports are byte-identical to the
-//!   uniprocessor engine's, under every protocol.
+//! * [`memory`] — [`CoherentMemory`]: a shared handle on one N-core
+//!   `laec_mem::MemorySystem` — the same hierarchy, and the same access
+//!   flows, the uniprocessor runs with one core.  Each core's [`CorePort`]
+//!   is that handle plus a core index and implements `laec_mem::MemoryPort`,
+//!   so a one-core system is the uniprocessor, under every protocol.
 //! * [`system`] — [`SmpSystem`]: one pipeline per core, advanced by a
 //!   deterministic lowest-local-clock scheduler (round-robin tie-break), so
 //!   multi-core runs are exactly reproducible.
@@ -51,5 +49,6 @@
 pub mod memory;
 pub mod system;
 
-pub use memory::{CoherenceStats, CoherentMemory, CorePort};
+pub use laec_mem::CoherenceStats;
+pub use memory::{CoherentMemory, CorePort};
 pub use system::{SmpRunResult, SmpSystem, StopPolicy};

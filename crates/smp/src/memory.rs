@@ -1,528 +1,28 @@
-//! The coherent multi-core memory system.
+//! The shared handle on an N-core hierarchy.
 //!
-//! N private DL1s in front of one shared bus, one shared write-back L2 and
-//! one main memory.  Every bus transaction a core issues snoops the other
-//! cores' DL1 tag arrays; what the snooped copies *do* — downgrade, supply,
-//! invalidate, or absorb a broadcast update — is decided by the configured
-//! [`CoherenceProtocol`](laec_mem::CoherenceProtocol) table:
-//!
-//! * **MESI** (the default): remote reads downgrade `Modified`/`Exclusive`
-//!   copies to `Shared` (a `Modified` owner supplies the line and refreshes
-//!   the L2), remote write intents invalidate, and stores to `Shared` lines
-//!   first broadcast an upgrade (BusUpgr) that invalidates the other copies.
-//! * **Dragon**: update-based — stores to shared (`Sc`/`Sm`) lines
-//!   broadcast the written word (BusUpd) into the surviving remote copies
-//!   instead of invalidating them, and a dirty supplier keeps its writeback
-//!   obligation (`Sm`) rather than refreshing the L2.
-//! * **MOESI**: a `Modified` copy snooped by a remote read becomes `Owned` —
-//!   it supplies the line cache-to-cache and stays dirty, so the L2 and
-//!   memory remain stale until the owner evicts.
-//!
-//! # Byte-identity with the uniprocessor hierarchy
-//!
-//! Each core's [`CorePort`] mirrors `laec_mem::MemorySystem` *exactly* —
-//! the same access flows, the same stall arithmetic, the same statistics
-//! updates in the same order, and the same fault-injection helper drawing
-//! the same RNG stream.  With one core there is nobody to snoop, so every
-//! coherence hook degenerates to a no-op and a 1-core system is
-//! indistinguishable from the uniprocessor engine; `tests/smp_equivalence.rs`
-//! at the workspace root asserts the resulting campaign reports are
-//! byte-identical across the full workload × scheme grid.
+//! The hierarchy itself — N private DL1s snooping one shared bus in front of
+//! the shared write-back L2 and main memory, coherent under MESI, Dragon or
+//! MOESI — is `laec_mem::MemorySystem`, the same code the uniprocessor
+//! runs with one core.  N pipelines drive it at once, so this module wraps
+//! it in shared ownership: [`CoherentMemory`] is the system-wide handle
+//! (construction, inspection, test-driving accesses) and each core's
+//! [`CorePort`] is the handle plus a core index, implementing
+//! `laec_mem::MemoryPort`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use laec_ecc::{ErrorInjector, Outcome};
+use laec_ecc::ErrorInjector;
 use laec_mem::{
-    inject_random_cache_fault, AllocatePolicy, Cache, EvictedLine, FaultCampaignConfig,
-    HierarchyConfig, Interference, LineState, LoadResponse, LocalWriteAction, MainMemory, MemStats,
-    MemoryPort, ProtocolKind, StoreResponse, WritePolicy,
+    CoherenceStats, FaultCampaignConfig, HierarchyConfig, Interference, LineState, LoadResponse,
+    MemStats, MemoryPort, MemorySystem, ProtocolKind, StoreResponse,
 };
-
-/// System-wide coherence-protocol event counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoherenceStats {
-    /// Remote DL1 tag lookups triggered by bus transactions.
-    pub snoop_lookups: u64,
-    /// Copies invalidated by remote write intents (BusRdX/BusUpgr and
-    /// write-through propagation).
-    pub invalidations: u64,
-    /// Dirty lines supplied cache-to-cache (owner → requester).
-    pub interventions: u64,
-    /// Stores to `Shared` lines that had to broadcast an upgrade first.
-    pub upgrades: u64,
-    /// Bus-update payloads delivered into remote copies (Dragon's BusUpd;
-    /// zero under the invalidate-based protocols).
-    pub bus_updates: u64,
-}
-
-/// Per-core bookkeeping mirrored from the uniprocessor `MemorySystem`.
-#[derive(Debug, Default)]
-struct CoreCounters {
-    stats: MemStats,
-    unrecoverable_errors: u64,
-    recovered_by_refetch: u64,
-}
-
-/// The shared state behind every core's port.
-#[derive(Debug)]
-struct CoherentState {
-    config: HierarchyConfig,
-    protocol: ProtocolKind,
-    dl1s: Vec<Cache>,
-    l2: Cache,
-    bus: laec_mem::Bus,
-    memory: MainMemory,
-    cores: Vec<CoreCounters>,
-    coherence: CoherenceStats,
-}
-
-impl CoherentState {
-    /// Snoops every DL1 except `core` for `base` (a DL1-line base address).
-    /// A dirty owner supplies the line: under MESI the supplied words are
-    /// reflected into the L2 so the requester's refill below reads fresh
-    /// data; under Dragon/MOESI the owner keeps the writeback obligation and
-    /// the words travel cache-to-cache only (returned to the caller, L2 and
-    /// memory stay stale).  Returns `(sharers, supplied)`: whether any
-    /// remote copy survives, and the directly-supplied line if any.
-    fn snoop_remote(
-        &mut self,
-        core: usize,
-        base: u32,
-        exclusive: bool,
-    ) -> (bool, Option<Vec<u32>>) {
-        let mut sharers = false;
-        let mut supplied_direct = None;
-        for j in 0..self.dl1s.len() {
-            if j == core {
-                continue;
-            }
-            self.cores[core].stats.snoop_lookups += 1;
-            self.coherence.snoop_lookups += 1;
-            let result = self.dl1s[j].snoop(base, exclusive);
-            if !result.had_line {
-                continue;
-            }
-            if let Some(words) = result.supplied {
-                if self.protocol.table().supplies_through_l2() {
-                    // Cache-to-cache intervention: the dirty owner refreshes
-                    // the L2 on the same bus transaction (no extra
-                    // arbitration).
-                    self.reflect_into_l2(core, base, &words);
-                } else {
-                    supplied_direct = Some(words);
-                }
-                self.cores[core].stats.interventions += 1;
-                self.coherence.interventions += 1;
-            }
-            if exclusive {
-                self.cores[core].stats.invalidations_sent += 1;
-                self.cores[j].stats.invalidations_received += 1;
-                self.coherence.invalidations += 1;
-            } else {
-                sharers = true;
-            }
-        }
-        (sharers, supplied_direct)
-    }
-
-    /// Broadcasts a Dragon bus update (BusUpd): one bus grant, then every
-    /// remote copy of the line merges the written bytes in place and moves
-    /// to `SharedClean` — the writer becomes the owner.  Returns the stall
-    /// cost and whether any remote copy absorbed the update (the writer
-    /// must then hold `SharedModified`, not `Modified`).
-    fn broadcast_update(
-        &mut self,
-        core: usize,
-        address: u32,
-        value: u32,
-        byte_mask: u8,
-        now: u64,
-    ) -> (u32, bool) {
-        let grant = self.bus.one_way(now);
-        self.cores[core].stats.bus_transactions += 1;
-        self.cores[core].stats.bus_wait_cycles += grant.wait_cycles;
-        let cost = self.config.bus_latency + u32::try_from(grant.wait_cycles).unwrap_or(u32::MAX);
-        let mut sharers = false;
-        for j in 0..self.dl1s.len() {
-            if j == core {
-                continue;
-            }
-            self.cores[core].stats.snoop_lookups += 1;
-            self.coherence.snoop_lookups += 1;
-            if self.dl1s[j].apply_update(address, value, byte_mask, LineState::SharedClean) {
-                sharers = true;
-                self.cores[core].stats.bus_updates_sent += 1;
-                self.coherence.bus_updates += 1;
-            }
-        }
-        (cost, sharers)
-    }
-
-    /// Writes an intervention-supplied DL1 line into the L2 (allocating the
-    /// enclosing L2 line from memory first if needed, like a writeback).
-    fn reflect_into_l2(&mut self, core: usize, base: u32, words: &[u32]) {
-        if !self.l2.probe(base) {
-            let l2_base = self.l2.line_base(base);
-            let l2_words = self.config.l2.words_per_line();
-            self.cores[core].stats.memory_accesses += 1;
-            let line = self.memory.read_line(l2_base, l2_words);
-            if let Some(victim) = self.l2.fill(l2_base, &line) {
-                if victim.dirty {
-                    self.memory.write_line(victim.base_address, &victim.words);
-                }
-            }
-        }
-        for (i, &word) in words.iter().enumerate() {
-            self.l2.write_word(base + 4 * i as u32, word);
-        }
-    }
-
-    /// Mirror of `MemorySystem::fetch_line`, plus the snoop phase.  Returns
-    /// the line data, the stall penalty and whether remote copies remain.
-    fn fetch_line(
-        &mut self,
-        core: usize,
-        base: u32,
-        now: u64,
-        exclusive: bool,
-    ) -> (Vec<u32>, u32, bool) {
-        let words = self.config.dl1.words_per_line();
-        let grant = self.bus.round_trip(now);
-        self.cores[core].stats.bus_transactions += 1;
-        self.cores[core].stats.bus_wait_cycles += grant.wait_cycles;
-
-        let mut extra = 2 * self.config.bus_latency + self.config.l2_latency;
-        extra += u32::try_from(grant.wait_cycles).unwrap_or(u32::MAX);
-
-        let (sharers, supplied) = self.snoop_remote(core, base, exclusive);
-
-        if let Some(line) = supplied {
-            // Dragon/MOESI cache-to-cache supply: the owner's copy travels
-            // directly on this transaction; the L2 and memory stay stale
-            // until the owner writes back.  No memory latency is paid.
-            self.cores[core].stats.l2 = *self.l2.stats();
-            return (line, extra, sharers);
-        }
-
-        if !self.l2.probe(base) {
-            // L2 miss: refill the L2 line from main memory first.
-            extra += self.config.memory_latency;
-            self.cores[core].stats.memory_accesses += 1;
-            let l2_base = self.l2.line_base(base);
-            let l2_words = self.config.l2.words_per_line();
-            let line = self.memory.read_line(l2_base, l2_words);
-            if let Some(evicted) = self.l2.fill(l2_base, &line) {
-                if evicted.dirty {
-                    self.memory.write_line(evicted.base_address, &evicted.words);
-                }
-            }
-        }
-
-        let line = self.l2.read_line_words(base, words).unwrap_or_else(|| {
-            // DL1 lines wider than L2 lines: defensive per-word fallback,
-            // exactly like the uniprocessor hierarchy.
-            (0..words)
-                .map(|i| {
-                    let word_address = base + 4 * i;
-                    match self.l2.read_word(word_address) {
-                        Some(hit) => hit.value,
-                        None => {
-                            self.cores[core].stats.memory_accesses += 1;
-                            self.memory.read_word(word_address)
-                        }
-                    }
-                })
-                .collect()
-        });
-        self.cores[core].stats.l2 = *self.l2.stats();
-        (line, extra, sharers)
-    }
-
-    /// Mirror of `MemorySystem::fill_dl1`, with an explicit fill state.
-    fn fill_dl1(&mut self, core: usize, address: u32, line: &[u32], now: u64, state: LineState) {
-        if let Some(evicted) = self.dl1s[core].fill(address, line) {
-            if evicted.dirty {
-                self.writeback_to_l2(core, &evicted, now);
-            }
-        }
-        if state != LineState::Exclusive {
-            // `Cache::fill` installs Exclusive; downgrade when remote
-            // copies survive.
-            self.dl1s[core].set_coherence_state(address, state);
-        }
-        self.cores[core].stats.dl1 = *self.dl1s[core].stats();
-    }
-
-    /// Mirror of `MemorySystem::writeback_to_l2`.
-    fn writeback_to_l2(&mut self, core: usize, evicted: &EvictedLine, now: u64) {
-        let grant = self.bus.one_way(now);
-        self.cores[core].stats.bus_transactions += 1;
-        self.cores[core].stats.bus_wait_cycles += grant.wait_cycles;
-        if !self.l2.probe(evicted.base_address) {
-            let l2_base = self.l2.line_base(evicted.base_address);
-            let l2_words = self.config.l2.words_per_line();
-            self.cores[core].stats.memory_accesses += 1;
-            let line = self.memory.read_line(l2_base, l2_words);
-            if let Some(victim) = self.l2.fill(l2_base, &line) {
-                if victim.dirty {
-                    self.memory.write_line(victim.base_address, &victim.words);
-                }
-            }
-        }
-        for (i, &word) in evicted.words.iter().enumerate() {
-            self.l2
-                .write_word(evicted.base_address + 4 * i as u32, word);
-        }
-        self.cores[core].stats.l2 = *self.l2.stats();
-    }
-
-    /// Mirror of `MemorySystem::store_to_l2` (write-through / no-allocate
-    /// propagation), plus write-invalidation of remote copies.  This path
-    /// stays invalidate-based under every protocol: the SMP platforms are
-    /// write-back, so only the MESI-locked write-through configurations
-    /// (used by the 1-core equivalence anchor) ever reach it.
-    fn store_to_l2(
-        &mut self,
-        core: usize,
-        address: u32,
-        value: u32,
-        byte_mask: u8,
-        now: u64,
-    ) -> u32 {
-        let grant = self.bus.one_way(now);
-        self.cores[core].stats.bus_transactions += 1;
-        self.cores[core].stats.bus_wait_cycles += grant.wait_cycles;
-        let base = self.dl1s[core].line_base(address);
-        self.snoop_remote(core, base, true);
-        let mut extra = self.config.bus_latency + self.config.l2_latency;
-        extra += u32::try_from(grant.wait_cycles).unwrap_or(u32::MAX);
-        if !self.l2.write_word_masked(address, value, byte_mask) {
-            extra += self.config.memory_latency;
-            self.cores[core].stats.memory_accesses += 1;
-            let l2_base = self.l2.line_base(address);
-            let l2_words = self.config.l2.words_per_line();
-            let line = self.memory.read_line(l2_base, l2_words);
-            if let Some(victim) = self.l2.fill(l2_base, &line) {
-                if victim.dirty {
-                    self.memory.write_line(victim.base_address, &victim.words);
-                }
-            }
-            let wrote = self.l2.write_word_masked(address, value, byte_mask);
-            debug_assert!(wrote, "L2 line was just filled");
-        }
-        self.cores[core].stats.l2 = *self.l2.stats();
-        extra
-    }
-
-    /// Mirror of `MemorySystem::load_word` for one core.
-    fn load_word(&mut self, core: usize, address: u32, now: u64) -> LoadResponse {
-        if let Some(hit) = self.dl1s[core].read_word(address) {
-            if hit.outcome.is_usable() {
-                return LoadResponse {
-                    value: hit.value,
-                    dl1_hit: true,
-                    extra_cycles: 0,
-                    outcome: hit.outcome,
-                };
-            }
-            if !hit.dirty {
-                self.cores[core].recovered_by_refetch += 1;
-                self.dl1s[core].invalidate(address);
-                let base = self.dl1s[core].line_base(address);
-                let (line, extra, sharers) = self.fetch_line(core, base, now, false);
-                let word_index = ((address & (self.config.dl1.line_bytes - 1)) >> 2) as usize;
-                let value = line[word_index];
-                let state = self.protocol.table().read_fill_state(sharers);
-                self.fill_dl1(core, address, &line, now, state);
-                return LoadResponse {
-                    value,
-                    dl1_hit: false,
-                    extra_cycles: extra,
-                    outcome: hit.outcome,
-                };
-            }
-            self.cores[core].unrecoverable_errors += 1;
-            return LoadResponse {
-                value: hit.value,
-                dl1_hit: true,
-                extra_cycles: 0,
-                outcome: hit.outcome,
-            };
-        }
-        let base = self.dl1s[core].line_base(address);
-        let (line, extra, sharers) = self.fetch_line(core, base, now, false);
-        let word_index = ((address & (self.config.dl1.line_bytes - 1)) >> 2) as usize;
-        let value = line[word_index];
-        let state = self.protocol.table().read_fill_state(sharers);
-        self.fill_dl1(core, address, &line, now, state);
-        LoadResponse {
-            value,
-            dl1_hit: false,
-            extra_cycles: extra,
-            outcome: Outcome::Clean,
-        }
-    }
-
-    /// Mirror of `MemorySystem::store_word_masked` for one core, plus the
-    /// protocol's shared-line write action: MESI/MOESI broadcast an
-    /// invalidating upgrade (BusUpgr), Dragon broadcasts the written word
-    /// (BusUpd) into the surviving copies.
-    fn store_word_masked(
-        &mut self,
-        core: usize,
-        address: u32,
-        value: u32,
-        byte_mask: u8,
-        now: u64,
-    ) -> StoreResponse {
-        match self.config.dl1.write_policy {
-            WritePolicy::WriteBack => {
-                let mut upgrade_extra = 0u32;
-                let held = self.dl1s[core].coherence_state(address);
-                match self.protocol.table().local_write_action(held) {
-                    LocalWriteAction::Silent => {}
-                    LocalWriteAction::Invalidate => {
-                        // BusUpgr: broadcast the write intent before
-                        // modifying.  Any remote owner's copy is identical
-                        // to ours (it supplied us on our fill), so the
-                        // supplied words can be dropped.
-                        let grant = self.bus.one_way(now);
-                        self.cores[core].stats.bus_transactions += 1;
-                        self.cores[core].stats.bus_wait_cycles += grant.wait_cycles;
-                        upgrade_extra = self.config.bus_latency
-                            + u32::try_from(grant.wait_cycles).unwrap_or(u32::MAX);
-                        let base = self.dl1s[core].line_base(address);
-                        self.snoop_remote(core, base, true);
-                        self.coherence.upgrades += 1;
-                    }
-                    LocalWriteAction::Update => {
-                        // Dragon BusUpd: merge the written bytes into every
-                        // remote copy instead of invalidating it, then hold
-                        // the line dirty-shared (Sm) while copies remain.
-                        let (cost, still_shared) =
-                            self.broadcast_update(core, address, value, byte_mask, now);
-                        let wrote = self.dl1s[core].write_word_masked(address, value, byte_mask);
-                        debug_assert!(wrote, "an update action implies a resident copy");
-                        let next = if still_shared {
-                            LineState::SharedModified
-                        } else {
-                            LineState::Modified
-                        };
-                        self.dl1s[core].set_coherence_state(address, next);
-                        return StoreResponse {
-                            dl1_hit: true,
-                            extra_cycles: cost,
-                        };
-                    }
-                }
-                if self.dl1s[core].write_word_masked(address, value, byte_mask) {
-                    return StoreResponse {
-                        dl1_hit: true,
-                        extra_cycles: upgrade_extra,
-                    };
-                }
-                match self.config.dl1.allocate_policy {
-                    AllocatePolicy::WriteAllocate => {
-                        let base = self.dl1s[core].line_base(address);
-                        if self.protocol.table().uses_update_bus() {
-                            return self.write_allocate_with_update(
-                                core, base, address, value, byte_mask, now,
-                            );
-                        }
-                        let (line, extra, _) = self.fetch_line(core, base, now, true);
-                        self.fill_dl1(core, address, &line, now, LineState::Exclusive);
-                        let wrote = self.dl1s[core].write_word_masked(address, value, byte_mask);
-                        debug_assert!(wrote, "line was just filled");
-                        StoreResponse {
-                            dl1_hit: false,
-                            extra_cycles: extra,
-                        }
-                    }
-                    AllocatePolicy::NoWriteAllocate => {
-                        let extra = self.store_to_l2(core, address, value, byte_mask, now);
-                        StoreResponse {
-                            dl1_hit: false,
-                            extra_cycles: extra,
-                        }
-                    }
-                }
-            }
-            WritePolicy::WriteThrough => {
-                let dl1_hit = self.dl1s[core].write_word_masked(address, value, byte_mask);
-                let extra = self.store_to_l2(core, address, value, byte_mask, now);
-                StoreResponse {
-                    dl1_hit,
-                    extra_cycles: extra,
-                }
-            }
-        }
-    }
-
-    /// The Dragon write-miss path: fetch the line with a plain read (no
-    /// invalidation — surviving copies move to `Sc`), fill, then broadcast
-    /// the written word into those copies and hold `Sm` (or `M` when the
-    /// miss found the line unshared).
-    fn write_allocate_with_update(
-        &mut self,
-        core: usize,
-        base: u32,
-        address: u32,
-        value: u32,
-        byte_mask: u8,
-        now: u64,
-    ) -> StoreResponse {
-        let (line, mut extra, sharers) = self.fetch_line(core, base, now, false);
-        let fill_state = self.protocol.table().read_fill_state(sharers);
-        self.fill_dl1(core, address, &line, now, fill_state);
-        let next = if sharers {
-            let (cost, still_shared) = self.broadcast_update(core, address, value, byte_mask, now);
-            extra += cost;
-            if still_shared {
-                LineState::SharedModified
-            } else {
-                LineState::Modified
-            }
-        } else {
-            LineState::Modified
-        };
-        let wrote = self.dl1s[core].write_word_masked(address, value, byte_mask);
-        debug_assert!(wrote, "line was just filled");
-        self.dl1s[core].set_coherence_state(address, next);
-        StoreResponse {
-            dl1_hit: false,
-            extra_cycles: extra,
-        }
-    }
-
-    /// Mirror of `MemorySystem::drain_to_memory` for one core: flush this
-    /// core's DL1 into the L2, then the L2 into memory, and checksum.
-    fn drain_to_memory(&mut self, core: usize) -> u64 {
-        let dirty = self.dl1s[core].flush_dirty();
-        for line in &dirty {
-            self.writeback_to_l2(core, line, 0);
-        }
-        for line in self.l2.flush_dirty() {
-            self.memory.write_line(line.base_address, &line.words);
-        }
-        self.cores[core].stats.dl1 = *self.dl1s[core].stats();
-        self.cores[core].stats.l2 = *self.l2.stats();
-        self.memory.checksum()
-    }
-
-    fn stats(&self, core: usize) -> MemStats {
-        let mut stats = self.cores[core].stats;
-        stats.dl1 = *self.dl1s[core].stats();
-        stats.l2 = *self.l2.stats();
-        stats
-    }
-}
 
 /// The shared, coherent memory system: construction, inspection and the
 /// per-core [`CorePort`] factory.
 #[derive(Debug, Clone)]
 pub struct CoherentMemory {
-    shared: Rc<RefCell<CoherentState>>,
+    system: Rc<RefCell<MemorySystem>>,
 }
 
 impl CoherentMemory {
@@ -544,113 +44,72 @@ impl CoherentMemory {
     /// Panics if `cores == 0` or a cache configuration is invalid.
     #[must_use]
     pub fn with_protocol(config: HierarchyConfig, cores: usize, protocol: ProtocolKind) -> Self {
-        assert!(cores >= 1, "an SMP system needs at least one core");
-        let state = CoherentState {
-            protocol,
-            dl1s: (0..cores)
-                .map(|_| {
-                    let mut dl1 = Cache::new(config.dl1);
-                    dl1.set_protocol(protocol);
-                    dl1
-                })
-                .collect(),
-            l2: Cache::new(config.l2),
-            bus: laec_mem::Bus::new(config.bus_latency),
-            memory: MainMemory::new(config.memory_latency),
-            cores: (0..cores).map(|_| CoreCounters::default()).collect(),
-            coherence: CoherenceStats::default(),
-            config,
-        };
         CoherentMemory {
-            shared: Rc::new(RefCell::new(state)),
+            system: Rc::new(RefCell::new(MemorySystem::with_cores(
+                config, cores, protocol,
+            ))),
         }
-    }
-
-    /// The coherence protocol governing this system.
-    #[must_use]
-    pub fn protocol(&self) -> ProtocolKind {
-        self.shared.borrow().protocol
     }
 
     /// Number of cores.
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.shared.borrow().dl1s.len()
+        self.system.borrow().cores()
     }
 
     /// Installs bus interference (stand-in for off-model traffic).
     pub fn set_bus_interference(&self, interference: Interference) {
-        self.shared.borrow_mut().bus.set_interference(interference);
+        self.system.borrow_mut().set_bus_interference(interference);
     }
 
     /// Pre-sizes main memory for a data image of about `words` words.
     pub fn reserve_memory(&self, words: usize) {
-        self.shared.borrow_mut().memory.reserve(words);
+        self.system.borrow_mut().reserve_memory(words);
     }
 
     /// Pre-loads a word into main memory (program data images).
     pub fn preload_word(&self, address: u32, value: u32) {
-        self.shared.borrow_mut().memory.poke_word(address, value);
+        self.system.borrow_mut().preload_word(address, value);
     }
 
     /// Reads a word from main memory without touching caches or counters.
     #[must_use]
     pub fn peek_memory(&self, address: u32) -> u32 {
-        self.shared.borrow().memory.peek_word(address)
+        self.system.borrow().peek_memory(address)
     }
 
     /// The architecturally current value of the aligned word at `address`:
     /// any dirty DL1 copy (`M`/`Sm`/`O`) wins, then the L2, then memory.
     #[must_use]
     pub fn peek_coherent(&self, address: u32) -> u32 {
-        let state = self.shared.borrow();
-        for dl1 in &state.dl1s {
-            if dl1.coherence_state(address).is_dirty() {
-                if let Some(value) = dl1.peek_word(address) {
-                    return value;
-                }
-            }
-        }
-        for dl1 in &state.dl1s {
-            if let Some(value) = dl1.peek_word(address) {
-                return value;
-            }
-        }
-        if let Some(value) = state.l2.peek_word(address) {
-            return value;
-        }
-        state.memory.peek_word(address)
+        self.system.borrow().peek_coherent(address)
     }
 
     /// The coherence state of `address` in `core`'s DL1.
     #[must_use]
     pub fn state(&self, core: usize, address: u32) -> LineState {
-        self.shared.borrow().dl1s[core].coherence_state(address)
+        self.system.borrow().dl1(core).coherence_state(address)
     }
 
     /// A timed load issued by `core` (test/inspection convenience; the
     /// pipelines go through their [`CorePort`]s).
     pub fn load(&self, core: usize, address: u32, now: u64) -> LoadResponse {
-        self.shared.borrow_mut().load_word(core, address, now)
+        self.system.borrow_mut().load(core, address, now)
     }
 
-    /// A timed store issued by `core`.
+    /// A timed full-word store issued by `core`.
     pub fn store(&self, core: usize, address: u32, value: u32, now: u64) -> StoreResponse {
-        self.shared
+        self.system
             .borrow_mut()
-            .store_word_masked(core, address, value, 0xF, now)
+            .store(core, address, value, 0xF, now)
     }
 
     /// Forces eviction of the DL1 line holding `address` in `core`'s DL1 by
     /// filling the set with conflicting lines (test helper).
     pub fn evict(&self, core: usize, address: u32, now: u64) {
-        let (sets, ways, line_bytes) = {
-            let state = self.shared.borrow();
-            let config = state.config.dl1;
-            (config.sets(), config.ways, config.line_bytes)
-        };
-        let stride = sets * line_bytes;
-        for i in 1..=ways {
+        let config = self.system.borrow().config().dl1;
+        let stride = config.sets() * config.line_bytes;
+        for i in 1..=config.ways {
             let conflicting = address.wrapping_add(i * stride);
             self.load(core, conflicting, now + u64::from(i));
         }
@@ -659,19 +118,19 @@ impl CoherentMemory {
     /// System-wide coherence counters.
     #[must_use]
     pub fn coherence_stats(&self) -> CoherenceStats {
-        self.shared.borrow().coherence
+        self.system.borrow().coherence_stats()
     }
 
     /// Per-core memory statistics.
     #[must_use]
     pub fn core_stats(&self, core: usize) -> MemStats {
-        self.shared.borrow().stats(core)
+        self.system.borrow().core_stats(core)
     }
 
     /// The final memory checksum (after the cores drained).
     #[must_use]
     pub fn memory_checksum(&self) -> u64 {
-        self.shared.borrow().memory.checksum()
+        self.system.borrow().memory_checksum()
     }
 
     /// The port core `core` plugs into its pipeline.
@@ -683,23 +142,24 @@ impl CoherentMemory {
     pub fn port(&self, core: usize) -> CorePort {
         assert!(core < self.cores(), "core {core} out of range");
         CorePort {
-            shared: Rc::clone(&self.shared),
+            system: Rc::clone(&self.system),
             core,
         }
     }
 }
 
 /// One core's view of the coherent hierarchy — what its
-/// [`laec_pipeline::Simulator`] drives.
+/// [`laec_pipeline::Simulator`] drives.  Forensics is not supported here
+/// (the [`MemoryPort`] defaults ignore it).
 #[derive(Debug)]
 pub struct CorePort {
-    shared: Rc<RefCell<CoherentState>>,
+    system: Rc<RefCell<MemorySystem>>,
     core: usize,
 }
 
 impl MemoryPort for CorePort {
     fn load_word(&mut self, address: u32, now: u64) -> LoadResponse {
-        self.shared.borrow_mut().load_word(self.core, address, now)
+        self.system.borrow_mut().load(self.core, address, now)
     }
 
     fn store_word_masked(
@@ -709,37 +169,37 @@ impl MemoryPort for CorePort {
         byte_mask: u8,
         now: u64,
     ) -> StoreResponse {
-        self.shared
+        self.system
             .borrow_mut()
-            .store_word_masked(self.core, address, value, byte_mask, now)
+            .store(self.core, address, value, byte_mask, now)
     }
 
     fn drain_to_memory(&mut self) -> u64 {
-        self.shared.borrow_mut().drain_to_memory(self.core)
+        self.system.borrow_mut().drain(self.core)
     }
 
     fn stats(&self) -> MemStats {
-        self.shared.borrow().stats(self.core)
+        self.system.borrow().core_stats(self.core)
     }
 
     fn unrecoverable_errors(&self) -> u64 {
-        self.shared.borrow().cores[self.core].unrecoverable_errors
+        self.system.borrow().core_unrecoverable_errors(self.core)
     }
 
     fn recovered_by_refetch(&self) -> u64 {
-        self.shared.borrow().cores[self.core].recovered_by_refetch
+        self.system.borrow().core_recovered_by_refetch(self.core)
     }
 
     fn lost_writebacks(&self) -> u64 {
-        self.shared.borrow().dl1s[self.core].lost_writebacks()
+        self.system.borrow().dl1(self.core).lost_writebacks()
     }
 
     fn stale_metadata_reads(&self) -> u64 {
-        self.shared.borrow().dl1s[self.core].stale_reads()
+        self.system.borrow().dl1(self.core).stale_reads()
     }
 
     fn meta_faults_injected(&self) -> u64 {
-        self.shared.borrow().dl1s[self.core].meta_faults_injected()
+        self.system.borrow().dl1(self.core).meta_faults_injected()
     }
 
     fn inject_random_fault(
@@ -747,10 +207,8 @@ impl MemoryPort for CorePort {
         injector: &mut ErrorInjector,
         config: &FaultCampaignConfig,
     ) -> Option<u32> {
-        inject_random_cache_fault(
-            &mut self.shared.borrow_mut().dl1s[self.core],
-            injector,
-            config,
-        )
+        self.system
+            .borrow_mut()
+            .inject_random_dl1_fault(self.core, injector, config)
     }
 }

@@ -13,11 +13,11 @@
 //! producer it waits for is always scheduled.
 
 use laec_isa::Program;
-use laec_mem::ProtocolKind;
+use laec_mem::{CoherenceStats, ProtocolKind};
 use laec_pipeline::{PipelineConfig, SimResult, Simulator};
 use laec_trace::SharedSink;
 
-use crate::memory::{CoherenceStats, CoherentMemory, CorePort};
+use crate::memory::{CoherentMemory, CorePort};
 
 /// When the system stops stepping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -117,9 +117,9 @@ pub struct TraceHeader {
     pub detail: TraceDetail,
     /// Workload name the stream was recorded from.
     pub workload: String,
-    /// Scheme label (see `laec_core::campaign::scheme_label`).
+    /// Scheme label (`EccScheme`'s `Display` form).
     pub scheme: String,
-    /// Platform label (see `laec_core::campaign::PlatformVariant::label`).
+    /// Platform label (`PlatformVariant`'s `Display` form).
     pub platform: String,
     /// Hash of everything that shaped the stream (spec seed, generator
     /// shape, scheme, hierarchy configuration); replaying under a different

@@ -6,8 +6,7 @@ use laec::core::campaign::{CampaignSpec, PlatformVariant, WorkloadSet};
 use laec::pipeline::EccScheme;
 use laec::workloads::GeneratorConfig;
 
-mod common;
-use common::run_campaign;
+use laec_bench::run_full;
 
 fn test_spec() -> CampaignSpec {
     CampaignSpec {
@@ -45,9 +44,9 @@ fn test_spec() -> CampaignSpec {
 #[test]
 fn parallel_report_is_byte_identical_to_serial() {
     let spec = test_spec();
-    let serial = run_campaign(&spec, 1);
+    let serial = run_full(&spec, 1);
     for threads in [2, 4, 8] {
-        let parallel = run_campaign(&spec, threads);
+        let parallel = run_full(&spec, threads);
         assert_eq!(
             parallel, serial,
             "{threads}-thread report diverged structurally"
@@ -65,7 +64,7 @@ fn parallel_report_is_byte_identical_to_serial() {
 #[test]
 fn equivalence_holds_across_every_grid_cell() {
     let spec = test_spec();
-    let report = run_campaign(&spec, 4);
+    let report = run_full(&spec, 4);
     assert_eq!(
         report.equivalence.len(),
         5 * 3,
@@ -86,7 +85,7 @@ fn equivalence_holds_across_every_grid_cell() {
 #[test]
 fn grid_shape_and_baselines() {
     let spec = test_spec();
-    let report = run_campaign(&spec, 4);
+    let report = run_full(&spec, 4);
     // 5 workloads x 3 platforms x 5 schemes x (1 fault-free + 2 faulty).
     assert_eq!(report.total_jobs, 5 * 3 * 5 * 3);
     for cell in report

@@ -9,8 +9,7 @@ use laec::core::sampling::{
 };
 use laec::pipeline::EccScheme;
 
-mod common;
-use common::{run_campaign, run_campaign_sampled};
+use laec_bench::{run_full, run_sampled};
 
 /// A grid small enough to sample exhaustively in-test but harsh enough
 /// (dense upsets on a tiny kernel) that failure rates are non-trivial.
@@ -67,9 +66,9 @@ fn exhaustive_failure_rate(
 fn sampled_interval_brackets_the_exhaustive_grid_estimate() {
     let mut exhaustive_spec = test_spec();
     exhaustive_spec.fault_seeds = (1..=16).collect();
-    let exhaustive = run_campaign(&exhaustive_spec, 4);
+    let exhaustive = run_full(&exhaustive_spec, 4);
 
-    let sampled = run_campaign_sampled(&test_spec(), &test_plan(), 4, &SampleExecution::FullSim);
+    let sampled = run_sampled(&test_spec(), &test_plan(), 4, &SampleExecution::FullSim);
     assert_eq!(
         sampled.strata.len(),
         4,
@@ -105,9 +104,9 @@ fn sampled_interval_brackets_the_exhaustive_grid_estimate() {
 fn sampled_report_is_byte_identical_across_thread_counts() {
     let spec = test_spec();
     let plan = test_plan();
-    let serial = run_campaign_sampled(&spec, &plan, 1, &SampleExecution::FullSim);
+    let serial = run_sampled(&spec, &plan, 1, &SampleExecution::FullSim);
     for threads in [2, 8] {
-        let parallel = run_campaign_sampled(&spec, &plan, threads, &SampleExecution::FullSim);
+        let parallel = run_sampled(&spec, &plan, threads, &SampleExecution::FullSim);
         assert_eq!(
             parallel, serial,
             "{threads}-thread report diverged structurally"
@@ -126,8 +125,8 @@ fn sampled_report_is_byte_identical_across_thread_counts() {
 fn trace_backed_sampling_matches_full_simulation_byte_for_byte() {
     let spec = test_spec();
     let plan = test_plan();
-    let full = run_campaign_sampled(&spec, &plan, 2, &SampleExecution::FullSim);
-    let traced = run_campaign_sampled(
+    let full = run_sampled(&spec, &plan, 2, &SampleExecution::FullSim);
+    let traced = run_sampled(
         &spec,
         &plan,
         2,
@@ -144,7 +143,7 @@ fn trace_backed_sampling_matches_full_simulation_byte_for_byte() {
 fn checkpoint_kill_resume_reproduces_the_uninterrupted_report() {
     let spec = test_spec();
     let plan = test_plan();
-    let uninterrupted = run_campaign_sampled(&spec, &plan, 2, &SampleExecution::FullSim);
+    let uninterrupted = run_sampled(&spec, &plan, 2, &SampleExecution::FullSim);
 
     let mut survivor: Option<SampledReport> = None;
     let mut checkpoint_bytes: Option<Vec<u8>> = None;

@@ -1,54 +1,73 @@
-//! The SMP equivalence anchor and the coherence-metadata fault classes.
+//! The one-core anchor and the coherence-metadata fault classes.
 //!
-//! 1. A 1-core SMP system must be indistinguishable from the uniprocessor
-//!    engine: `ExecutionMode::Smp` (which builds a real `laec_smp` system
-//!    for every cell) must serialize *byte-identically* to
-//!    `ExecutionMode::Full` over the full workload × scheme grid —
-//!    fault-free and fault-injecting, write-back and write-through.
-//! 2. Metadata strikes (MESI state / tag bits) must surface as their own
-//!    silent-data-corruption classes in the report.
+//! 1. A one-core SMP system is the uniprocessor.  `run_observed_core` at one
+//!    core builds a real `laec_smp` system, whose pipeline reaches the
+//!    hierarchy through a shared handle; `run_with_config` lets the pipeline
+//!    own it.  Both must return the same result — every statistic,
+//!    register, checksum and error counter — over the kernel suite × the
+//!    Figure 8 schemes × {wb, wt}, fault-free and under data, state and tag
+//!    strikes.  State strikes matter most: on one core a line is `Shared`
+//!    only because a strike flipped its state bits, and a store to it must
+//!    not broadcast an upgrade nobody can snoop.
+//! 2. Metadata strikes (coherence state / tag bits) must surface as their
+//!    own silent-data-corruption classes in the report.
 
 use laec::core::campaign::{CampaignSpec, PlatformVariant, WorkloadSet};
-use laec::mem::FaultTarget;
-use laec::pipeline::EccScheme;
+use laec::core::{run_observed_core, run_with_config};
+use laec::mem::{FaultCampaignConfig, FaultTarget, ProtocolKind};
+use laec::pipeline::{EccScheme, PipelineConfig};
+use laec::workloads::kernel_suite;
+use laec_bench::run_full;
 
-mod common;
-use common::{run_campaign, run_campaign_smp};
+/// Injector seeds and mean strike interval of the faulty anchor cells.
+const SEEDS: [u64; 2] = [1, 11];
+const INTERVAL: u64 = 200;
 
-fn anchor_spec() -> CampaignSpec {
-    let mut spec = CampaignSpec::smoke();
-    // The full kernel suite × the four Figure 8 schemes, on both the
-    // write-back and the write-through platform, fault-free plus one
-    // injecting seed (so the injector streams must match too).
-    spec.workloads = WorkloadSet::Kernels;
-    spec.schemes = EccScheme::figure8_set().to_vec();
-    spec.platforms = vec![PlatformVariant::WriteBack, PlatformVariant::WriteThrough];
-    spec.fault_seeds = vec![11];
-    spec.fault_interval = 400;
-    spec
+/// Asserts the one-core SMP engine reproduces the uniprocessor on every
+/// kernel × Figure 8 scheme × {wb, wt} cell — fault-free when `target` is
+/// `None`, otherwise under `target` strikes for each of [`SEEDS`].
+fn assert_one_core_anchor(target: Option<FaultTarget>) {
+    for workload in kernel_suite() {
+        for scheme in EccScheme::figure8_set() {
+            for platform in [PlatformVariant::WriteBack, PlatformVariant::WriteThrough] {
+                let base = platform.apply_config(PipelineConfig::for_scheme(scheme));
+                let cells: Vec<(Option<u64>, PipelineConfig)> = match target {
+                    None => vec![(None, base)],
+                    Some(target) => SEEDS
+                        .iter()
+                        .map(|&seed| {
+                            let strikes =
+                                FaultCampaignConfig::single_bit(seed, INTERVAL).with_target(target);
+                            (Some(seed), base.clone().with_fault_campaign(strikes))
+                        })
+                        .collect(),
+                };
+                for (seed, config) in cells {
+                    let uniprocessor = run_with_config(&workload, config.clone());
+                    let smp = run_observed_core(&workload, config, 1, ProtocolKind::Mesi);
+                    assert_eq!(
+                        format!("{uniprocessor:?}"),
+                        format!("{smp:?}"),
+                        "{}/{scheme}/{platform}, {target:?} strikes, seed {seed:?}: \
+                         a one-core system must be the uniprocessor",
+                        workload.name
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
 fn one_core_smp_matches_the_uniprocessor_engine_byte_for_byte() {
-    let spec = anchor_spec();
-    let uniprocessor = run_campaign(&spec, 2);
-    let smp = run_campaign_smp(&spec, 2);
-    assert_eq!(
-        uniprocessor.to_json(),
-        smp.to_json(),
-        "a 1-core coherent system must be the uniprocessor, bit for bit"
-    );
+    assert_one_core_anchor(None);
+    assert_one_core_anchor(Some(FaultTarget::Data));
 }
 
 #[test]
 fn one_core_smp_matches_under_metadata_strikes_too() {
-    let mut spec = anchor_spec();
-    spec.workloads = WorkloadSet::Named(vec!["vector_sum".into(), "cache_buster".into()]);
-    spec.fault_target = FaultTarget::Tag;
-    spec.fault_interval = 200;
-    let uniprocessor = run_campaign(&spec, 2);
-    let smp = run_campaign_smp(&spec, 1);
-    assert_eq!(uniprocessor.to_json(), smp.to_json());
+    assert_one_core_anchor(Some(FaultTarget::State));
+    assert_one_core_anchor(Some(FaultTarget::Tag));
 }
 
 #[test]
@@ -57,8 +76,8 @@ fn smp_platform_cells_are_deterministic_and_architecturally_equivalent() {
     spec.workloads = WorkloadSet::Named(vec!["vector_sum".into(), "fir_filter".into()]);
     spec.schemes = EccScheme::figure8_set().to_vec();
     spec.platforms = vec![PlatformVariant::WriteBack, PlatformVariant::smp(4)];
-    let one = run_campaign(&spec, 1);
-    let eight = run_campaign(&spec, 8);
+    let one = run_full(&spec, 1);
+    let eight = run_full(&spec, 8);
     assert_eq!(one.to_json(), eight.to_json(), "thread-count invariance");
     assert!(one.architecturally_equivalent());
     // The background cores cost the observed core real bandwidth: every
@@ -98,7 +117,7 @@ fn metadata_strikes_surface_as_distinct_sdc_classes() {
     spec.fault_interval = 60;
     for target in [FaultTarget::State, FaultTarget::Tag] {
         spec.fault_target = target;
-        let report = run_campaign(&spec, 2);
+        let report = run_full(&spec, 2);
         let faulty: Vec<_> = report
             .cells
             .iter()

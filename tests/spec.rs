@@ -1,14 +1,13 @@
 //! The unified campaign API's end-to-end guarantees:
 //!
-//! 1. **Byte-identical reports across the redesign** — for each of the four
-//!    execution modes, the legacy entry point (now a deprecated shim) and
-//!    `Campaign::run` on the same spec serialize to identical JSON.
-//! 2. **Spec serialization** — the committed `specs/ci_smoke.json` golden
+//! 1. **Spec serialization** — the committed `specs/ci_smoke.json` golden
 //!    fixture parses to exactly the spec the builder assembles, its run
 //!    byte-compares to the programmatically built equivalent, and every
 //!    `ExecutionMode` round-trips `to_json` → `from_json` → `==`.
-//! 3. **Typed errors** — representative `SpecError` cases assert by
+//! 2. **Typed errors** — representative `SpecError` cases assert by
 //!    variant, never by error-string match.
+//! 3. **Shard/resume** — driving the `Sampler` by hand matches the one-shot
+//!    dispatch byte for byte.
 
 use std::path::PathBuf;
 
@@ -82,7 +81,6 @@ fn specimen_modes() -> Vec<ExecutionMode> {
                 cache_dir: Some(PathBuf::from("/tmp/laec-traces")),
             },
         },
-        ExecutionMode::Smp,
     ]
 }
 
@@ -145,14 +143,6 @@ fn spec_errors_assert_by_variant_not_by_message() {
     ));
 }
 
-// ---------------------------------------------------------------------------
-// Byte-identity: the deprecated shims vs `Campaign::run`, all four modes
-// ---------------------------------------------------------------------------
-
-fn shim_grid() -> laec::core::campaign::CampaignSpec {
-    golden_equivalent().grid()
-}
-
 fn run_new(mode: ExecutionMode) -> CampaignOutcome {
     let mut spec = golden_equivalent();
     if matches!(mode, ExecutionMode::Sampled { .. }) {
@@ -162,47 +152,6 @@ fn run_new(mode: ExecutionMode) -> CampaignOutcome {
     Campaign::new(spec.validate().expect("valid spec")).run(2)
 }
 
-#[test]
-fn full_mode_matches_the_run_campaign_shim_byte_for_byte() {
-    #[allow(deprecated)]
-    let old = laec::core::run_campaign(&shim_grid(), 2);
-    let new = run_new(ExecutionMode::Full);
-    assert_eq!(new.to_json(), old.to_json());
-}
-
-#[test]
-fn trace_backed_mode_matches_the_run_campaign_trace_backed_shim_byte_for_byte() {
-    #[allow(deprecated)]
-    let old = laec::core::run_campaign_trace_backed(&shim_grid(), 2, None);
-    let new = run_new(ExecutionMode::TraceBacked { cache_dir: None });
-    assert_eq!(new.to_json(), old.report.to_json());
-    assert_eq!(new.trace_stats(), Some(&old.stats));
-}
-
-#[test]
-fn sampled_mode_matches_the_run_campaign_sampled_shim_byte_for_byte() {
-    let mut plan = SamplingPlan::new(24);
-    plan.min_samples = 8;
-    plan.batch = 8;
-    let mut grid = shim_grid();
-    grid.fault_seeds.clear();
-    #[allow(deprecated)]
-    let old = laec::core::run_campaign_sampled(&grid, &plan, 2, &SampleExecution::FullSim);
-    let new = run_new(ExecutionMode::Sampled {
-        plan,
-        execution: SampleExecution::FullSim,
-    });
-    assert_eq!(new.to_json(), old.to_json());
-}
-
-#[test]
-fn smp_mode_matches_the_run_campaign_smp_shim_byte_for_byte() {
-    #[allow(deprecated)]
-    let old = laec::core::run_campaign_smp(&shim_grid(), 2);
-    let new = run_new(ExecutionMode::Smp);
-    assert_eq!(new.to_json(), old.to_json());
-}
-
 /// The sharded path the CLI drives (`Sampler` directly, for
 /// checkpoint/resume) stays byte-identical to the one-shot dispatch.
 #[test]
@@ -210,7 +159,7 @@ fn manual_sampler_drive_matches_campaign_run() {
     let mut plan = SamplingPlan::new(24);
     plan.min_samples = 8;
     plan.batch = 8;
-    let mut grid = shim_grid();
+    let mut grid = golden_equivalent().grid();
     grid.fault_seeds.clear();
     let mut sampler = Sampler::new(&grid, &plan, &SampleExecution::FullSim, 2);
     assert!(sampler.run_rounds(2, None));

@@ -8,8 +8,7 @@ use std::path::PathBuf;
 use laec::core::campaign::{CampaignSpec, PlatformVariant, WorkloadSet};
 use laec::pipeline::EccScheme;
 
-mod common;
-use common::{run_campaign, run_campaign_trace_backed};
+use laec_bench::{run_full, run_trace_backed};
 
 /// Two workloads × two ECC schemes × fault seeds on the paper platform:
 /// the acceptance grid of the subsystem.
@@ -39,8 +38,8 @@ fn divergent_spec() -> CampaignSpec {
 #[test]
 fn trace_backed_campaign_is_byte_identical_on_the_secded_grid() {
     let spec = secded_spec();
-    let full = run_campaign(&spec, 2);
-    let traced = run_campaign_trace_backed(&spec, 2, None);
+    let full = run_full(&spec, 2);
+    let traced = run_trace_backed(&spec, 2, None);
     assert_eq!(traced.report.to_json(), full.to_json(), "byte-identical");
     // 2 workloads x 2 schemes = 4 recordings, 4 x 3 faulty cells.
     assert_eq!(traced.stats.recorded, 4);
@@ -65,8 +64,8 @@ fn trace_backed_campaign_is_byte_identical_on_the_secded_grid() {
 #[test]
 fn trace_backed_campaign_is_byte_identical_when_faults_force_fallbacks() {
     let spec = divergent_spec();
-    let full = run_campaign(&spec, 2);
-    let traced = run_campaign_trace_backed(&spec, 2, None);
+    let full = run_full(&spec, 2);
+    let traced = run_trace_backed(&spec, 2, None);
     assert_eq!(traced.report.to_json(), full.to_json(), "byte-identical");
     assert!(
         traced.stats.fallbacks > 0,
@@ -83,12 +82,12 @@ fn fault_free_grids_replay_from_the_trace_cache() {
     let cache = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-cache-test");
     let _ = std::fs::remove_dir_all(&cache);
 
-    let first = run_campaign_trace_backed(&spec, 2, Some(&cache));
+    let first = run_trace_backed(&spec, 2, Some(&cache));
     assert_eq!(first.stats.recorded, 4);
     assert_eq!(first.stats.cache_loads, 0);
     assert_eq!(first.stats.cache_write_failures, 0);
 
-    let second = run_campaign_trace_backed(&spec, 2, Some(&cache));
+    let second = run_trace_backed(&spec, 2, Some(&cache));
     assert_eq!(second.stats.recorded, 0, "everything came from the cache");
     assert_eq!(second.stats.cache_loads, 4);
     assert_eq!(second.report.to_json(), first.report.to_json());
@@ -96,7 +95,7 @@ fn fault_free_grids_replay_from_the_trace_cache() {
     // A different master seed must invalidate the cache (fingerprints).
     let mut reseeded = spec.clone();
     reseeded.seed ^= 0xDEAD;
-    let third = run_campaign_trace_backed(&reseeded, 2, Some(&cache));
+    let third = run_trace_backed(&reseeded, 2, Some(&cache));
     assert_eq!(third.stats.cache_loads, 0);
     assert_eq!(third.stats.recorded, 4);
 
@@ -106,8 +105,8 @@ fn fault_free_grids_replay_from_the_trace_cache() {
 #[test]
 fn thread_count_does_not_change_trace_backed_reports() {
     let spec = secded_spec();
-    let one = run_campaign_trace_backed(&spec, 1, None);
-    let eight = run_campaign_trace_backed(&spec, 8, None);
+    let one = run_trace_backed(&spec, 1, None);
+    let eight = run_trace_backed(&spec, 8, None);
     assert_eq!(one.report.to_json(), eight.report.to_json());
     assert_eq!(one.stats, eight.stats);
 }
