@@ -143,15 +143,6 @@ fn spec_errors_assert_by_variant_not_by_message() {
     ));
 }
 
-fn run_new(mode: ExecutionMode) -> CampaignOutcome {
-    let mut spec = golden_equivalent();
-    if matches!(mode, ExecutionMode::Sampled { .. }) {
-        spec.fault_seeds.clear();
-    }
-    spec.mode = mode;
-    Campaign::new(spec.validate().expect("valid spec")).run(2)
-}
-
 /// The sharded path the CLI drives (`Sampler` directly, for
 /// checkpoint/resume) stays byte-identical to the one-shot dispatch.
 #[test]
@@ -159,14 +150,15 @@ fn manual_sampler_drive_matches_campaign_run() {
     let mut plan = SamplingPlan::new(24);
     plan.min_samples = 8;
     plan.batch = 8;
-    let mut grid = golden_equivalent().grid();
-    grid.fault_seeds.clear();
-    let mut sampler = Sampler::new(&grid, &plan, &SampleExecution::FullSim, 2);
-    assert!(sampler.run_rounds(2, None));
-    let manual = sampler.report();
-    let dispatched = run_new(ExecutionMode::Sampled {
+    let mut spec = golden_equivalent();
+    spec.fault_seeds.clear();
+    spec.mode = ExecutionMode::Sampled {
         plan,
         execution: SampleExecution::FullSim,
-    });
+    };
+    let mut sampler = Sampler::new(&spec.grid(), &plan, &SampleExecution::FullSim, 2);
+    assert!(sampler.run_rounds(2, None));
+    let manual = sampler.report();
+    let dispatched = Campaign::new(spec.validate().expect("valid spec")).run(2);
     assert_eq!(dispatched.to_json(), manual.to_json());
 }
