@@ -1740,7 +1740,7 @@ mod tests {
             CampaignSpec::from_json(&valid.replace("\"full\"", "\"fulll\"")),
             Err(SpecError::UnknownModeKind("fulll".to_string()))
         );
-        // The forced-SMP mode is gone: the platform axis sets the core count.
+        // `smp` is not a mode: the platform axis sets the core count.
         assert_eq!(
             CampaignSpec::from_json(&valid.replace("\"full\"", "\"smp\"")),
             Err(SpecError::UnknownModeKind("smp".to_string()))
