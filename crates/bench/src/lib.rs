@@ -81,7 +81,9 @@ pub fn run_full_forensic(
 ) -> (CampaignReport, Option<laec_core::ForensicsReport>) {
     let spec = laec_core::spec::CampaignSpec::from_grid(spec, ExecutionMode::Full);
     let campaign = Campaign::new(spec.validate().expect("valid spec"));
-    let (outcome, forensics) = campaign.run_forensic(threads, &laec_obs::Obs::disabled());
+    let (outcome, forensics) = campaign
+        .run_forensic(threads, &laec_obs::Obs::disabled())
+        .expect("single-core grid");
     (outcome.into_grid().expect("grid report"), forensics)
 }
 

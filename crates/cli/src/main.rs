@@ -760,7 +760,9 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
 
     let campaign = Campaign::new(validated);
     let (outcome, forensics) = if flags.forensics {
-        campaign.run_forensic(flags.threads, &obs)
+        campaign
+            .run_forensic(flags.threads, &obs)
+            .map_err(|e| e.to_string())?
     } else {
         (campaign.run_observed(flags.threads, &obs), None)
     };
@@ -796,18 +798,17 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
 }
 
 /// Rejects specs whose engine cannot trace fault lifecycles (sampled
-/// mode).
+/// mode) or whose grid has a multi-core `smpN` platform.
 fn check_forensics_mode(validated: &ValidatedSpec) -> Result<(), String> {
     let caps = engine_for(validated.mode()).capabilities();
-    if caps.forensics {
-        Ok(())
-    } else {
-        Err(format!(
+    if !caps.forensics {
+        return Err(format!(
             "the {} engine cannot trace fault lifecycles; forensics needs the full or \
              trace-backed mode",
             caps.name
-        ))
+        ));
     }
+    validated.check_forensics().map_err(|e| e.to_string())
 }
 
 /// Writes the Chrome trace-event export to `--chrome-trace FILE`, if
@@ -838,7 +839,9 @@ fn cmd_forensics(flags: &Flags) -> Result<(), String> {
     let validated = spec.validate().map_err(|e| e.to_string())?;
     check_forensics_mode(&validated)?;
     let obs = build_obs(flags)?;
-    let (_, forensics) = Campaign::new(validated).run_forensic(flags.threads, &obs);
+    let (_, forensics) = Campaign::new(validated)
+        .run_forensic(flags.threads, &obs)
+        .map_err(|e| e.to_string())?;
     let forensics = forensics.expect("forensics-capable engine checked above");
     if flags.json {
         println!("{}", forensics.to_json());

@@ -4,7 +4,8 @@
 //! * `--progress` streams valid JSONL (one event object per stderr line),
 //! * the metrics file round-trips through `laec-cli stats`, whose
 //!   `--counters` section is byte-identical across `--threads` values,
-//! * `trace info` reports the per-core event-type histogram.
+//! * `trace info` reports the per-core event-type histogram,
+//! * `forensics` refuses a multi-core grid rather than printing zeros.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -124,6 +125,28 @@ fn stats_rejects_a_file_that_is_not_a_metrics_dump() {
     let stderr = String::from_utf8(run.stderr).expect("UTF-8 stderr");
     assert!(stderr.contains("unsupported metrics schema"), "{stderr}");
     std::fs::remove_file(bogus).expect("cleanup");
+}
+
+#[test]
+fn forensics_on_a_multi_core_platform_fails_instead_of_printing_zeros() {
+    let run = cli(&[
+        "forensics",
+        "--smoke",
+        "--workloads",
+        "vector_sum",
+        "--schemes",
+        "laec",
+        "--cores",
+        "2",
+        "--fault-seeds",
+        "1",
+        "--fault-interval",
+        "200",
+    ]);
+    assert!(!run.status.success());
+    assert!(run.stdout.is_empty(), "no forensics document is printed");
+    let stderr = String::from_utf8(run.stderr).expect("UTF-8 stderr");
+    assert!(stderr.contains("multi-core `smp2` platform"), "{stderr}");
 }
 
 #[test]

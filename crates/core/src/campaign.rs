@@ -793,7 +793,8 @@ pub(crate) fn run_job(spec: &CampaignSpec, workloads: &[Workload], job: Job) -> 
 
 /// [`run_job`] with per-fault lifecycle forensics.  Multi-core cells run
 /// unchanged — the coherent SMP port does not expose forensics — and
-/// contribute an empty record set.
+/// contribute an empty record set; `Campaign::run_forensic` rejects such
+/// grids before they get here.
 pub(crate) fn run_job_forensic(
     spec: &CampaignSpec,
     workloads: &[Workload],

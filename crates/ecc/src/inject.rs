@@ -18,10 +18,14 @@ pub enum InjectionTarget {
     Check,
 }
 
-/// A concrete set of bit flips to apply to one codeword.
+/// A concrete set of bit flips to apply to one codeword: one flip mask per
+/// physical array.  Flipping a bit twice restores it, so a plan holds the
+/// bits flipped an odd number of times.  The plan is two words wide, so a
+/// fault campaign builds one per strike without touching the heap.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FlipPlan {
-    flips: Vec<(InjectionTarget, u32)>,
+    data: u64,
+    check: u64,
 }
 
 impl FlipPlan {
@@ -34,28 +38,24 @@ impl FlipPlan {
     /// Plan with a single data-bit flip.
     #[must_use]
     pub fn single_data(bit: u32) -> Self {
-        FlipPlan {
-            flips: vec![(InjectionTarget::Data, bit)],
-        }
+        [(InjectionTarget::Data, bit)].into_iter().collect()
     }
 
     /// Plan with a single check-bit flip.
     #[must_use]
     pub fn single_check(bit: u32) -> Self {
-        FlipPlan {
-            flips: vec![(InjectionTarget::Check, bit)],
-        }
+        [(InjectionTarget::Check, bit)].into_iter().collect()
     }
 
     /// Plan with two data-bit flips (a multi-bit upset within one word).
     #[must_use]
     pub fn double_data(bit_a: u32, bit_b: u32) -> Self {
-        FlipPlan {
-            flips: vec![
-                (InjectionTarget::Data, bit_a),
-                (InjectionTarget::Data, bit_b),
-            ],
-        }
+        [
+            (InjectionTarget::Data, bit_a),
+            (InjectionTarget::Data, bit_b),
+        ]
+        .into_iter()
+        .collect()
     }
 
     /// Plan flipping `length` *adjacent* data bits starting at `start` — the
@@ -68,38 +68,50 @@ impl FlipPlan {
     #[must_use]
     pub fn adjacent_data(start: u32, length: u32) -> Self {
         assert!(length > 0, "an MBU cluster flips at least one bit");
-        FlipPlan {
-            flips: (start..start + length)
-                .map(|bit| (InjectionTarget::Data, bit))
-                .collect(),
-        }
+        (start..start + length)
+            .map(|bit| (InjectionTarget::Data, bit))
+            .collect()
     }
 
-    /// Adds one more flip to the plan.
+    /// Adds one more flip to the plan (a second flip of the same bit
+    /// cancels the first).
     pub fn push(&mut self, target: InjectionTarget, bit: u32) {
-        self.flips.push((target, bit));
+        match target {
+            InjectionTarget::Data => self.data ^= 1u64 << bit,
+            InjectionTarget::Check => self.check ^= 1u64 << bit,
+        }
     }
 
     /// Number of flips in the plan.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.flips.len()
+        (self.data.count_ones() + self.check.count_ones()) as usize
     }
 
     /// `true` if the plan contains no flips.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.flips.is_empty()
+        self.data == 0 && self.check == 0
     }
 
-    /// Iterates over the planned flips.
-    pub fn iter(&self) -> impl Iterator<Item = (InjectionTarget, u32)> + '_ {
-        self.flips.iter().copied()
+    /// Iterates over the planned flips: data bits, then check bits, each in
+    /// ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = (InjectionTarget, u32)> {
+        let bits = |target: InjectionTarget, mut mask: u64| {
+            std::iter::from_fn(move || {
+                (mask != 0).then(|| {
+                    let bit = mask.trailing_zeros();
+                    mask &= mask - 1;
+                    (target, bit)
+                })
+            })
+        };
+        bits(InjectionTarget::Data, self.data).chain(bits(InjectionTarget::Check, self.check))
     }
 
     /// Applies the plan to a codeword.
     pub fn apply(&self, codeword: &mut Codeword) {
-        for &(target, bit) in &self.flips {
+        for (target, bit) in self.iter() {
             match target {
                 InjectionTarget::Data => codeword.flip_data_bit(bit),
                 InjectionTarget::Check => codeword.flip_check_bit(bit),
@@ -111,21 +123,18 @@ impl FlipPlan {
     /// (used when the storage has no separate check array, e.g. unprotected
     /// caches).
     #[must_use]
-    pub fn apply_to_word(&self, mut word: u64) -> u64 {
-        for &(target, bit) in &self.flips {
-            if target == InjectionTarget::Data {
-                word ^= 1u64 << bit;
-            }
-        }
-        word
+    pub fn apply_to_word(&self, word: u64) -> u64 {
+        word ^ self.data
     }
 }
 
 impl FromIterator<(InjectionTarget, u32)> for FlipPlan {
     fn from_iter<I: IntoIterator<Item = (InjectionTarget, u32)>>(iter: I) -> Self {
-        FlipPlan {
-            flips: iter.into_iter().collect(),
+        let mut plan = FlipPlan::new();
+        for (target, bit) in iter {
+            plan.push(target, bit);
         }
+        plan
     }
 }
 

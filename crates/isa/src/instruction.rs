@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use crate::reg::Reg;
+use crate::reg::{Reg, RegSet};
 
 /// Width of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -252,11 +252,11 @@ impl Instruction {
     /// Source registers read by this instruction (up to two; `r0` excluded
     /// because it never creates a dependence).
     #[must_use]
-    pub fn uses(&self) -> Vec<Reg> {
-        let mut used = Vec::with_capacity(2);
+    pub fn uses(&self) -> RegSet {
+        let mut used = RegSet::EMPTY;
         let mut push = |reg: Reg| {
-            if !reg.is_zero() && !used.contains(&reg) {
-                used.push(reg);
+            if !reg.is_zero() {
+                used.insert(reg);
             }
         };
         match *self {
@@ -290,17 +290,14 @@ impl Instruction {
     /// the address registers of the load: the loaded-value consumer hazard is
     /// handled separately by the pipeline's bypass/stall logic.
     #[must_use]
-    pub fn address_uses(&self) -> Vec<Reg> {
-        match *self {
-            Instruction::Load { base, .. } | Instruction::Store { base, .. } => {
-                if base.is_zero() {
-                    Vec::new()
-                } else {
-                    vec![base]
-                }
+    pub fn address_uses(&self) -> RegSet {
+        let mut used = RegSet::EMPTY;
+        if let Instruction::Load { base, .. } | Instruction::Store { base, .. } = *self {
+            if !base.is_zero() {
+                used.insert(base);
             }
-            _ => Vec::new(),
         }
+        used
     }
 
     /// `true` for loads.
@@ -344,7 +341,7 @@ impl Instruction {
     #[must_use]
     pub fn depends_on(&self, producer: &Instruction) -> bool {
         match producer.def() {
-            Some(def) => self.uses().contains(&def),
+            Some(def) => self.uses().contains(def),
             None => false,
         }
     }
@@ -355,7 +352,7 @@ impl Instruction {
     #[must_use]
     pub fn address_depends_on(&self, producer: &Instruction) -> bool {
         match producer.def() {
-            Some(def) => self.address_uses().contains(&def),
+            Some(def) => self.address_uses().contains(def),
             None => false,
         }
     }
@@ -422,6 +419,10 @@ mod tests {
         Reg::new(i)
     }
 
+    fn regs(set: RegSet) -> Vec<Reg> {
+        set.iter().collect()
+    }
+
     #[test]
     fn mem_width_bytes() {
         assert_eq!(MemWidth::Byte.bytes(), 1);
@@ -438,14 +439,14 @@ mod tests {
             operand: Operand::Reg(reg(2)),
         };
         assert_eq!(add.def(), Some(reg(3)));
-        assert_eq!(add.uses(), vec![reg(1), reg(2)]);
+        assert_eq!(regs(add.uses()), vec![reg(1), reg(2)]);
         let addi = Instruction::Alu {
             op: AluOp::Add,
             rd: reg(3),
             rs1: reg(1),
             operand: Operand::Imm(5),
         };
-        assert_eq!(addi.uses(), vec![reg(1)]);
+        assert_eq!(regs(addi.uses()), vec![reg(1)]);
     }
 
     #[test]
@@ -475,14 +476,14 @@ mod tests {
             rs1: reg(4),
             operand: Operand::Reg(reg(4)),
         };
-        assert_eq!(add.uses(), vec![reg(4)]);
+        assert_eq!(regs(add.uses()), vec![reg(4)]);
         let st = Instruction::Store {
             width: MemWidth::Word,
             src: reg(7),
             base: reg(7),
             offset: 0,
         };
-        assert_eq!(st.uses(), vec![reg(7)]);
+        assert_eq!(regs(st.uses()), vec![reg(7)]);
     }
 
     #[test]
@@ -495,7 +496,7 @@ mod tests {
         };
         assert!(ld.is_load() && ld.is_mem() && !ld.is_store());
         assert_eq!(ld.def(), Some(reg(5)));
-        assert_eq!(ld.address_uses(), vec![reg(6)]);
+        assert_eq!(regs(ld.address_uses()), vec![reg(6)]);
         let st = Instruction::Store {
             width: MemWidth::Half,
             src: reg(2),
@@ -504,7 +505,7 @@ mod tests {
         };
         assert!(st.is_store() && st.is_mem() && !st.is_load());
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses(), vec![reg(2), reg(3)]);
+        assert_eq!(regs(st.uses()), vec![reg(2), reg(3)]);
     }
 
     #[test]
@@ -517,7 +518,7 @@ mod tests {
         };
         assert!(br.is_control());
         assert_eq!(br.def(), None);
-        assert_eq!(br.uses(), vec![reg(1), reg(2)]);
+        assert_eq!(regs(br.uses()), vec![reg(1), reg(2)]);
         let call = Instruction::Call {
             target: 4,
             link: reg(31),
@@ -525,7 +526,7 @@ mod tests {
         assert!(call.is_control());
         assert_eq!(call.def(), Some(reg(31)));
         let jr = Instruction::JumpReg { target: reg(31) };
-        assert_eq!(jr.uses(), vec![reg(31)]);
+        assert_eq!(regs(jr.uses()), vec![reg(31)]);
         assert!(Instruction::Jump { target: 0 }.is_control());
         assert!(!Instruction::Nop.is_control());
         assert!(Instruction::Halt.is_halt());

@@ -55,5 +55,5 @@ pub use assembler::AssembleError;
 pub use encoding::{decode, encode, DecodeError};
 pub use instruction::{AluOp, Cond, Instruction, MemWidth, Operand};
 pub use program::{Program, ProgramBuilder};
-pub use reg::{Reg, RegisterFile, NUM_REGS};
+pub use reg::{Reg, RegSet, RegisterFile, NUM_REGS};
 pub use semantics::{eval_alu, eval_cond, sign_extend};

@@ -81,6 +81,58 @@ impl From<Reg> for usize {
     }
 }
 
+/// A set of architectural registers, one bit per register — what
+/// [`Instruction::uses`](crate::Instruction::uses) and
+/// [`Instruction::address_uses`](crate::Instruction::address_uses) return.
+/// It is `Copy` and lives in one word, so the pipeline queries it on every
+/// dynamic instruction without touching the heap.
+///
+/// ```
+/// use laec_isa::{Reg, RegSet};
+/// let mut set = RegSet::EMPTY;
+/// set.insert(Reg::new(4));
+/// set.insert(Reg::new(1));
+/// set.insert(Reg::new(4));
+/// assert!(set.contains(Reg::new(1)));
+/// assert!(set.iter().eq([Reg::new(1), Reg::new(4)]), "ascending order");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegSet(u32);
+
+impl RegSet {
+    /// The empty set.
+    pub const EMPTY: RegSet = RegSet(0);
+
+    /// Adds `reg` (a no-op if it is already present).
+    pub fn insert(&mut self, reg: Reg) {
+        self.0 |= 1 << reg.0;
+    }
+
+    /// `true` if `reg` is in the set.
+    #[must_use]
+    pub fn contains(self, reg: Reg) -> bool {
+        self.0 & (1 << reg.0) != 0
+    }
+
+    /// `true` if the set holds no register.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The registers in ascending index order.
+    pub fn iter(self) -> impl Iterator<Item = Reg> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let index = bits.trailing_zeros() as u8;
+                bits &= bits - 1;
+                Reg(index)
+            })
+        })
+    }
+}
+
 /// The architectural register file: 32 32-bit registers with `r0` pinned to
 /// zero.
 ///

@@ -8,6 +8,9 @@
 //! extra stage, or LAEC's anticipated check) is the pipeline's business; the
 //! cache only answers hit/miss and value/outcome questions.
 
+use std::fmt;
+use std::ops::Deref;
+
 use laec_ecc::{Codeword, Decoded, EccCode, ErrorInjector, FlipPlan, Outcome};
 
 use crate::coherence::{LineState, ProtocolKind, SnoopResult};
@@ -23,7 +26,9 @@ struct Line {
     /// old "valid + dirty".  Uniprocessor fills produce `Exclusive`.
     state: LineState,
     tag: u32,
-    words: Vec<Codeword>,
+    /// Boxed rather than a `Vec`: the length never changes after the first
+    /// fill, and the 8 bytes saved per line add up over an L2's 8192 slots.
+    words: Box<[Codeword]>,
     /// Bit *i* set ⇔ `words[i]` was produced by `Codeword::encode` and has
     /// not been fault-flipped since.  A pristine codeword provably decodes
     /// to `(data, Clean)` for any valid code, so reads, evictions and
@@ -43,7 +48,7 @@ impl Line {
         Line {
             state: LineState::Invalid,
             tag: 0,
-            words: Vec::new(),
+            words: Box::default(),
             pristine: 0,
             last_used: 0,
         }
@@ -61,6 +66,110 @@ impl Line {
         } else {
             self.words[word].decode(code)
         }
+    }
+
+    /// Decodes every word of the line, also reporting whether any of them
+    /// held an uncorrectable error.
+    fn decode_all(&self, code: &(dyn EccCode + Send + Sync)) -> (LineWords, bool) {
+        let mut words = LineWords::new();
+        let mut uncorrectable = false;
+        for word in 0..self.words.len() {
+            let decoded = self.decode_word(word, code);
+            uncorrectable |= !decoded.outcome.is_usable();
+            words.push(decoded.data as u32);
+        }
+        (words, uncorrectable)
+    }
+}
+
+/// Most 32-bit words one cache line holds: [`CacheConfig::validate`] caps
+/// lines at [`CacheConfig::MAX_LINE_BYTES`].
+pub const MAX_LINE_WORDS: usize = CacheConfig::MAX_LINE_BYTES as usize / 4;
+
+/// One cache line's words, held inline.  Fills, victims, flushes and
+/// cache-to-cache supplies carry lines in this fixed-capacity buffer, so a
+/// miss moves data without touching the heap.  It dereferences to the
+/// `[u32]` of its words.
+///
+/// ```
+/// use laec_mem::LineWords;
+///
+/// let line: LineWords = [1, 2, 3].into_iter().collect();
+/// assert_eq!(line.len(), 3);
+/// assert_eq!(line[1], 2);
+/// assert_eq!(line.as_slice(), [1, 2, 3]);
+/// ```
+#[derive(Clone)]
+pub struct LineWords {
+    words: [u32; MAX_LINE_WORDS],
+    len: usize,
+}
+
+impl LineWords {
+    /// An empty buffer.
+    #[must_use]
+    pub fn new() -> Self {
+        LineWords {
+            words: [0; MAX_LINE_WORDS],
+            len: 0,
+        }
+    }
+
+    /// Appends `word`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer already holds [`MAX_LINE_WORDS`] words.
+    pub fn push(&mut self, word: u32) {
+        self.words[self.len] = word;
+        self.len += 1;
+    }
+
+    /// The words pushed so far.
+    #[must_use]
+    pub fn as_slice(&self) -> &[u32] {
+        &self.words[..self.len]
+    }
+}
+
+impl Default for LineWords {
+    fn default() -> Self {
+        LineWords::new()
+    }
+}
+
+impl Deref for LineWords {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for LineWords {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for LineWords {}
+
+impl fmt::Debug for LineWords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+impl FromIterator<u32> for LineWords {
+    /// # Panics
+    ///
+    /// Panics if `iter` yields more than [`MAX_LINE_WORDS`] words.
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+        let mut line = LineWords::new();
+        for word in iter {
+            line.push(word);
+        }
+        line
     }
 }
 
@@ -81,7 +190,7 @@ pub struct EvictedLine {
     /// Line-aligned base address of the evicted line.
     pub base_address: u32,
     /// The line's words (after ECC correction where possible).
-    pub words: Vec<u32>,
+    pub words: LineWords,
     /// `true` if the line was dirty and must be written back.
     pub dirty: bool,
     /// `true` if any word of the line held an uncorrectable error (the
@@ -468,7 +577,7 @@ impl Cache {
     /// Returns `None` (nothing recorded) when the line is not resident or
     /// the request extends past it (a caller line larger than ours); the
     /// caller falls back to per-word reads.
-    pub fn read_line_words(&mut self, base: u32, count: u32) -> Option<Vec<u32>> {
+    pub fn read_line_words(&mut self, base: u32, count: u32) -> Option<LineWords> {
         let way = self.find_way(base)?;
         let set = self.set_index(base);
         let first = self.word_index(base);
@@ -482,7 +591,7 @@ impl Cache {
         let index = set * self.ways() + way;
         let line = &mut self.lines[index];
         line.last_used = counter;
-        let mut out = Vec::with_capacity(count as usize);
+        let mut out = LineWords::new();
         for word in first..first + count as usize {
             let decoded = line.decode_word(word, code);
             self.stats.ecc.record(decoded.outcome);
@@ -538,18 +647,9 @@ impl Cache {
         let evicted = {
             let line = &self.lines[index];
             if line.state.is_valid() {
-                let base = self.reconstruct_base(set, line.tag);
-                let mut words = Vec::with_capacity(line.words.len());
-                let mut uncorrectable = false;
-                for word in 0..line.words.len() {
-                    let decoded = line.decode_word(word, self.code.as_ref());
-                    if !decoded.outcome.is_usable() {
-                        uncorrectable = true;
-                    }
-                    words.push(decoded.data as u32);
-                }
+                let (words, uncorrectable) = line.decode_all(self.code.as_ref());
                 Some(EvictedLine {
-                    base_address: base,
+                    base_address: self.reconstruct_base(set, line.tag),
                     words,
                     dirty: line.state.is_dirty(),
                     uncorrectable,
@@ -573,14 +673,17 @@ impl Cache {
         line.state = LineState::Exclusive;
         line.tag = tag;
         line.last_used = counter;
-        // `clear` + `extend` keeps the allocation across refills (and makes
-        // the first fill the line's only allocation).
-        line.words.clear();
-        line.words.extend(
-            line_words
-                .iter()
-                .map(|&value| Codeword::encode(code, u64::from(value))),
-        );
+        // The first fill allocates the slot's storage; refills overwrite it.
+        let encoded = line_words
+            .iter()
+            .map(|&value| Codeword::encode(code, u64::from(value)));
+        if line.words.is_empty() {
+            line.words = encoded.collect();
+        } else {
+            for (slot, codeword) in line.words.iter_mut().zip(encoded) {
+                *slot = codeword;
+            }
+        }
         line.pristine = pristine_mask(line.words.len());
         evicted.filter(|e| e.dirty || e.uncorrectable)
     }
@@ -694,20 +797,12 @@ impl Cache {
         let set = self.set_index(address);
         let index = set * self.ways() + way;
         let was_modified = self.lines[index].state.is_dirty();
-        let mut supplied = None;
-        let mut uncorrectable = false;
-        if was_modified {
-            let line = &self.lines[index];
-            let mut words = Vec::with_capacity(line.words.len());
-            for word in 0..line.words.len() {
-                let decoded = line.decode_word(word, self.code.as_ref());
-                if !decoded.outcome.is_usable() {
-                    uncorrectable = true;
-                }
-                words.push(decoded.data as u32);
-            }
-            supplied = Some(words);
-        }
+        let (supplied, uncorrectable) = if was_modified {
+            let (words, uncorrectable) = self.lines[index].decode_all(self.code.as_ref());
+            (Some(words), uncorrectable)
+        } else {
+            (None, false)
+        };
         if invalidate {
             if !self.corrupted.is_empty() {
                 self.retire_corruption(index);
@@ -795,13 +890,11 @@ impl Cache {
         injector: &mut ErrorInjector,
         target: FaultTarget,
     ) -> Option<u32> {
-        let resident: Vec<usize> = (0..self.lines.len())
-            .filter(|&i| self.lines[i].state.is_valid())
-            .collect();
-        if resident.is_empty() {
+        let resident = self.valid_lines();
+        if resident == 0 {
             return None;
         }
-        let index = resident[injector.next_below(resident.len() as u64) as usize];
+        let index = self.nth_valid_line(injector.next_below(resident as u64) as usize)?;
         let set_index = index / self.ways();
         let true_tag = match self.corrupted.iter().find(|r| r.index == index) {
             // Already-corrupted lines keep their original ground truth.
@@ -919,22 +1012,32 @@ impl Cache {
         true
     }
 
-    /// Addresses of all currently resident words (used by fault campaigns to
-    /// pick a strike location among live data).
+    /// Number of currently resident words: every word of every valid line.
     #[must_use]
-    pub fn resident_word_addresses(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for (set_index, set) in self.lines.chunks(self.ways()).enumerate() {
-            for line in set {
-                if line.state.is_valid() {
-                    let base = self.reconstruct_base(set_index, line.tag);
-                    for word in 0..self.config.words_per_line() {
-                        out.push(base + 4 * word);
-                    }
-                }
-            }
-        }
-        out
+    pub fn resident_words(&self) -> u64 {
+        self.valid_lines() as u64 * u64::from(self.config.words_per_line())
+    }
+
+    /// Address of resident word `k`, counting valid lines set by set and
+    /// way by way and the words of a line in address order, or `None` when
+    /// `k` is not below [`Cache::resident_words`].  Fault campaigns draw
+    /// `k` to pick a strike location among live data.
+    #[must_use]
+    pub fn resident_word_address(&self, k: u64) -> Option<u32> {
+        let words = u64::from(self.config.words_per_line());
+        let index = self.nth_valid_line(usize::try_from(k / words).ok()?)?;
+        let base = self.reconstruct_base(index / self.ways(), self.lines[index].tag);
+        Some(base + 4 * (k % words) as u32)
+    }
+
+    /// Flat index of the `n`-th valid line in flat (set-major) order.
+    fn nth_valid_line(&self, n: usize) -> Option<usize> {
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(|(_, line)| line.state.is_valid())
+            .nth(n)
+            .map(|(index, _)| index)
     }
 
     /// Number of dirty lines currently resident.
@@ -955,38 +1058,27 @@ impl Cache {
             .count()
     }
 
-    /// Writes back and returns every dirty line (used at program end so the
-    /// memory image can be compared across schemes).
-    pub fn flush_dirty(&mut self) -> Vec<EvictedLine> {
-        let mut out = Vec::new();
-        let ways = self.ways();
-        for index in 0..self.lines.len() {
-            let set_index = index / ways;
-            {
-                let (dirty, tag) = {
-                    let line = &self.lines[index];
-                    (line.state.is_dirty(), line.tag)
-                };
-                if dirty {
-                    let base = self.reconstruct_base(set_index, tag);
-                    let mut words = Vec::with_capacity(self.config.words_per_line() as usize);
-                    let mut uncorrectable = false;
-                    for word in 0..self.lines[index].words.len() {
-                        let decoded = self.lines[index].decode_word(word, self.code.as_ref());
-                        if !decoded.outcome.is_usable() {
-                            uncorrectable = true;
-                        }
-                        words.push(decoded.data as u32);
-                    }
-                    self.lines[index].state = LineState::Exclusive;
-                    self.stats.writebacks += 1;
-                    out.push(EvictedLine {
-                        base_address: base,
-                        words,
-                        dirty: true,
-                        uncorrectable,
-                    });
-                }
+    /// Writes back the next dirty line at or after flat line index
+    /// `*cursor` and moves the cursor past it, or returns `None` once no
+    /// dirty line remains.  Calling it from cursor 0 until it returns
+    /// `None` flushes every dirty line (used at program end so the memory
+    /// image can be compared across schemes), one line at a time, so no
+    /// list of lines is ever built.
+    pub fn flush_next_dirty(&mut self, cursor: &mut usize) -> Option<EvictedLine> {
+        while let Some(line) = self.lines.get(*cursor) {
+            let index = *cursor;
+            *cursor += 1;
+            if line.state.is_dirty() {
+                let (words, uncorrectable) = line.decode_all(self.code.as_ref());
+                let base_address = self.reconstruct_base(index / self.ways(), line.tag);
+                self.lines[index].state = LineState::Exclusive;
+                self.stats.writebacks += 1;
+                return Some(EvictedLine {
+                    base_address,
+                    words,
+                    dirty: true,
+                    uncorrectable,
+                });
             }
         }
         // Architecturally-dirty lines whose corrupted metadata hid them from
@@ -997,7 +1089,7 @@ impl Cache {
                 self.retire_corruption(index);
             }
         }
-        out
+        None
     }
 
     fn reconstruct_base(&self, set_index: usize, tag: u32) -> u32 {
@@ -1177,10 +1269,10 @@ mod tests {
         let mut cache = Cache::new(small_config());
         assert!(!cache.inject_fault(0x100, &FlipPlan::single_data(0)));
         cache.fill(0x100, &line(0));
-        assert_eq!(
-            cache.resident_word_addresses(),
-            vec![0x100, 0x104, 0x108, 0x10C]
-        );
+        let resident: Vec<u32> = (0..cache.resident_words())
+            .filter_map(|k| cache.resident_word_address(k))
+            .collect();
+        assert_eq!(resident, vec![0x100, 0x104, 0x108, 0x10C]);
     }
 
     #[test]
@@ -1202,7 +1294,9 @@ mod tests {
         cache.fill(0x10, &line(4));
         cache.write_word(0x00, 100);
         cache.write_word(0x10, 200);
-        let flushed = cache.flush_dirty();
+        let mut cursor = 0;
+        let flushed: Vec<EvictedLine> =
+            std::iter::from_fn(|| cache.flush_next_dirty(&mut cursor)).collect();
         assert_eq!(flushed.len(), 2);
         assert_eq!(cache.dirty_lines(), 0);
         let bases: Vec<u32> = flushed.iter().map(|e| e.base_address).collect();
@@ -1252,7 +1346,7 @@ mod tests {
         let per_word: Vec<u32> = (0..4)
             .map(|i| serial.read_word(0x100 + 4 * i).unwrap().value)
             .collect();
-        assert_eq!(words, per_word);
+        assert_eq!(words.as_slice(), per_word);
         assert_eq!(batched.stats(), serial.stats(), "identical counters");
         // A request larger than the line (a caller with bigger lines than
         // ours) must fall back, not index out of bounds.

@@ -26,6 +26,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use crate::cache::LineWords;
+
 /// A cache line's coherence state: the MESI lattice plus Dragon's two
 /// shared states and MOESI's `Owned`, encoded in the (unprotected)
 /// metadata bits next to the tag.
@@ -139,7 +141,7 @@ pub struct SnoopResult {
     pub invalidated: bool,
     /// The line's decoded words, supplied only when the copy was dirty
     /// (the requester and the level below would otherwise read stale data).
-    pub supplied: Option<Vec<u32>>,
+    pub supplied: Option<LineWords>,
     /// `true` if any supplied word carried an uncorrectable ECC error: the
     /// intervention forwards data that cannot be trusted.
     pub uncorrectable: bool,

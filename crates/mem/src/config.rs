@@ -109,6 +109,9 @@ impl CacheConfig {
         self.size_bytes / (self.ways * self.line_bytes)
     }
 
+    /// The largest line size [`CacheConfig::validate`] accepts.
+    pub const MAX_LINE_BYTES: u32 = 256;
+
     /// Number of 32-bit words per line.
     #[must_use]
     pub fn words_per_line(&self) -> u32 {
@@ -127,12 +130,14 @@ impl CacheConfig {
                 self.line_bytes
             ));
         }
-        if self.line_bytes > 256 {
-            // The per-line pristine-word bitmask in `cache::Line` covers at
-            // most 64 words; real embedded caches stay well under this.
+        if self.line_bytes > Self::MAX_LINE_BYTES {
+            // The per-line pristine-word bitmask in `cache::Line` and the
+            // inline `LineWords` buffer cover at most 64 words; real
+            // embedded caches stay well under this.
             return Err(format!(
-                "line size {} exceeds the supported maximum of 256 bytes",
-                self.line_bytes
+                "line size {} exceeds the supported maximum of {} bytes",
+                self.line_bytes,
+                Self::MAX_LINE_BYTES
             ));
         }
         if self.ways == 0 {

@@ -44,7 +44,7 @@ use laec_ecc::{ErrorInjector, FlipPlan, Outcome};
 use laec_trace::{MemLevel, TraceSink};
 
 use crate::bus::{Bus, Interference};
-use crate::cache::{Cache, EvictedLine};
+use crate::cache::{Cache, EvictedLine, LineWords};
 use crate::coherence::{LineState, LocalWriteAction, ProtocolKind};
 use crate::config::{AllocatePolicy, HierarchyConfig, WritePolicy};
 use crate::fault::{FaultCampaignConfig, FaultPattern, FaultTarget};
@@ -614,7 +614,7 @@ impl MemorySystem {
         core: usize,
         base: u32,
         exclusive: bool,
-    ) -> (bool, Option<Vec<u32>>) {
+    ) -> (bool, Option<LineWords>) {
         let mut sharers = false;
         let mut supplied_direct = None;
         for other in 0..self.cores.len() {
@@ -698,7 +698,7 @@ impl MemorySystem {
         base: u32,
         now: u64,
         exclusive: bool,
-    ) -> (Vec<u32>, u32, bool) {
+    ) -> (LineWords, u32, bool) {
         let words = self.config.dl1.words_per_line();
         let mut extra = 2 * self.config.bus_latency + self.config.l2_latency;
         extra += self.bus_transaction(core, now, true);
@@ -830,11 +830,14 @@ impl MemorySystem {
         if self.forensics.is_some() {
             self.forensics_flush_probe(core);
         }
-        let dirty_dl1 = self.cores[core].dl1.flush_dirty();
-        for line in &dirty_dl1 {
-            self.writeback_to_l2(core, line, 0);
+        // Line by line: the DL1 and the L2 flush independently of each
+        // other's state, so interleaving the writebacks changes nothing.
+        let mut cursor = 0;
+        while let Some(line) = self.cores[core].dl1.flush_next_dirty(&mut cursor) {
+            self.writeback_to_l2(core, &line, 0);
         }
-        for line in self.l2.flush_dirty() {
+        let mut cursor = 0;
+        while let Some(line) = self.l2.flush_next_dirty(&mut cursor) {
             if let Some(sink) = &mut self.sink {
                 sink.record_writeback(MemLevel::L2, line.base_address);
             }
@@ -871,11 +874,11 @@ impl MemorySystem {
         let dl1 = &mut self.cores[core].dl1;
         let struck = match config.target {
             FaultTarget::Data => {
-                let resident = dl1.resident_word_addresses();
-                if resident.is_empty() {
-                    None
-                } else {
-                    let address = resident[injector.next_below(resident.len() as u64) as usize];
+                let resident = dl1.resident_words();
+                let address = (resident > 0)
+                    .then(|| injector.next_below(resident))
+                    .and_then(|k| dl1.resident_word_address(k));
+                if let Some(address) = address {
                     let check_bits = dl1.config().protection.check_bits();
                     let plan = match config.pattern {
                         FaultPattern::SingleBit => {
@@ -886,8 +889,8 @@ impl MemorySystem {
                         }
                     };
                     dl1.inject_fault(address, &plan);
-                    Some(address)
                 }
+                address
             }
             FaultTarget::State | FaultTarget::Tag => dl1.inject_meta_fault(injector, config.target),
         };

@@ -62,7 +62,7 @@ pub mod stats;
 pub mod write_buffer;
 
 pub use bus::{Bus, BusGrant, Interference};
-pub use cache::{Cache, EvictedLine, ReadHit};
+pub use cache::{Cache, EvictedLine, LineWords, ReadHit};
 pub use coherence::{
     CoherenceProtocol, Dragon, LineState, LocalWriteAction, Mesi, MesiState, Moesi,
     ParseProtocolError, ProtocolKind, SnoopResult,

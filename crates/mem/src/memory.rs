@@ -7,6 +7,8 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use crate::cache::LineWords;
+
 /// SplitMix64-finalised hasher for word addresses.
 ///
 /// The word map is on the refill path of every cache miss and is populated
@@ -109,7 +111,7 @@ impl MainMemory {
 
     /// Reads a whole cache line of `words` 32-bit words starting at the
     /// line-aligned `base` address.
-    pub fn read_line(&mut self, base: u32, words: u32) -> Vec<u32> {
+    pub fn read_line(&mut self, base: u32, words: u32) -> LineWords {
         (0..words).map(|i| self.read_word(base + 4 * i)).collect()
     }
 
@@ -184,7 +186,7 @@ mod tests {
         let mut memory = MainMemory::new(10);
         let line = vec![1, 2, 3, 4, 5, 6, 7, 8];
         memory.write_line(0x200, &line);
-        assert_eq!(memory.read_line(0x200, 8), line);
+        assert_eq!(memory.read_line(0x200, 8).as_slice(), line);
     }
 
     #[test]

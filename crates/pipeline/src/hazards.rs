@@ -109,7 +109,7 @@ pub fn decide_lookahead(
     debug_assert!(load.is_load(), "look-ahead only applies to loads");
     if let Some(previous) = previous {
         if let Some(def) = previous.def {
-            if load.address_uses().contains(&def) {
+            if load.address_uses().contains(def) {
                 return LookaheadDecision::blocked(LookaheadBlock::DataHazard);
             }
         }

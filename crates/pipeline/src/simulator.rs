@@ -88,12 +88,42 @@ impl SimResult {
     }
 }
 
+/// Stage-entry slots per instruction: the deepest pipeline's stage count.
+const MAX_STAGES: usize = Stage::WITH_ECC_STAGE.len();
+
 /// Timing footprint of the previously processed dynamic instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PrevTiming {
-    entry: Vec<u64>,
+    /// Entry cycle per stage; only the first `StageLayout::depth` slots
+    /// are meaningful.
+    entry: [u64; MAX_STAGES],
     leave_last: u64,
     summary: PreviousInstruction,
+}
+
+/// The scheme's pipeline depth and the positions of the stages `step`
+/// addresses directly, looked up once per simulator: the scheme never
+/// changes mid-run.  Bytes, because `laec_smp` keeps one simulator per
+/// core on the heap.
+#[derive(Debug, Clone, Copy)]
+struct StageLayout {
+    depth: u8,
+    register_access: u8,
+    execute: u8,
+    memory: u8,
+}
+
+impl StageLayout {
+    fn new(scheme: EccScheme) -> Self {
+        let stages = scheme.stages();
+        let position = |stage| stage_index(stages, stage) as u8;
+        StageLayout {
+            depth: stages.len() as u8,
+            register_access: position(Stage::RegisterAccess),
+            execute: position(Stage::Execute),
+            memory: position(Stage::Memory),
+        }
+    }
 }
 
 /// Recently retired producers, for the dependent-load statistic.
@@ -112,6 +142,7 @@ struct RecentProducer {
 #[derive(Debug)]
 pub struct Simulator<M: MemoryPort = MemorySystem> {
     config: PipelineConfig,
+    layout: StageLayout,
     program: Program,
     regs: RegisterFile,
     mem: M,
@@ -177,6 +208,7 @@ impl<M: MemoryPort> Simulator<M> {
         let fault_campaign = config.fault_campaign.map(FaultCampaign::new);
         let chronogram = Chronogram::new(config.trace_instructions);
         Simulator {
+            layout: StageLayout::new(config.scheme),
             program,
             regs: RegisterFile::new(),
             mem: port,
@@ -295,14 +327,13 @@ impl<M: MemoryPort> Simulator<M> {
 
     /// Processes one dynamic instruction: timing, function and statistics.
     fn step(&mut self, instruction: Instruction) {
-        let stages = self.config.scheme.stages();
-        let n = stages.len();
-        let idx_ra = stage_index(stages, Stage::RegisterAccess);
-        let idx_ex = stage_index(stages, Stage::Execute);
-        let idx_m = stage_index(stages, Stage::Memory);
+        let n = usize::from(self.layout.depth);
+        let idx_ra = usize::from(self.layout.register_access);
+        let idx_ex = usize::from(self.layout.execute);
+        let idx_m = usize::from(self.layout.memory);
 
         // --- structural timing skeleton (fetch through execute) ------------
-        let mut entry = vec![0u64; n];
+        let mut entry = [0u64; MAX_STAGES];
         entry[0] = self.structural(0).max(self.redirect_cycle).max(1);
         for s in 1..=idx_ex {
             entry[s] = (entry[s - 1] + 1).max(self.structural(s));
@@ -320,7 +351,7 @@ impl<M: MemoryPort> Simulator<M> {
             let address_ready = instruction
                 .address_uses()
                 .iter()
-                .map(|r| self.reg_ready[usize::from(*r)])
+                .map(|r| self.reg_ready[usize::from(r)])
                 .max()
                 .unwrap_or(0);
             let ra_work_cycle = entry[idx_ex].saturating_sub(1);
@@ -352,7 +383,7 @@ impl<M: MemoryPort> Simulator<M> {
         // Anticipated loads consume their address register in Register Access
         // instead (eligibility already guaranteed readiness there).
         if !(lookahead && instruction.is_load()) {
-            for reg in instruction.uses() {
+            for reg in instruction.uses().iter() {
                 memory_entry = memory_entry.max(self.reg_ready[usize::from(reg)] + 2);
             }
         }
@@ -545,11 +576,12 @@ impl<M: MemoryPort> Simulator<M> {
 
         // --- bookkeeping -------------------------------------------------------
         if self.config.trace_instructions > 0 && !self.chronogram.is_full() {
+            let stages = self.config.scheme.stages().iter().copied();
             self.chronogram.push(TraceEntry {
                 seq: self.stats.instructions,
                 index: self.pc,
                 text: instruction.to_string(),
-                stages: stages.iter().copied().zip(entry.iter().copied()).collect(),
+                stages: stages.zip(entry).collect(),
                 retired: leave_last,
                 lookahead,
             });
@@ -608,7 +640,7 @@ impl<M: MemoryPort> Simulator<M> {
         match &self.prev {
             None => 0,
             Some(prev) => {
-                if s + 1 < prev.entry.len() {
+                if s + 1 < usize::from(self.layout.depth) {
                     prev.entry[s + 1]
                 } else {
                     prev.leave_last
@@ -647,7 +679,7 @@ impl<M: MemoryPort> Simulator<M> {
         for producer in self.recent.iter_mut() {
             if producer.was_load && !producer.counted {
                 if let Some(def) = producer.def {
-                    if uses.contains(&def) {
+                    if uses.contains(def) {
                         producer.counted = true;
                         self.stats.dependent_loads += 1;
                     }

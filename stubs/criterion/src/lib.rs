@@ -5,8 +5,11 @@
 //! (`criterion_group!`/`criterion_main!`, [`Criterion::benchmark_group`],
 //! [`BenchmarkGroup::sample_size`], [`BenchmarkGroup::bench_function`],
 //! [`Bencher::iter`], [`black_box`]) behind a small wall-clock harness:
-//! each benchmark is warmed up once, timed for a fixed number of samples,
-//! and reported as `name ... median time/iter`.
+//! each benchmark is warmed up and calibrated, timed for a fixed number of
+//! samples, and reported as `name ... median time/iter`.  A sample runs
+//! the routine as many times as it takes to fill [`MIN_SAMPLE`] (one call
+//! when a call already takes that long), so sub-microsecond routines are
+//! not swamped by the timer's own overhead.
 //!
 //! No statistical analysis, HTML reports or command-line filtering — the CI
 //! gate is `cargo bench --no-run` (compile only), and local `cargo bench`
@@ -21,7 +24,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
@@ -82,26 +85,47 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
+/// The shortest wall-clock time one sample may take: the batch of calls
+/// per sample doubles until it lasts at least this long.
+pub const MIN_SAMPLE: Duration = Duration::from_millis(1);
+
 /// Timing driver passed to each benchmark closure.
 #[derive(Debug, Default)]
 pub struct Bencher {
-    samples: Vec<u128>,
+    /// Nanoseconds per call, one entry per sample.
+    samples: Vec<f64>,
     sample_size: usize,
+    /// Calls per sample, found by calibration.
+    batch: u32,
 }
 
 impl Bencher {
-    /// Times `routine`, recording one wall-clock sample per configured
-    /// iteration.  The routine's output is passed through [`black_box`] so
-    /// the optimizer cannot delete the measured work.
+    /// Times `routine` over the configured number of samples and records
+    /// nanoseconds per call.  Calibration doubles the calls per sample,
+    /// starting from one (which doubles as the warm-up), until a batch
+    /// takes at least [`MIN_SAMPLE`].  The routine's output is passed
+    /// through [`black_box`] so the optimizer cannot delete the measured
+    /// work.
     pub fn iter<O, R>(&mut self, mut routine: R)
     where
         R: FnMut() -> O,
     {
-        black_box(routine()); // warm-up
-        for _ in 0..self.sample_size {
+        let mut timed_batch = |batch: u32| {
             let start = Instant::now();
-            black_box(routine());
-            self.samples.push(start.elapsed().as_nanos());
+            for _ in 0..batch {
+                black_box(routine());
+            }
+            start.elapsed()
+        };
+        let mut batch = 1;
+        while timed_batch(batch) < MIN_SAMPLE {
+            batch *= 2;
+        }
+        self.batch = batch;
+        for _ in 0..self.sample_size {
+            let elapsed = timed_batch(batch);
+            self.samples
+                .push(elapsed.as_nanos() as f64 / f64::from(batch));
         }
     }
 }
@@ -127,24 +151,28 @@ where
     let mut bencher = Bencher {
         samples: Vec::new(),
         sample_size,
+        batch: 0,
     };
     f(&mut bencher);
     if bencher.samples.is_empty() {
         println!("  {label} ... no samples");
         return;
     }
-    bencher.samples.sort_unstable();
+    bencher.samples.sort_unstable_by(f64::total_cmp);
     let median = bencher.samples[bencher.samples.len() / 2];
-    println!("  {label} ... {} ns/iter (median of {sample_size})", median);
+    println!(
+        "  {label} ... {median:.1} ns/iter (median of {sample_size} samples of {} calls)",
+        bencher.batch
+    );
     RESULTS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .push(BenchRecord {
             label: label.to_string(),
             samples: bencher.samples.len(),
-            median_ns: median,
-            min_ns: bencher.samples[0],
-            max_ns: bencher.samples[bencher.samples.len() - 1],
+            median_ns: median.round() as u128,
+            min_ns: bencher.samples[0].round() as u128,
+            max_ns: bencher.samples[bencher.samples.len() - 1].round() as u128,
         });
 }
 
@@ -235,6 +263,8 @@ mod tests {
         let mut runs = 0u32;
         group.bench_function("count", |b| {
             b.iter(|| {
+                // A call that fills a sample on its own is not batched.
+                std::thread::sleep(MIN_SAMPLE);
                 runs += 1;
                 runs
             })
@@ -242,5 +272,29 @@ mod tests {
         group.finish();
         // 1 warm-up + 3 samples.
         assert_eq!(runs, 4);
+    }
+
+    #[test]
+    fn fast_routines_are_batched_and_reported_per_call() {
+        let mut bencher = Bencher {
+            sample_size: 3,
+            ..Bencher::default()
+        };
+        let mut runs = 0u64;
+        bencher.iter(|| {
+            runs += 1;
+            runs
+        });
+        assert!(bencher.batch > 1, "a trivial call is batched");
+        // Calibration ran 1 + 2 + … + batch calls, then 3 full batches.
+        let batch = u64::from(bencher.batch);
+        assert_eq!(runs, 2 * batch - 1 + 3 * batch);
+        assert_eq!(bencher.samples.len(), 3);
+        // Per-call figures: a batch lasts at least `MIN_SAMPLE`, a call far
+        // less.
+        assert!(bencher
+            .samples
+            .iter()
+            .all(|&ns| ns < MIN_SAMPLE.as_nanos() as f64));
     }
 }

@@ -1,0 +1,216 @@
+//! Heap-allocation gate for the simulation loop.
+//!
+//! A counting global allocator sees every allocation this test binary
+//! makes, so the binary holds exactly one `#[test]`: no other test runs
+//! beside it and adds to the count.  Allocation counts do not depend on
+//! the host, so the gate holds them exactly, which it could not do for
+//! wall time.  It checks two things:
+//!
+//! 1. **Steady state.**  A DL1-resident load/store loop runs for `N` and
+//!    for `4N` iterations under each Figure 8 scheme on `wb` and `wt`,
+//!    fault-free and with data strikes at interval 200, and so does the
+//!    replay of each run's recording.  The longer run must allocate
+//!    exactly as often as the shorter one: everything the loop needs is
+//!    allocated while it warms up.
+//! 2. **Ceilings.**  The golden spec `specs/ci_smoke.json`, run through
+//!    `Campaign::run(1)` in full simulation and trace-backed, stays under
+//!    the committed allocations per simulated instruction and per replayed
+//!    event.  What remains at those rates is per-cell set-up (hierarchies,
+//!    the lazily allocated codeword buffer of each cache line slot) and,
+//!    trace-backed, the recordings.
+//!
+//! An allocation is one `alloc`, `alloc_zeroed` or `realloc` call.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use laec::core::record_cell;
+use laec::isa::Program;
+use laec::mem::{FaultCampaignConfig, ReplayMemory};
+use laec::prelude::{Campaign, CampaignSpec, EccScheme, ExecutionMode, PipelineConfig};
+use laec::prelude::{PlatformVariant, Simulator};
+use laec::trace::{replay_events, SharedSink, TraceContext, TraceDetail, TraceRecorder};
+
+/// Allocations per simulated instruction of the golden spec in full
+/// simulation.  Measured: 1901 allocations over 174078 instructions
+/// (0.0109), the same in debug and release builds; the ceiling leaves 5 %
+/// for toolchain drift.
+const FULL_PER_INSTRUCTION: f64 = 0.0115;
+
+/// Allocations of the golden spec's trace-backed run per event its faulty
+/// cells replay, the recordings and fallbacks included.  Measured: 2121
+/// allocations over 30360 replayed events (0.0699); the ceiling leaves 5 %.
+const TRACE_BACKED_PER_REPLAYED_EVENT: f64 = 0.0735;
+
+/// [`System`], counting allocation calls.
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter only observes the calls.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` (through this wrapper)
+        // with `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations for `ptr`, `layout` and
+        // `new_size` pass through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Runs `work` and returns its value and the allocations it made.
+fn allocations_during<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let value = work();
+    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// A loop over two DL1-resident lines: three loads and two stores per
+/// iteration, with a loop counter that no loaded value feeds, so strikes
+/// on the data never change the control flow.
+fn resident_loop(iterations: u32) -> Program {
+    Program::assemble(&format!(
+        "
+            addi r1, r0, 0x1000
+            addi r2, r0, {iterations}
+        loop:
+            ld   r3, [r1 + 0]
+            ld   r4, [r1 + 4]
+            add  r5, r3, r4
+            st   r5, [r1 + 8]
+            ld   r6, [r1 + 32]
+            addi r6, r6, 1
+            st   r6, [r1 + 36]
+            subi r2, r2, 1
+            bne  r2, r0, loop
+            halt
+        "
+    ))
+    .expect("the loop assembles")
+}
+
+/// Allocations of one full simulation of the loop, and of a replay of its
+/// recording (the program, the recording and its decoded events are built
+/// outside the counted spans).
+fn loop_allocations(iterations: u32, config: &PipelineConfig) -> (u64, u64) {
+    let (program, run_config) = (resident_loop(iterations), config.clone());
+    let (_, simulated) = allocations_during(|| Simulator::run(program, run_config));
+
+    let shared = SharedSink::new(TraceRecorder::with_detail(
+        TraceContext::new("resident_loop", config.scheme.to_string(), "-", 0),
+        TraceDetail::Replay,
+    ));
+    let mut simulator = Simulator::new(resident_loop(iterations), config.clone());
+    simulator.attach_trace_sink(shared.boxed());
+    let result = simulator.execute();
+    drop(simulator);
+    let trace = shared
+        .finish(result.trace_summary())
+        .expect("the simulator was dropped");
+    let events = trace.decode_events().expect("a fresh recording decodes");
+
+    let (_, replayed) = allocations_during(|| {
+        let mut target = ReplayMemory::new(config.hierarchy);
+        if let Some(fault) = config.fault_campaign {
+            target = target.with_fault_campaign(fault);
+        }
+        let outcome = replay_events(&events, &mut target);
+        (outcome, target.drain_to_memory())
+    });
+    (simulated, replayed)
+}
+
+fn check_steady_state() {
+    const N: u32 = 1000;
+    // One uncounted run first, so one-time lazy set-up in the standard
+    // library and the test harness happens outside every comparison.
+    loop_allocations(N, &PipelineConfig::laec());
+    for scheme in EccScheme::figure8_set() {
+        for platform in [PlatformVariant::WriteBack, PlatformVariant::WriteThrough] {
+            for fault in [None, Some(FaultCampaignConfig::single_bit(0x5EED, 200))] {
+                let mut config = platform.apply_config(PipelineConfig::for_scheme(scheme));
+                config.fault_campaign = fault;
+                let short = loop_allocations(N, &config);
+                let long = loop_allocations(4 * N, &config);
+                let cell = format!("{scheme} on {platform}, strikes {}", fault.is_some());
+                assert_eq!(
+                    short.0, long.0,
+                    "{cell}: full simulation allocates per iteration"
+                );
+                assert_eq!(short.1, long.1, "{cell}: replay allocates per iteration");
+            }
+        }
+    }
+}
+
+fn check_ceilings() {
+    let spec = CampaignSpec::from_json(include_str!("../specs/ci_smoke.json"))
+        .expect("the golden spec parses");
+    let grid = spec.grid();
+
+    let full = Campaign::new(spec.validate().expect("the golden spec validates"));
+    let (outcome, allocations) = allocations_during(|| full.run(1));
+    let report = outcome.grid().expect("a grid report");
+    let instructions: u64 = report.cells.iter().map(|cell| cell.instructions).sum();
+    let per_instruction = allocations as f64 / instructions as f64;
+    assert!(
+        per_instruction <= FULL_PER_INSTRUCTION,
+        "full simulation: {allocations} allocations over {instructions} simulated \
+         instructions = {per_instruction:.4} each, above the ceiling {FULL_PER_INSTRUCTION}"
+    );
+
+    // The events the trace-backed run replays: each faulty cell replays
+    // the whole recording of its fault-free twin.
+    let mut replayed_events = 0u64;
+    for workload in &grid.materialize_workloads() {
+        for &platform in &grid.platforms {
+            for &scheme in &grid.schemes {
+                let (_, trace) =
+                    record_cell(&grid, workload, scheme, platform, TraceDetail::Replay);
+                let events = trace.decode_events().expect("a fresh recording decodes");
+                replayed_events += events.len() as u64 * grid.fault_seeds.len() as u64;
+            }
+        }
+    }
+    let traced = CampaignSpec::from_grid(&grid, ExecutionMode::TraceBacked { cache_dir: None });
+    let traced = Campaign::new(traced.validate().expect("the traced spec validates"));
+    let (outcome, allocations) = allocations_during(|| traced.run(1));
+    assert_eq!(
+        outcome.grid(),
+        Some(report),
+        "trace-backed replay reproduces the full report"
+    );
+    let per_event = allocations as f64 / replayed_events as f64;
+    assert!(
+        per_event <= TRACE_BACKED_PER_REPLAYED_EVENT,
+        "trace-backed: {allocations} allocations over {replayed_events} replayed events \
+         = {per_event:.4} each, above the ceiling {TRACE_BACKED_PER_REPLAYED_EVENT}"
+    );
+}
+
+#[test]
+fn simulation_loop_allocates_only_while_warming_up() {
+    check_steady_state();
+    check_ceilings();
+}

@@ -37,8 +37,9 @@ fn grid_spec(mode: ExecutionMode) -> ValidatedSpec {
 #[test]
 fn forensic_run_report_is_byte_identical_to_plain_run() {
     let plain = Campaign::new(grid_spec(ExecutionMode::Full)).run(2);
-    let (forensic, report) =
-        Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
+    let (forensic, report) = Campaign::new(grid_spec(ExecutionMode::Full))
+        .run_forensic(2, &Obs::disabled())
+        .expect("single-core grid");
     assert_eq!(plain.to_json(), forensic.to_json());
     assert_eq!(plain.render(), forensic.render());
     let report = report.expect("the full engine traces lifecycles");
@@ -47,9 +48,12 @@ fn forensic_run_report_is_byte_identical_to_plain_run() {
 
 #[test]
 fn forensics_document_is_thread_count_invariant() {
-    let (_, one) = Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(1, &Obs::disabled());
-    let (_, eight) =
-        Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(8, &Obs::disabled());
+    let (_, one) = Campaign::new(grid_spec(ExecutionMode::Full))
+        .run_forensic(1, &Obs::disabled())
+        .expect("single-core grid");
+    let (_, eight) = Campaign::new(grid_spec(ExecutionMode::Full))
+        .run_forensic(8, &Obs::disabled())
+        .expect("single-core grid");
     let (one, eight) = (one.expect("forensics"), eight.expect("forensics"));
     assert_eq!(one.to_json(), eight.to_json());
     assert_eq!(one.render(true), eight.render(true));
@@ -58,9 +62,12 @@ fn forensics_document_is_thread_count_invariant() {
 
 #[test]
 fn forensics_document_is_engine_invariant() {
-    let (_, full) = Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
+    let (_, full) = Campaign::new(grid_spec(ExecutionMode::Full))
+        .run_forensic(2, &Obs::disabled())
+        .expect("single-core grid");
     let (_, traced) = Campaign::new(grid_spec(ExecutionMode::TraceBacked { cache_dir: None }))
-        .run_forensic(2, &Obs::disabled());
+        .run_forensic(2, &Obs::disabled())
+        .expect("single-core grid");
     let (full, traced) = (full.expect("forensics"), traced.expect("forensics"));
     assert!(full.total_faults() > 0);
     assert_eq!(full.to_json(), traced.to_json());
@@ -68,8 +75,9 @@ fn forensics_document_is_engine_invariant() {
 
 #[test]
 fn outcome_classes_track_the_scheme() {
-    let (_, report) =
-        Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
+    let (_, report) = Campaign::new(grid_spec(ExecutionMode::Full))
+        .run_forensic(2, &Obs::disabled())
+        .expect("single-core grid");
     let report = report.expect("forensics");
     for cell in &report.cells {
         for record in &cell.records {
@@ -124,8 +132,9 @@ fn outcome_classes_track_the_scheme() {
 
 #[test]
 fn chrome_trace_export_is_schema_valid() {
-    let (_, report) =
-        Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
+    let (_, report) = Campaign::new(grid_spec(ExecutionMode::Full))
+        .run_forensic(2, &Obs::disabled())
+        .expect("single-core grid");
     let report = report.expect("forensics");
     let value = serde_json::parse(&report.chrome_trace_json()).expect("valid JSON");
     let events = value
@@ -159,7 +168,9 @@ fn chrome_trace_export_is_schema_valid() {
 #[test]
 fn metrics_dump_carries_the_forensics_sections() {
     let obs = Obs::enabled();
-    let (_, report) = Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &obs);
+    let (_, report) = Campaign::new(grid_spec(ExecutionMode::Full))
+        .run_forensic(2, &obs)
+        .expect("single-core grid");
     let report = report.expect("forensics");
     let dump = obs.dump();
     assert_eq!(dump.counters["forensics.faults"], report.total_faults());
@@ -192,7 +203,33 @@ fn forensics_incapable_engines_return_none() {
         .min_samples(8)
         .validate()
         .expect("valid sampled spec");
-    let (outcome, forensics) = Campaign::new(spec).run_forensic(2, &Obs::disabled());
+    let (outcome, forensics) = Campaign::new(spec)
+        .run_forensic(2, &Obs::disabled())
+        .expect("single-core grid");
     assert!(outcome.sampled().is_some());
     assert!(forensics.is_none());
+}
+
+#[test]
+fn forensics_reject_multi_core_platforms() {
+    // The coherent ports journal no strikes yet: an `smpN` cell would
+    // report zero faults, so the run is refused before it starts.
+    let spec = CampaignBuilder::smoke()
+        .named_workloads(["vector_sum"])
+        .schemes([EccScheme::Laec])
+        .platforms([PlatformVariant::WriteBack, PlatformVariant::smp(2)])
+        .fault_seeds([1])
+        .fault_interval(200)
+        .validate()
+        .expect("valid smp2 spec");
+    let error = Campaign::new(spec)
+        .run_forensic(2, &Obs::disabled())
+        .expect_err("smp2 cells cannot be traced");
+    assert_eq!(
+        error,
+        SpecError::ForensicsNeedsSingleCore {
+            platform: "smp2".to_string()
+        }
+    );
+    assert!(error.to_string().contains("`smp2`"), "{error}");
 }
