@@ -1537,8 +1537,7 @@ fn cmd_trace_info(flags: &Flags) -> Result<(), String> {
     // (run-length-merged records expand to their `count`), every other
     // type counts events.  BTreeMap keeps the cores in id order.
     let mut per_core: std::collections::BTreeMap<u8, Histogram> = std::collections::BTreeMap::new();
-    for event in trace.events() {
-        let event = event.map_err(|e| e.to_string())?;
+    for &event in trace.events() {
         let (bucket, weight) = match event {
             TraceEvent::Commit { count, .. } => {
                 info.commits += count;

@@ -83,8 +83,8 @@ pub use spec::{
     ValidatedSpec, SPEC_VERSION,
 };
 pub use trace_backed::{
-    cell_fingerprint, record_cell, replay_cell, replay_cell_events, replay_cell_events_forensic,
-    trace_file_name, TraceBackedStats, TracedCampaign,
+    cell_fingerprint, record_cell, replay_cell, replay_cell_events, trace_file_name,
+    TraceBackedStats, TracedCampaign,
 };
 
 pub use energy::{EnergyBreakdown, EnergyModel};

@@ -64,13 +64,13 @@ use std::path::PathBuf;
 use laec_mem::FaultCampaignConfig;
 use laec_obs::{Obs, Phase, ProgressEvent};
 use laec_pipeline::PipelineConfig;
-use laec_trace::{varint, Trace, TraceEvent};
+use laec_trace::{varint, Divergence, Trace};
 use laec_workloads::Workload;
 use serde::Serialize;
 
 use crate::campaign::{default_threads, mix64, run_pool, CampaignSpec};
 use crate::runner::run_with_config;
-use crate::trace_backed::{obtain_recording, replay_cell_events, Origin, TraceBackedStats};
+use crate::trace_backed::{obtain_recording, replay_cell, Origin, TraceBackedStats};
 
 // ---------------------------------------------------------------------------
 // Statistics primitives
@@ -914,8 +914,8 @@ pub struct Sampler {
     workloads: Vec<Workload>,
     strata: Vec<StratumCoords>,
     baselines: Vec<Baseline>,
-    /// One decoded recording per stratum in trace-backed mode.
-    traces: Option<Vec<(Trace, Vec<TraceEvent>)>>,
+    /// One recording per stratum in trace-backed mode.
+    traces: Option<Vec<Trace>>,
     states: Vec<StratumStats>,
     trace_stats: TraceBackedStats,
     /// Grid index of `strata[0]` — non-zero only for restricted samplers.
@@ -1046,7 +1046,7 @@ impl Sampler {
                 });
                 let mut baselines = Vec::with_capacity(recorded.len());
                 let mut traces = Vec::with_capacity(recorded.len());
-                for (cell, trace, events, origin) in recorded {
+                for (cell, trace, origin) in recorded {
                     match origin {
                         Origin::Recorded { cache_write_failed } => {
                             trace_stats.recorded += 1;
@@ -1059,7 +1059,7 @@ impl Sampler {
                         registers_fingerprint: cell.registers_fingerprint,
                         memory_checksum: cell.memory_checksum,
                     });
-                    traces.push((trace, events));
+                    traces.push(trace);
                 }
                 (baselines, Some(traces))
             }
@@ -1146,7 +1146,7 @@ impl Sampler {
     /// Record/replay/fallback counters (all zero in full-sim mode).
     #[must_use]
     pub fn trace_stats(&self) -> TraceBackedStats {
-        self.trace_stats
+        self.trace_stats.clone()
     }
 
     /// Runs sampling rounds on `threads` workers (`0` = all cores) until
@@ -1192,16 +1192,19 @@ impl Sampler {
                 self.run_sample(stratum, sample)
             });
             let mut touched: Vec<usize> = Vec::new();
-            for (&(stratum, _), (outcome, replayed)) in jobs.iter().zip(&outcomes) {
+            for (&(stratum, _), (outcome, divergence)) in jobs.iter().zip(&outcomes) {
                 self.states[stratum].absorb(&self.baselines[stratum], outcome);
                 if touched.last() != Some(&stratum) {
                     touched.push(stratum);
                 }
-                if self.traces.is_some() {
-                    if *replayed {
-                        self.trace_stats.replayed += 1;
-                    } else {
-                        self.trace_stats.fallbacks += 1;
+                if let Some(traces) = &self.traces {
+                    match divergence {
+                        None => self.trace_stats.replayed += 1,
+                        Some(divergence) => self.trace_stats.count_fallback(
+                            &self.spec.schemes[self.strata[stratum].scheme].to_string(),
+                            divergence,
+                            traces[stratum].events().len(),
+                        ),
                     }
                 }
             }
@@ -1245,8 +1248,9 @@ impl Sampler {
 
     /// Executes one sample: trace replay when a recording exists (falling
     /// back to full simulation on divergence), full simulation otherwise.
-    /// The boolean reports whether replay served the sample.
-    fn run_sample(&self, stratum: usize, sample: u64) -> (SampleOutcome, bool) {
+    /// Also returns the divergence that forced a fallback; `None` when
+    /// replay served the sample or no recording exists.
+    fn run_sample(&self, stratum: usize, sample: u64) -> (SampleOutcome, Option<Divergence>) {
         let coords = self.strata[stratum];
         let seed = sample_injection_seed(
             &self.spec,
@@ -1258,25 +1262,28 @@ impl Sampler {
         let fault = FaultCampaignConfig::single_bit(seed, self.spec.fault_interval)
             .with_target(self.spec.fault_target);
         let workload = &self.workloads[coords.workload];
+        let mut divergence = None;
         if let Some(traces) = &self.traces {
-            let (trace, events) = &traces[stratum];
             let replayed = {
                 let _span = self.obs.span(Phase::Replay);
-                replay_cell_events(&self.spec, trace, events, workload, Some(fault), None)
+                replay_cell(&self.spec, &traces[stratum], workload, Some(fault), None)
             };
-            if let Ok(cell) = replayed {
-                return (
-                    SampleOutcome {
-                        cycles: cell.cycles,
-                        unrecoverable_errors: cell.unrecoverable_errors,
-                        detected_uncorrectable: cell.faults_detected_uncorrectable,
-                        faults_injected: cell.faults_injected,
-                        faults_corrected: cell.faults_corrected,
-                        registers_fingerprint: cell.registers_fingerprint,
-                        memory_checksum: cell.memory_checksum,
-                    },
-                    true,
-                );
+            match replayed {
+                Ok(cell) => {
+                    return (
+                        SampleOutcome {
+                            cycles: cell.cycles,
+                            unrecoverable_errors: cell.unrecoverable_errors,
+                            detected_uncorrectable: cell.faults_detected_uncorrectable,
+                            faults_injected: cell.faults_injected,
+                            faults_corrected: cell.faults_corrected,
+                            registers_fingerprint: cell.registers_fingerprint,
+                            memory_checksum: cell.memory_checksum,
+                        },
+                        None,
+                    );
+                }
+                Err(diverged) => divergence = Some(diverged),
             }
         }
         let config = self.spec.platforms[coords.platform]
@@ -1298,7 +1305,7 @@ impl Sampler {
                 registers_fingerprint: crate::campaign::registers_fingerprint(&result.registers),
                 memory_checksum: result.memory_checksum,
             },
-            false,
+            divergence,
         )
     }
 

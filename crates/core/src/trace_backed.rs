@@ -32,9 +32,15 @@
 //!
 //! The win is throughput: replay touches only the memory hierarchy, so a
 //! campaign with *N* fault seeds per cell costs ~1 full simulation plus
-//! *N* cheap replays instead of *N* + 1 full simulations (see
-//! `benches/trace_replay.rs` for measured numbers).
+//! *N* cheap replays instead of *N* + 1 full simulations (perfbench's
+//! `grid_replay` ÷ `grid_full` ratio measures it; see EXPERIMENTS.md).
+//!
+//! A recording stays one owner's decoded [`Trace`] from its first event to
+//! its last replay: the hierarchy of the recording run owns the recorder,
+//! and the binary container is written only when a trace is persisted
+//! (`--trace-cache`, `laec-cli trace record`).
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
@@ -42,8 +48,8 @@ use laec_mem::{CellForensics, FaultCampaignConfig, MemoryPort, ReplayMemory};
 use laec_obs::{Obs, Phase, ProgressEvent};
 use laec_pipeline::{EccScheme, PipelineConfig, Simulator};
 use laec_trace::{
-    replay_events, Divergence, SharedSink, Trace, TraceContext, TraceDetail, TraceError,
-    TraceEvent, TraceRecorder,
+    replay_events, Divergence, Trace, TraceContext, TraceDetail, TraceError, TraceEvent,
+    TraceRecorder,
 };
 use laec_workloads::Workload;
 
@@ -54,7 +60,7 @@ use crate::campaign::{
 };
 
 /// Execution counters of one trace-backed campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceBackedStats {
     /// Fault-free cells simulated in full (and recorded).
     pub recorded: u64,
@@ -66,6 +72,36 @@ pub struct TraceBackedStats {
     pub fallbacks: u64,
     /// Cache files that could not be written (best-effort persistence).
     pub cache_write_failures: u64,
+    /// `fallbacks` split by scheme label × divergence kind
+    /// (`load_value`, `load_timing`, `scheme_timing`, `trace`); the
+    /// entries sum to `fallbacks`.
+    pub fallbacks_by: BTreeMap<(String, &'static str), u64>,
+    /// Fallbacks per decile of where the replay diverged: bucket *d* counts
+    /// divergences at event index ÷ recorded events in `[d/10, (d+1)/10)`.
+    /// `trace` divergences have no position and are not bucketed.
+    pub divergence_deciles: [u64; 10],
+}
+
+impl TraceBackedStats {
+    /// Counts one faulty cell of `scheme` that fell back to full
+    /// simulation after `divergence` in a recording of `events` events.
+    pub(crate) fn count_fallback(&mut self, scheme: &str, divergence: &Divergence, events: usize) {
+        self.fallbacks += 1;
+        let (kind, event) = match *divergence {
+            Divergence::LoadValue { event, .. } => ("load_value", Some(event)),
+            Divergence::LoadTiming { event, .. } => ("load_timing", Some(event)),
+            Divergence::SchemeTimingError { event, .. } => ("scheme_timing", Some(event)),
+            Divergence::Trace(_) => ("trace", None),
+        };
+        *self
+            .fallbacks_by
+            .entry((scheme.to_string(), kind))
+            .or_default() += 1;
+        if let Some(event) = event {
+            let decile = u128::from(event) * 10 / (events.max(1) as u128);
+            self.divergence_deciles[decile.min(9) as usize] += 1;
+        }
+    }
 }
 
 impl std::fmt::Display for TraceBackedStats {
@@ -124,24 +160,18 @@ pub fn record_cell(
         platform.to_string(),
         cell_fingerprint(spec, scheme, platform),
     );
-    let shared = SharedSink::new(TraceRecorder::with_detail(context, detail));
     let mut simulator = Simulator::new(workload.program.clone(), config);
-    simulator.attach_trace_sink(shared.boxed());
-    if detail == TraceDetail::Full {
-        simulator.attach_mem_trace_sink(shared.boxed());
-    }
+    simulator.attach_recorder(TraceRecorder::with_detail(context, detail));
     let result = simulator.execute();
-    drop(simulator);
+    let recorder = simulator
+        .take_recorder()
+        // laec-lint: allow(panic-in-library) -- the recorder was attached
+        // three statements up and nothing in between detaches it.
+        .expect("the recorder attached above is still attached");
     let mut summary = result.trace_summary();
     summary.registers_fingerprint = registers_fingerprint(&result.registers);
-    let trace = shared
-        .finish(summary)
-        // laec-lint: allow(panic-in-library) -- the simulator (the only other
-        // holder of the shared recorder) was dropped on the line above, so
-        // `finish` always has sole ownership here.
-        .expect("simulator dropped, recorder has one owner");
     let cell = cell_from_result(workload, scheme, platform, None, &result);
-    (cell, trace)
+    (cell, recorder.finish(summary))
 }
 
 /// Replays a recorded cell — fault-free (`fault: None`, reconstructing the
@@ -161,13 +191,18 @@ pub fn replay_cell(
     fault: Option<FaultCampaignConfig>,
     fault_axis_seed: Option<u64>,
 ) -> Result<CampaignCell, Divergence> {
-    let events = trace.decode_events().map_err(Divergence::Trace)?;
-    replay_cell_events(spec, trace, &events, workload, fault, fault_axis_seed)
+    replay_cell_events(
+        spec,
+        trace,
+        trace.events(),
+        workload,
+        fault,
+        fault_axis_seed,
+    )
 }
 
-/// [`replay_cell`] over a pre-decoded event stream — the campaign hot path,
-/// where one recording is replayed once per fault seed and should be
-/// varint-decoded only once.
+/// [`replay_cell`] over an explicit event slice of `trace` (usually
+/// [`Trace::events`]).
 ///
 /// # Errors
 ///
@@ -184,26 +219,11 @@ pub fn replay_cell_events(
         .map(|(cell, _)| cell)
 }
 
-/// [`replay_cell_events`] with per-fault lifecycle forensics enabled on the
-/// replayed hierarchy.  The cell is byte-identical to the non-forensic
-/// replay; the forensics records are byte-identical to a full simulation of
+/// [`replay_cell_events`], optionally with per-fault lifecycle forensics
+/// enabled on the replayed hierarchy.  The cell is byte-identical either
+/// way; the forensics records are byte-identical to a full simulation of
 /// the same grid coordinates (the replay re-issues the recorded
 /// (event, cycle) stream).
-///
-/// # Errors
-///
-/// See [`replay_cell`].
-pub fn replay_cell_events_forensic(
-    spec: &CampaignSpec,
-    trace: &Trace,
-    events: &[TraceEvent],
-    workload: &Workload,
-    fault: Option<FaultCampaignConfig>,
-    fault_axis_seed: Option<u64>,
-) -> Result<(CampaignCell, CellForensics), Divergence> {
-    replay_cell_events_impl(spec, trace, events, workload, fault, fault_axis_seed, true)
-}
-
 #[allow(clippy::too_many_lines)]
 fn replay_cell_events_impl(
     spec: &CampaignSpec,
@@ -322,7 +342,7 @@ pub(crate) enum Origin {
     CacheHit,
 }
 
-/// Obtains one stratum's fault-free cell plus its decoded recording: from
+/// Obtains one stratum's fault-free cell plus its recording: from
 /// `cache_dir` when a valid, matching trace is present, otherwise by
 /// recording a fresh full simulation (persisting it back to `cache_dir`
 /// best-effort).  Shared by the trace-backed campaign's phase 1 and the
@@ -334,7 +354,7 @@ pub(crate) fn obtain_recording(
     platform: PlatformVariant,
     cache_dir: Option<&Path>,
     obs: &Obs,
-) -> (CampaignCell, Trace, Vec<TraceEvent>, Origin) {
+) -> (CampaignCell, Trace, Origin) {
     let file_name = trace_file_name(
         &workload.name,
         &scheme.to_string(),
@@ -344,13 +364,12 @@ pub(crate) fn obtain_recording(
     if let Some(dir) = cache_dir {
         if let Ok(bytes) = fs::read(dir.join(&file_name)) {
             let _span = obs.span(Phase::TraceDecode);
-            if let Ok(trace) = Trace::decode(&bytes) {
-                if let Ok(events) = trace.decode_events() {
-                    if let Ok(cell) =
-                        replay_cell_events(spec, &trace, &events, workload, None, None)
-                    {
-                        return (cell, trace, events, Origin::CacheHit);
-                    }
+            let decoded = Trace::decode(&bytes);
+            // The file's bytes are not kept beside the decoded events.
+            drop(bytes);
+            if let Ok(trace) = decoded {
+                if let Ok(cell) = replay_cell(spec, &trace, workload, None, None) {
+                    return (cell, trace, Origin::CacheHit);
                 }
             }
         }
@@ -364,13 +383,7 @@ pub(crate) fn obtain_recording(
             .and_then(|()| fs::write(dir.join(&file_name), trace.encode()))
             .is_err()
     });
-    let events = trace
-        .decode_events()
-        // laec-lint: allow(panic-in-library) -- the trace was encoded by this
-        // process one statement earlier; encode/decode round-tripping is
-        // covered by tier-1 tests, so a failure is memory corruption, not input.
-        .expect("a just-recorded trace decodes");
-    (cell, trace, events, Origin::Recorded { cache_write_failed })
+    (cell, trace, Origin::Recorded { cache_write_failed })
 }
 
 /// The record-once/replay-per-seed engine behind
@@ -443,8 +456,7 @@ fn execute_trace_backed_impl(
         engine: "trace-backed",
         jobs: total,
     });
-    type RecordedCell = (CampaignCell, Trace, Vec<TraceEvent>, Origin);
-    let phase1: Vec<RecordedCell> = run_pool(triples.len(), threads, |index| {
+    let phase1: Vec<(CampaignCell, Trace, Origin)> = run_pool(triples.len(), threads, |index| {
         let (workload, platform, scheme) = triples[index];
         let recorded = obtain_recording(
             spec,
@@ -454,7 +466,7 @@ fn execute_trace_backed_impl(
             cache_dir,
             obs,
         );
-        let phase = match recorded.3 {
+        let phase = match recorded.2 {
             Origin::CacheHit => Phase::TraceDecode,
             Origin::Recorded { .. } => Phase::TraceRecord,
         };
@@ -478,7 +490,7 @@ fn execute_trace_backed_impl(
     });
 
     // Phase 2: replay every faulty cell from its triple's trace.
-    let phase2: Vec<(CampaignCell, bool, CellForensics)> =
+    let phase2: Vec<(CampaignCell, Option<Divergence>, CellForensics)> =
         run_pool(triples.len() * fault_count, threads, |index| {
             let triple = index / fault_count;
             let fault = index % fault_count;
@@ -496,32 +508,32 @@ fn execute_trace_backed_impl(
             )
             .with_target(spec.fault_target);
             let workload = &workloads[workload];
-            let (_, trace, events, _) = &phase1[triple];
+            let (_, trace, _) = &phase1[triple];
             let replayed = {
                 let _span = obs.span(Phase::Replay);
                 replay_cell_events_impl(
                     spec,
                     trace,
-                    events,
+                    trace.events(),
                     workload,
                     Some(campaign),
                     Some(axis_seed),
                     forensic,
                 )
             };
-            let (cell, replayed, forensics) = match replayed {
-                Ok((cell, forensics)) => (cell, true, forensics),
-                Err(_divergence) => {
+            let (cell, divergence, forensics) = match replayed {
+                Ok((cell, forensics)) => (cell, None, forensics),
+                Err(divergence) => {
                     let _span = obs.span(Phase::FullSimFallback);
                     let (cell, forensics) = if forensic {
                         run_job_forensic(spec, &workloads, job)
                     } else {
                         (run_job(spec, &workloads, job), CellForensics::default())
                     };
-                    (cell, false, forensics)
+                    (cell, Some(divergence), forensics)
                 }
             };
-            let phase = if replayed {
+            let phase = if divergence.is_none() {
                 Phase::Replay
             } else {
                 Phase::FullSimFallback
@@ -538,7 +550,7 @@ fn execute_trace_backed_impl(
                 phase: phase.label(),
                 outcomes: tallies.as_ref().map(|t| &t[..]),
             });
-            (cell, replayed, forensics)
+            (cell, divergence, forensics)
         });
     obs.emit(&ProgressEvent::CampaignEnd {
         engine: "trace-backed",
@@ -550,7 +562,7 @@ fn execute_trace_backed_impl(
     let mut cells = Vec::with_capacity(triples.len() * (1 + fault_count));
     let mut forensics = Vec::with_capacity(cells.capacity());
     let mut faulty = phase2.into_iter();
-    for (cell, _trace, _events, origin) in phase1 {
+    for (cell, trace, origin) in phase1 {
         match origin {
             Origin::Recorded { cache_write_failed } => {
                 stats.recorded += 1;
@@ -564,11 +576,13 @@ fn execute_trace_backed_impl(
             // laec-lint: allow(panic-in-library) -- phase 2 produced exactly
             // `fault_count` faulty cells per group (same grid expansion as
             // this loop), so the iterator cannot run dry.
-            let (cell, replayed, cell_forensics) = faulty.next().expect("phase-2 grid is complete");
-            if replayed {
-                stats.replayed += 1;
-            } else {
-                stats.fallbacks += 1;
+            let next = faulty.next().expect("phase-2 grid is complete");
+            let (cell, divergence, cell_forensics) = next;
+            match divergence {
+                None => stats.replayed += 1,
+                Some(divergence) => {
+                    stats.count_fallback(&cell.scheme, &divergence, trace.events().len());
+                }
             }
             cells.push(cell);
             forensics.push(cell_forensics);

@@ -37,11 +37,11 @@
 //! copy to invalidate or update the broadcast would cost a bus transaction
 //! the uniprocessor never issues.
 //!
-//! The trace sink and the forensics log observe the hierarchy as a whole;
-//! the campaign engines attach them to one-core systems only.
+//! The trace recorder and the forensics log observe the hierarchy as a
+//! whole; the campaign engines attach them to one-core systems only.
 
 use laec_ecc::{ErrorInjector, FlipPlan, Outcome};
-use laec_trace::{MemLevel, TraceSink};
+use laec_trace::{MemLevel, TraceRecorder};
 
 use crate::bus::{Bus, Interference};
 use crate::cache::{Cache, EvictedLine, LineWords};
@@ -100,9 +100,12 @@ pub struct MemorySystem {
     bus: Bus,
     memory: MainMemory,
     coherence: CoherenceStats,
-    /// Optional capture hook for hierarchy-level trace events (line fills,
-    /// writebacks).  `None` by default: emission is a single branch.
-    sink: Option<Box<dyn TraceSink>>,
+    /// The run's trace recorder, if it is being recorded.  The hierarchy
+    /// emits its line fills and writebacks into it, and the pipeline its
+    /// own events through [`crate::MemoryPort::recorder`].  `None` by
+    /// default: every emission site is a single branch.  Boxed, so the
+    /// field is one word in every hierarchy, recorded or not.
+    recorder: Option<Box<TraceRecorder>>,
     /// Optional per-fault lifecycle log (see [`crate::forensics`]).  `None`
     /// by default: every hook is a single branch on the disabled path.
     forensics: Option<Box<ForensicsLog>>,
@@ -146,7 +149,7 @@ impl MemorySystem {
             bus: Bus::new(config.bus_latency),
             memory: MainMemory::new(config.memory_latency),
             coherence: CoherenceStats::default(),
-            sink: None,
+            recorder: None,
             forensics: None,
             config,
         }
@@ -321,15 +324,23 @@ impl MemorySystem {
         }
     }
 
-    /// Attaches a trace sink; the hierarchy emits line-fill and writeback
-    /// events into it (full-detail trace recordings).
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
+    /// Attaches a trace recorder, which this hierarchy then owns for the
+    /// run: it emits line fills and writebacks into it (kept at full
+    /// detail), and its pipeline emits through
+    /// [`crate::MemoryPort::recorder`].
+    pub fn attach_recorder(&mut self, recorder: TraceRecorder) {
+        self.recorder = Some(Box::new(recorder));
     }
 
-    /// Detaches and returns the trace sink, if one was attached.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
+    /// Detaches and returns the trace recorder, if one was attached.
+    pub fn take_recorder(&mut self) -> Option<TraceRecorder> {
+        self.recorder.take().map(|recorder| *recorder)
+    }
+
+    /// The attached trace recorder, if any.
+    #[inline]
+    pub(crate) fn recorder(&mut self) -> Option<&mut TraceRecorder> {
+        self.recorder.as_deref_mut()
     }
 
     /// The hierarchy configuration.
@@ -714,8 +725,8 @@ impl MemorySystem {
         if !self.l2.probe(base) {
             // L2 miss: refill the L2 line from main memory first.
             extra += self.config.memory_latency;
-            if let Some(sink) = &mut self.sink {
-                sink.record_line_fill(MemLevel::L2, self.l2.line_base(base));
+            if let Some(recorder) = &mut self.recorder {
+                recorder.record_line_fill(MemLevel::L2, self.l2.line_base(base));
             }
             self.allocate_l2(core, base);
         }
@@ -747,8 +758,8 @@ impl MemorySystem {
         if self.forensics.is_some() {
             self.forensics_evict_probe(core, address);
         }
-        if let Some(sink) = &mut self.sink {
-            sink.record_line_fill(MemLevel::Dl1, self.cores[core].dl1.line_base(address));
+        if let Some(recorder) = &mut self.recorder {
+            recorder.record_line_fill(MemLevel::Dl1, self.cores[core].dl1.line_base(address));
         }
         if let Some(evicted) = self.cores[core].dl1.fill(address, line) {
             if evicted.dirty {
@@ -763,8 +774,8 @@ impl MemorySystem {
     }
 
     fn writeback_to_l2(&mut self, core: usize, evicted: &EvictedLine, now: u64) {
-        if let Some(sink) = &mut self.sink {
-            sink.record_writeback(MemLevel::Dl1, evicted.base_address);
+        if let Some(recorder) = &mut self.recorder {
+            recorder.record_writeback(MemLevel::Dl1, evicted.base_address);
         }
         self.bus_transaction(core, now, false);
         self.write_line_into_l2(core, evicted.base_address, &evicted.words);
@@ -838,8 +849,8 @@ impl MemorySystem {
         }
         let mut cursor = 0;
         while let Some(line) = self.l2.flush_next_dirty(&mut cursor) {
-            if let Some(sink) = &mut self.sink {
-                sink.record_writeback(MemLevel::L2, line.base_address);
+            if let Some(recorder) = &mut self.recorder {
+                recorder.record_writeback(MemLevel::L2, line.base_address);
             }
             self.memory.write_line(line.base_address, &line.words);
         }

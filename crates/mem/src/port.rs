@@ -9,6 +9,7 @@
 //! uniprocessor.
 
 use laec_ecc::ErrorInjector;
+use laec_trace::TraceRecorder;
 
 use crate::fault::FaultCampaignConfig;
 use crate::forensics::CellForensics;
@@ -77,6 +78,15 @@ pub trait MemoryPort {
     fn take_forensics(&mut self) -> Option<CellForensics> {
         None
     }
+
+    /// The trace recorder the hierarchy behind this port owns, if the run
+    /// is being recorded: the pipeline emits its fetch, access, stall and
+    /// commit events through it.  Ports that do not record (the shared SMP
+    /// port) keep the default `None`.
+    #[inline]
+    fn recorder(&mut self) -> Option<&mut TraceRecorder> {
+        None
+    }
 }
 
 /// A `MemorySystem` owned by one pipeline is core 0's port.
@@ -137,5 +147,10 @@ impl MemoryPort for MemorySystem {
 
     fn take_forensics(&mut self) -> Option<CellForensics> {
         MemorySystem::take_forensics(self)
+    }
+
+    #[inline]
+    fn recorder(&mut self) -> Option<&mut TraceRecorder> {
+        MemorySystem::recorder(self)
     }
 }

@@ -147,7 +147,7 @@ impl ReplayTarget for ReplayMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laec_trace::{replay_trace, Trace, TraceContext, TraceRecorder, TraceSink, TraceSummary};
+    use laec_trace::{replay_events, Trace, TraceContext, TraceRecorder, TraceSummary};
 
     /// Drives a scripted access pattern against a plain `MemorySystem`
     /// while recording it, then replays the recording against a twin and
@@ -187,7 +187,7 @@ mod tests {
         for i in 0..16u32 {
             twin.preload_word(0x1000 + 4 * i, i * 3);
         }
-        let progress = replay_trace(&trace, &mut twin).expect("no faults, no divergence");
+        let progress = replay_events(trace.events(), &mut twin).expect("no faults, no divergence");
         assert_eq!(progress.loads, 16);
         assert_eq!(twin.stats(), original_stats);
         assert_eq!(twin.drain_to_memory(), original.drain_to_memory());
@@ -210,7 +210,7 @@ mod tests {
         target.preload_word(0x2000, 0);
         // The single recorded load misses and refills — matching the twin
         // response — then the commit run drives the campaign.
-        replay_trace(&trace, &mut target).expect("faithful");
+        replay_events(trace.events(), &mut target).expect("faithful");
         assert_eq!(target.campaign_report().injected, 2);
     }
 
@@ -254,7 +254,7 @@ mod tests {
         for i in 0..8u32 {
             target.preload_word(0x3000 + 4 * i, 100 + i);
         }
-        let error = replay_trace(&trace, &mut target).unwrap_err();
+        let error = replay_events(trace.events(), &mut target).unwrap_err();
         assert!(
             matches!(error, laec_trace::Divergence::SchemeTimingError { .. }),
             "{error}"
@@ -272,7 +272,7 @@ mod tests {
         for i in 0..8u32 {
             target.preload_word(0x3000 + 4 * i, 100 + i);
         }
-        replay_trace(&trace, &mut target).expect("SEC-DED absorbs the strikes");
+        replay_events(trace.events(), &mut target).expect("SEC-DED absorbs the strikes");
         let report = target.campaign_report();
         assert_eq!(report.injected, 4, "64 commits at interval 16");
         assert!(

@@ -15,7 +15,7 @@
 //!   per-stratum Wilson-interval convergence) flowing to a
 //!   [`ProgressSink`] such as the JSONL sink, never to stdout.
 //!
-//! The [`Obs`] handle follows the `TraceSink` discipline: a disabled
+//! The [`Obs`] handle follows the trace recorder's discipline: a disabled
 //! handle is a `None` and every call site pays one branch — no clock
 //! reads, no locks, no allocation.  Instrumented code takes `&Obs` and
 //! calls unconditionally.

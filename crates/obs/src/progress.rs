@@ -1,6 +1,6 @@
 //! The streaming side: progress/convergence events and their sinks.
 //!
-//! Mirrors the `TraceSink` capture pattern: emitters call through
+//! Mirrors the trace recorder's capture pattern: emitters call through
 //! [`crate::Obs`] unconditionally, the [`ProgressSink`] trait defaults
 //! every hook to a no-op, and a concrete sink ([`JsonlSink`]) turns the
 //! stream into machine-readable JSONL on stderr or a file.  Events are

@@ -5,7 +5,7 @@
 //! time into the registry's timing table on drop.  When observability is
 //! disabled the guard holds nothing and the scope pays neither a clock
 //! read nor a lock — the same pay-nothing-when-off discipline as the
-//! `TraceSink` capture hooks.
+//! trace recorder's capture hooks.
 
 /// One instrumented stage of campaign execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

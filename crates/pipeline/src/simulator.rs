@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 
 use laec_isa::{semantics, Instruction, Program, Reg, RegisterFile, NUM_REGS};
 use laec_mem::{FaultCampaign, MemoryPort, MemorySystem};
-use laec_trace::{StallKind, TraceSink, TraceSummary};
+use laec_trace::{StallKind, TraceRecorder, TraceSummary};
 
 use crate::chronogram::{Chronogram, TraceEntry};
 use crate::config::PipelineConfig;
@@ -163,9 +163,6 @@ pub struct Simulator<M: MemoryPort = MemorySystem> {
     halted: bool,
     hit_instruction_limit: bool,
     last_retire: u64,
-    /// Optional capture hook (trace recording).  `None` by default, so the
-    /// emission sites cost one branch each on untraced runs.
-    sink: Option<Box<dyn TraceSink>>,
 }
 
 impl Simulator {
@@ -184,10 +181,17 @@ impl Simulator {
         Simulator::with_port(program, config, mem)
     }
 
-    /// Attaches a trace sink to the memory hierarchy (line-fill / writeback
-    /// events, full-detail recordings).
-    pub fn attach_mem_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.mem.set_trace_sink(sink);
+    /// Records the run: the hierarchy owns `recorder`, the pipeline emits
+    /// its fetch, access, stall and commit events into it and the hierarchy
+    /// its line fills and writebacks (see `laec_trace`).
+    pub fn attach_recorder(&mut self, recorder: TraceRecorder) {
+        self.mem.attach_recorder(recorder);
+    }
+
+    /// Detaches the recorder after the run, if one was attached.  Call
+    /// after [`Simulator::execute`], so the end-of-run drain is recorded.
+    pub fn take_recorder(&mut self) -> Option<TraceRecorder> {
+        self.mem.take_recorder()
     }
 
     /// Convenience: build, run and return the result in one call.
@@ -225,15 +229,8 @@ impl<M: MemoryPort> Simulator<M> {
             halted: false,
             hit_instruction_limit: false,
             last_retire: 0,
-            sink: None,
             config,
         }
-    }
-
-    /// Attaches a trace sink; the simulator emits fetch, memory-access,
-    /// stall and commit events into it (see `laec_trace`).
-    pub fn attach_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
     }
 
     /// Turns on per-fault lifecycle forensics on the memory port (a no-op
@@ -338,8 +335,8 @@ impl<M: MemoryPort> Simulator<M> {
         for s in 1..=idx_ex {
             entry[s] = (entry[s - 1] + 1).max(self.structural(s));
         }
-        if let Some(sink) = &mut self.sink {
-            sink.record_fetch(self.pc, entry[0]);
+        if let Some(recorder) = self.mem.recorder() {
+            recorder.record_fetch(self.pc, entry[0]);
         }
 
         // --- dependent-load statistic (Table II row 2) ----------------------
@@ -389,8 +386,8 @@ impl<M: MemoryPort> Simulator<M> {
         }
         self.stats.operand_stall_cycles += memory_entry - natural_memory_entry;
         if memory_entry > natural_memory_entry {
-            if let Some(sink) = &mut self.sink {
-                sink.record_stall(
+            if let Some(recorder) = self.mem.recorder() {
+                recorder.record_stall(
                     StallKind::Operand,
                     natural_memory_entry,
                     memory_entry - natural_memory_entry,
@@ -404,8 +401,8 @@ impl<M: MemoryPort> Simulator<M> {
             if self.wb_free_at > memory_entry {
                 memory_entry = self.wb_free_at;
                 self.stats.write_buffer_drain_stall_cycles += memory_entry - before_wb;
-                if let Some(sink) = &mut self.sink {
-                    sink.record_stall(
+                if let Some(recorder) = self.mem.recorder() {
+                    recorder.record_stall(
                         StallKind::WriteBufferDrain,
                         before_wb,
                         memory_entry - before_wb,
@@ -418,8 +415,8 @@ impl<M: MemoryPort> Simulator<M> {
                 memory_entry = memory_entry.max(self.wb_free_at);
                 self.stats.write_buffer_full_stall_cycles += memory_entry - before_wb;
                 if memory_entry > before_wb {
-                    if let Some(sink) = &mut self.sink {
-                        sink.record_stall(
+                    if let Some(recorder) = self.mem.recorder() {
+                        recorder.record_stall(
                             StallKind::WriteBufferFull,
                             before_wb,
                             memory_entry - before_wb,
@@ -446,8 +443,8 @@ impl<M: MemoryPort> Simulator<M> {
                 self.stats.loads += 1;
                 let address = semantics::effective_address(self.regs.read(base), offset);
                 let response = self.mem.load_word(address & !3, entry[idx_m]);
-                if let Some(sink) = &mut self.sink {
-                    sink.record_mem_read(
+                if let Some(recorder) = self.mem.recorder() {
+                    recorder.record_mem_read(
                         address & !3,
                         entry[idx_m],
                         response.value,
@@ -485,8 +482,8 @@ impl<M: MemoryPort> Simulator<M> {
                 let value = self.regs.read(src);
                 let (merged, mask) = store_word_and_mask(address, width, value);
                 let drain_start = self.wb_free_at.max(entry[idx_m]);
-                if let Some(sink) = &mut self.sink {
-                    sink.record_mem_write(address & !3, drain_start, merged, mask);
+                if let Some(recorder) = self.mem.recorder() {
+                    recorder.record_mem_write(address & !3, drain_start, merged, mask);
                 }
                 let response = self
                     .mem
@@ -586,8 +583,8 @@ impl<M: MemoryPort> Simulator<M> {
                 lookahead,
             });
         }
-        if let Some(sink) = &mut self.sink {
-            sink.record_commit();
+        if let Some(recorder) = self.mem.recorder() {
+            recorder.record_commit();
         }
         if let Some(campaign) = &mut self.fault_campaign {
             if campaign.maybe_inject(&mut self.mem).is_some() {

@@ -15,7 +15,6 @@
 use laec_isa::Program;
 use laec_mem::{CoherenceStats, ProtocolKind};
 use laec_pipeline::{PipelineConfig, SimResult, Simulator};
-use laec_trace::SharedSink;
 
 use crate::memory::{CoherentMemory, CorePort};
 
@@ -120,14 +119,6 @@ impl SmpSystem {
     #[must_use]
     pub fn memory(&self) -> &CoherentMemory {
         &self.memory
-    }
-
-    /// Routes every core's pipeline events into `sink`, stamped with its
-    /// core id (multi-core trace recordings).
-    pub fn attach_shared_sink(&mut self, sink: &SharedSink) {
-        for (core, simulator) in self.cores.iter_mut().enumerate() {
-            simulator.attach_trace_sink(sink.boxed_for_core(core as u8));
-        }
     }
 
     /// Runs the system under `stop`, then drains every core (in core-id

@@ -131,93 +131,97 @@ pub struct TraceHeader {
     pub event_count: u64,
 }
 
-/// A complete trace: decoded header plus the still-encoded event stream.
+/// A complete trace: the decoded header plus its decoded events.
+///
+/// This is the one in-memory form.  A recording is built event by event
+/// ([`crate::TraceRecorder`]) and replayed from [`Trace::events`]; the
+/// binary container exists only on disk, written by [`Trace::encode`] and
+/// read back by [`Trace::decode`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// The decoded header.
     pub header: TraceHeader,
-    event_bytes: Vec<u8>,
+    events: Vec<TraceEvent>,
 }
 
 impl Trace {
-    /// Assembles a trace from its parts (used by the recorder).
+    /// Assembles a trace from its parts (used by the recorder).  The
+    /// header's `event_count` is set from `events`.
     #[must_use]
-    pub fn from_parts(header: TraceHeader, event_bytes: Vec<u8>) -> Self {
-        Trace {
-            header,
-            event_bytes,
-        }
+    pub(crate) fn from_parts(mut header: TraceHeader, events: Vec<TraceEvent>) -> Self {
+        header.event_count = events.len() as u64;
+        Trace { header, events }
     }
 
-    /// Size of the encoded event stream in bytes.
+    /// The events, in recorded order.
     #[must_use]
-    pub fn event_bytes_len(&self) -> usize {
-        self.event_bytes.len()
+    pub fn events(&self) -> &[TraceEvent] {
+        &self.events
     }
 
-    /// Iterates over the decoded events.
-    #[must_use]
-    pub fn events(&self) -> EventIter<'_> {
-        EventIter {
-            bytes: &self.event_bytes,
-            cursor: 0,
-            remaining: self.header.event_count,
-            codec: Codec::new(),
-            failed: false,
-        }
-    }
-
-    /// Decodes the whole event stream up front.
-    ///
-    /// Replaying one recording under many fault seeds re-reads the stream
-    /// once per seed; decoding it once and replaying the decoded form (see
-    /// [`crate::replay::replay_events`]) removes the repeated varint work.
+    /// The events as a `Result`, for callers that handle a decoding error
+    /// at this point (perfbench's `trace.decode` span).  A `Trace` is always
+    /// fully decoded — [`Trace::decode`] validates every event up front —
+    /// so this is `Ok(self.events())`.
     ///
     /// # Errors
     ///
-    /// Returns the first [`TraceError`] in the stream.
-    pub fn decode_events(&self) -> Result<Vec<TraceEvent>, TraceError> {
-        self.events().collect()
+    /// None: the `Result` is always `Ok`.
+    pub fn decode_events(&self) -> Result<&[TraceEvent], TraceError> {
+        Ok(&self.events)
     }
 
-    /// Serialises the trace into its binary container.
+    /// Size of the encoded event stream in bytes, as [`Trace::encode`]
+    /// would write it.  Runs the encoder without keeping its output.
+    #[must_use]
+    pub fn event_bytes_len(&self) -> usize {
+        let mut codec = Codec::new();
+        let mut scratch = Vec::with_capacity(MAX_EVENT_BYTES);
+        self.events
+            .iter()
+            .map(|event| {
+                scratch.clear();
+                codec.encode(&mut scratch, event);
+                scratch.len()
+            })
+            .sum()
+    }
+
+    /// Serialises the trace into its binary container — the only place
+    /// events are varint-encoded (trace cache writes, `trace record`).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.event_bytes.len() + 128);
-        out.extend_from_slice(MAGIC);
-        varint::write_u64(&mut out, self.header.version);
-        out.push(match self.header.detail {
-            TraceDetail::Replay => 0,
-            TraceDetail::Full => 1,
-        });
-        write_string(&mut out, &self.header.workload);
-        write_string(&mut out, &self.header.scheme);
-        write_string(&mut out, &self.header.platform);
-        out.extend_from_slice(&self.header.context_fingerprint.to_le_bytes());
-        let summary = &self.header.summary;
-        varint::write_u64(&mut out, summary.cycles);
-        varint::write_u64(&mut out, summary.instructions);
-        varint::write_u64(&mut out, summary.loads);
-        varint::write_u64(&mut out, summary.load_hits);
-        varint::write_u64(&mut out, summary.stores);
-        varint::write_u64(&mut out, summary.lookahead_loads);
-        out.push(u8::from(summary.hit_instruction_limit));
-        out.extend_from_slice(&summary.registers_fingerprint.to_le_bytes());
-        out.extend_from_slice(&summary.memory_checksum.to_le_bytes());
-        varint::write_u64(&mut out, self.header.event_count);
-        varint::write_u64(&mut out, self.event_bytes.len() as u64);
-        out.extend_from_slice(&self.event_bytes);
-        out.extend_from_slice(&fnv1a(&self.event_bytes).to_le_bytes());
+        let event_bytes_len = self.event_bytes_len();
+        let mut out = Vec::with_capacity(event_bytes_len + 128);
+        write_header(
+            &mut out,
+            &self.header,
+            self.events.len() as u64,
+            event_bytes_len,
+        );
+        let start = out.len();
+        let mut codec = Codec::new();
+        for event in &self.events {
+            codec.encode(&mut out, event);
+        }
+        let checksum = fnv1a(&out[start..]);
+        out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
 
-    /// Parses a binary container.
+    /// Parses a binary container and decodes every event in it.
+    ///
+    /// Nothing is sized from a count the input claims: strings and the
+    /// event section are checked against the bytes actually present, and
+    /// the event buffer's capacity is bounded by the event section's
+    /// length.
     ///
     /// # Errors
     ///
     /// Returns a [`TraceError`] when the container is not a trace, was
-    /// written by a newer version, is truncated, or fails its checksum.
-    /// Individual *events* are validated lazily by [`Trace::events`].
+    /// written by a newer version, is truncated, fails its checksum, or
+    /// holds an event stream that does not decode to exactly the events
+    /// its header announces.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
         if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
             return Err(TraceError::BadMagic);
@@ -248,17 +252,9 @@ impl Trace {
             memory_checksum: read_u64_le(bytes, &mut cursor)?,
         };
         let event_count = read_varint(bytes, &mut cursor)?;
-        let event_bytes_len = read_varint(bytes, &mut cursor)? as usize;
-        let Some(end) = cursor.checked_add(event_bytes_len) else {
-            return Err(TraceError::Truncated);
-        };
-        if end > bytes.len() {
-            return Err(TraceError::Truncated);
-        }
-        let event_bytes = bytes[cursor..end].to_vec();
-        cursor = end;
+        let event_bytes = read_slice(bytes, &mut cursor)?;
         let checksum = read_u64_le(bytes, &mut cursor)?;
-        if checksum != fnv1a(&event_bytes) {
+        if checksum != fnv1a(event_bytes) {
             return Err(TraceError::ChecksumMismatch);
         }
         Ok(Trace {
@@ -272,37 +268,62 @@ impl Trace {
                 summary,
                 event_count,
             },
-            event_bytes,
+            events: decode_event_stream(event_bytes, event_count)?,
         })
     }
 }
 
-/// Iterator over the decoded events of a [`Trace`].
-#[derive(Debug)]
-pub struct EventIter<'a> {
-    bytes: &'a [u8],
-    cursor: usize,
-    remaining: u64,
-    codec: Codec,
-    failed: bool,
+/// Upper bound on one event's encoding: a core-switch marker, an opcode, a
+/// flag byte and four varints of at most ten bytes each.
+const MAX_EVENT_BYTES: usize = 2 + 1 + 1 + 4 * 10;
+
+/// Lower bound on one event's encoding: an opcode and at least one byte of
+/// payload.
+const MIN_EVENT_BYTES: usize = 2;
+
+/// Writes the container up to and including the event-section length.
+fn write_header(out: &mut Vec<u8>, header: &TraceHeader, event_count: u64, event_bytes_len: usize) {
+    out.extend_from_slice(MAGIC);
+    varint::write_u64(out, header.version);
+    out.push(match header.detail {
+        TraceDetail::Replay => 0,
+        TraceDetail::Full => 1,
+    });
+    write_string(out, &header.workload);
+    write_string(out, &header.scheme);
+    write_string(out, &header.platform);
+    out.extend_from_slice(&header.context_fingerprint.to_le_bytes());
+    let summary = &header.summary;
+    varint::write_u64(out, summary.cycles);
+    varint::write_u64(out, summary.instructions);
+    varint::write_u64(out, summary.loads);
+    varint::write_u64(out, summary.load_hits);
+    varint::write_u64(out, summary.stores);
+    varint::write_u64(out, summary.lookahead_loads);
+    out.push(u8::from(summary.hit_instruction_limit));
+    out.extend_from_slice(&summary.registers_fingerprint.to_le_bytes());
+    out.extend_from_slice(&summary.memory_checksum.to_le_bytes());
+    varint::write_u64(out, event_count);
+    varint::write_u64(out, event_bytes_len as u64);
 }
 
-impl Iterator for EventIter<'_> {
-    type Item = Result<TraceEvent, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        match self.codec.decode(self.bytes, &mut self.cursor) {
-            Ok(event) => Some(Ok(event)),
-            Err(error) => {
-                self.failed = true;
-                Some(Err(error))
-            }
-        }
+/// Decodes exactly `count` events that must fill `bytes` exactly.
+fn decode_event_stream(bytes: &[u8], count: u64) -> Result<Vec<TraceEvent>, TraceError> {
+    // The header's count is untrusted: the bytes actually present bound
+    // how many events can follow, and so the initial capacity.
+    let bound = bytes.len() / MIN_EVENT_BYTES;
+    let mut events = Vec::with_capacity(usize::try_from(count).map_or(bound, |c| c.min(bound)));
+    let mut codec = Codec::new();
+    let mut cursor = 0;
+    // Every event consumes at least one byte, so a count larger than the
+    // stream ends in `Truncated` after at most `bytes.len()` iterations.
+    for _ in 0..count {
+        events.push(codec.decode(bytes, &mut cursor)?);
     }
+    if cursor != bytes.len() {
+        return Err(TraceError::Corrupt("bytes after the last event"));
+    }
+    Ok(events)
 }
 
 /// Shared delta state between the event encoder and decoder.
@@ -514,17 +535,22 @@ fn write_string(out: &mut Vec<u8>, text: &str) {
 }
 
 fn read_string(bytes: &[u8], cursor: &mut usize) -> Result<String, TraceError> {
-    let length = read_varint(bytes, cursor)? as usize;
-    let Some(end) = cursor.checked_add(length) else {
-        return Err(TraceError::Truncated);
-    };
-    if end > bytes.len() {
-        return Err(TraceError::Truncated);
-    }
-    let text = std::str::from_utf8(&bytes[*cursor..end])
+    let text = std::str::from_utf8(read_slice(bytes, cursor)?)
         .map_err(|_| TraceError::Corrupt("non-UTF-8 label"))?;
-    *cursor = end;
     Ok(text.to_string())
+}
+
+/// Reads a varint length and the bytes it announces, checked against the
+/// bytes present.
+fn read_slice<'a>(bytes: &'a [u8], cursor: &mut usize) -> Result<&'a [u8], TraceError> {
+    let length = usize::try_from(read_varint(bytes, cursor)?).map_err(|_| TraceError::Truncated)?;
+    let end = cursor
+        .checked_add(length)
+        .filter(|&end| end <= bytes.len())
+        .ok_or(TraceError::Truncated)?;
+    let slice = &bytes[*cursor..end];
+    *cursor = end;
+    Ok(slice)
 }
 
 fn read_byte(bytes: &[u8], cursor: &mut usize) -> Result<u8, TraceError> {
@@ -559,7 +585,10 @@ fn read_u64_le(bytes: &[u8], cursor: &mut usize) -> Result<u64, TraceError> {
 }
 
 fn apply_delta32(base: u32, delta: i64) -> Result<u32, TraceError> {
-    u32::try_from(i64::from(base) + delta).map_err(|_| TraceError::Corrupt("32-bit delta"))
+    i64::from(base)
+        .checked_add(delta)
+        .and_then(|value| u32::try_from(value).ok())
+        .ok_or(TraceError::Corrupt("32-bit delta"))
 }
 
 /// FNV-1a over a byte slice (the trace integrity checksum).
@@ -573,7 +602,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{TraceContext, TraceRecorder, TraceSink};
+    use crate::record::{TraceContext, TraceRecorder};
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -618,36 +647,40 @@ mod tests {
         ]
     }
 
-    fn sample_trace() -> Trace {
-        let mut codec = Codec::new();
-        let mut bytes = Vec::new();
-        let events = sample_events();
-        for event in &events {
-            codec.encode(&mut bytes, event);
-        }
-        Trace::from_parts(
-            TraceHeader {
-                version: FORMAT_VERSION,
-                detail: TraceDetail::Full,
-                workload: "unit".to_string(),
-                scheme: "laec".to_string(),
-                platform: "wb".to_string(),
-                context_fingerprint: 0x1234_5678_9ABC_DEF0,
-                summary: TraceSummary {
-                    cycles: 100,
-                    instructions: 5,
-                    loads: 1,
-                    load_hits: 0,
-                    stores: 1,
-                    lookahead_loads: 0,
-                    hit_instruction_limit: false,
-                    registers_fingerprint: 42,
-                    memory_checksum: 43,
-                },
-                event_count: events.len() as u64,
+    fn sample_header() -> TraceHeader {
+        TraceHeader {
+            version: FORMAT_VERSION,
+            detail: TraceDetail::Full,
+            workload: "unit".to_string(),
+            scheme: "laec".to_string(),
+            platform: "wb".to_string(),
+            context_fingerprint: 0x1234_5678_9ABC_DEF0,
+            summary: TraceSummary {
+                cycles: 100,
+                instructions: 5,
+                loads: 1,
+                load_hits: 0,
+                stores: 1,
+                lookahead_loads: 0,
+                hit_instruction_limit: false,
+                registers_fingerprint: 42,
+                memory_checksum: 43,
             },
-            bytes,
-        )
+            event_count: 0,
+        }
+    }
+
+    fn sample_trace() -> Trace {
+        Trace::from_parts(sample_header(), sample_events())
+    }
+
+    /// A container around raw event bytes, sealed with a matching checksum.
+    fn container(event_count: u64, event_bytes: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_header(&mut out, &sample_header(), event_count, event_bytes.len());
+        out.extend_from_slice(event_bytes);
+        out.extend_from_slice(&fnv1a(event_bytes).to_le_bytes());
+        out
     }
 
     #[test]
@@ -657,8 +690,8 @@ mod tests {
         let decoded = Trace::decode(&encoded).expect("valid container");
         assert_eq!(decoded, trace);
         assert_eq!(decoded.encode(), encoded);
-        let events: Vec<TraceEvent> = decoded.events().map(|e| e.expect("valid event")).collect();
-        assert_eq!(events, sample_events());
+        assert_eq!(decoded.events(), sample_events());
+        assert_eq!(decoded.header.event_count, 8);
     }
 
     #[test]
@@ -671,10 +704,9 @@ mod tests {
         recorder.record_mem_write(0x44, 6, 12, 0xF);
         recorder.record_commit();
         let trace = recorder.finish(TraceSummary::default());
-        let events: Vec<TraceEvent> = trace.events().map(Result::unwrap).collect();
         assert_eq!(
-            events,
-            vec![
+            trace.events(),
+            [
                 TraceEvent::Fetch {
                     pc: 0,
                     cycle: 1,
@@ -730,23 +762,27 @@ mod tests {
 
     #[test]
     fn event_iter_reports_corrupt_opcode_once() {
-        let trace = Trace::from_parts(
-            TraceHeader {
-                version: FORMAT_VERSION,
-                detail: TraceDetail::Replay,
-                workload: String::new(),
-                scheme: String::new(),
-                platform: String::new(),
-                context_fingerprint: 0,
-                summary: TraceSummary::default(),
-                event_count: 3,
-            },
-            vec![0xFF, 0xFF, 0xFF],
-        );
-        let results: Vec<_> = trace.events().collect();
+        // A sealed container whose stream starts with an unknown opcode:
+        // decoding stops at the first bad event with one typed error.
         assert_eq!(
-            results,
-            vec![Err(TraceError::Corrupt("unknown event opcode"))]
+            Trace::decode(&container(3, &[0xFF, 0xFF, 0xFF])),
+            Err(TraceError::Corrupt("unknown event opcode"))
+        );
+        // Event counts that disagree with the stream are typed errors too.
+        let commit = [OP_COMMIT, 1];
+        assert!(Trace::decode(&container(1, &commit)).is_ok());
+        assert_eq!(
+            Trace::decode(&container(2, &commit)),
+            Err(TraceError::Truncated)
+        );
+        assert_eq!(
+            Trace::decode(&container(0, &commit)),
+            Err(TraceError::Corrupt("bytes after the last event"))
+        );
+        // A count no stream could hold is never used to size a buffer.
+        assert_eq!(
+            Trace::decode(&container(1 << 60, &[OP_COMMIT, 1].repeat(5))),
+            Err(TraceError::Truncated)
         );
     }
 

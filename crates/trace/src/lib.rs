@@ -14,12 +14,14 @@
 //! * [`event`] — the [`TraceEvent`] record model (fetch / mem-read /
 //!   mem-write / commit / stall / line-fill / writeback, with cycle stamps),
 //! * [`varint`] — the LEB128 + zigzag primitives of the binary format,
-//! * [`format`](mod@format) — the versioned, delta-encoded binary container
-//!   ([`Trace`], [`TraceHeader`], [`TraceSummary`], iterator-based reader),
-//! * [`record`] — the capture side: the [`TraceSink`] trait that
-//!   `laec_pipeline::Simulator` and `laec_mem::MemorySystem` emit into
-//!   (no-op by default), and the [`TraceRecorder`] / [`SharedSink`]
-//!   implementations that encode events on the fly,
+//! * [`format`](mod@format) — [`Trace`] (a [`TraceHeader`] with its
+//!   [`TraceSummary`] plus the decoded events) and its versioned,
+//!   delta-encoded binary container, written and read only when a trace is
+//!   persisted,
+//! * [`record`] — the capture side: the [`TraceRecorder`], which the one
+//!   `laec_mem::MemorySystem` of a run owns and `laec_pipeline::Simulator`
+//!   reaches through its memory port; it appends events to an in-memory
+//!   stream,
 //! * [`replay`] — the replay engine: a generic [`ReplayTarget`] driver with
 //!   *checked* divergence detection, the foundation of the byte-identical
 //!   guarantee of trace-backed campaigns.
@@ -41,8 +43,8 @@
 //! # Example
 //!
 //! ```
-//! use laec_trace::{ReplayTarget, ReplayLoad, TraceContext, TraceRecorder, TraceSink,
-//!     TraceSummary, replay_trace};
+//! use laec_trace::{ReplayTarget, ReplayLoad, TraceContext, TraceRecorder, TraceSummary,
+//!     replay_events};
 //!
 //! // Record a tiny stream: one load, two commits, one store.
 //! let mut recorder = TraceRecorder::new(TraceContext::new("demo", "laec", "wb", 7));
@@ -63,7 +65,7 @@
 //!     fn replay_commits(&mut self, count: u64) { self.0 += count; }
 //! }
 //! let mut toy = Toy(0);
-//! replay_trace(&trace, &mut toy).expect("faithful replay");
+//! replay_events(trace.events(), &mut toy).expect("faithful replay");
 //! assert_eq!(toy.0, 3);
 //! ```
 
@@ -78,9 +80,5 @@ pub mod varint;
 
 pub use event::{MemLevel, StallKind, TraceEvent};
 pub use format::{Trace, TraceError, TraceHeader, TraceSummary, FORMAT_VERSION};
-pub use record::{
-    CoreTaggedSink, NullSink, SharedSink, TraceContext, TraceDetail, TraceRecorder, TraceSink,
-};
-pub use replay::{
-    replay_events, replay_trace, Divergence, ReplayLoad, ReplayProgress, ReplayTarget,
-};
+pub use record::{TraceContext, TraceDetail, TraceRecorder};
+pub use replay::{replay_events, Divergence, ReplayLoad, ReplayProgress, ReplayTarget};

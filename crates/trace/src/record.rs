@@ -1,19 +1,17 @@
-//! The capture side: the [`TraceSink`] hook trait and its recorder.
+//! The capture side: the [`TraceRecorder`].
 //!
-//! `laec_pipeline::Simulator` and `laec_mem::MemorySystem` each hold an
-//! `Option<Box<dyn TraceSink>>` that is `None` by default — emission is a
-//! single branch per event site, nothing is allocated and nothing is
-//! formatted, so untraced simulation pays (almost) nothing.  Attaching a
-//! [`TraceRecorder`] (usually through a cloneable [`SharedSink`], so the
-//! pipeline and the memory system can feed one stream) turns the run into a
-//! recording: events are delta-encoded into the binary format on the fly.
-
-use std::sync::{Arc, Mutex};
+//! A recording has one owner from its first event to its last replay.
+//! `laec_mem::MemorySystem` holds an optional recorder (`None` by default,
+//! so every emission site costs one branch on untraced runs); the pipeline
+//! reaches it through its memory port and the hierarchy emits its own
+//! line-fill and writeback events into the same stream.  The recorder
+//! appends plain [`TraceEvent`]s; nothing is encoded until a trace is
+//! persisted ([`Trace::encode`]).
 
 use serde::Serialize;
 
 use crate::event::{MemLevel, StallKind, TraceEvent};
-use crate::format::{Codec, Trace, TraceHeader, TraceSummary, FORMAT_VERSION};
+use crate::format::{Trace, TraceHeader, TraceSummary, FORMAT_VERSION};
 
 /// How much of the stream a recording keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -25,43 +23,6 @@ pub enum TraceDetail {
     /// for `laec-cli trace info` style inspection.
     Full,
 }
-
-/// Receiver of capture events.
-///
-/// All methods default to no-ops so emitters can call unconditionally
-/// through their optional sink without caring which detail level the
-/// attached recorder keeps.
-pub trait TraceSink: std::fmt::Debug + Send {
-    /// An instruction fetch entered the pipeline.
-    fn record_fetch(&mut self, _pc: u32, _cycle: u64) {}
-    /// A load was issued to the memory system.
-    fn record_mem_read(
-        &mut self,
-        _address: u32,
-        _cycle: u64,
-        _value: u32,
-        _hit: bool,
-        _extra_cycles: u32,
-    ) {
-    }
-    /// A store was issued to the memory system.
-    fn record_mem_write(&mut self, _address: u32, _cycle: u64, _value: u32, _byte_mask: u8) {}
-    /// One instruction committed (one fault-injection opportunity).
-    fn record_commit(&mut self) {}
-    /// The pipeline stalled.
-    fn record_stall(&mut self, _kind: StallKind, _cycle: u64, _cycles: u64) {}
-    /// A cache level filled a line.
-    fn record_line_fill(&mut self, _level: MemLevel, _address: u32) {}
-    /// A cache level wrote a dirty line back.
-    fn record_writeback(&mut self, _level: MemLevel, _address: u32) {}
-}
-
-/// A sink that drops everything (useful in tests and as documentation of
-/// the default behaviour).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {}
 
 /// Identity of a recording: which cell of the campaign grid the stream
 /// belongs to, and a fingerprint of everything that shaped it.
@@ -96,7 +57,7 @@ impl TraceContext {
     }
 }
 
-/// Encodes capture events into the binary trace format on the fly.
+/// Appends capture events to an in-memory stream.
 ///
 /// Consecutive commits are run-length-merged into one
 /// [`TraceEvent::Commit`]; in [`TraceDetail::Replay`] mode the informational
@@ -105,9 +66,7 @@ impl TraceContext {
 pub struct TraceRecorder {
     context: TraceContext,
     detail: TraceDetail,
-    codec: Codec,
-    bytes: Vec<u8>,
-    event_count: u64,
+    events: Vec<TraceEvent>,
     pending_commits: u64,
     /// Core the pending commit run belongs to (runs never span cores).
     pending_core: u8,
@@ -135,19 +94,15 @@ impl TraceRecorder {
         TraceRecorder {
             context,
             detail,
-            codec: Codec::new(),
-            bytes: Vec::with_capacity(4096),
-            event_count: 0,
+            events: Vec::with_capacity(1024),
             pending_commits: 0,
             pending_core: 0,
             current_core: 0,
         }
     }
 
-    /// Sets the core id stamped onto subsequently recorded events.  Multi-
-    /// core recordings route every emitter through a
-    /// [`SharedSink::boxed_for_core`] wrapper that calls this before each
-    /// event; single-core recordings never touch it.
+    /// Sets the core id stamped onto subsequently recorded events.
+    /// Single-core recordings never touch it.
     pub fn set_core(&mut self, core: u8) {
         self.current_core = core;
     }
@@ -155,27 +110,21 @@ impl TraceRecorder {
     /// Events recorded so far (merged commits count as one).
     #[must_use]
     pub fn event_count(&self) -> u64 {
-        self.event_count + u64::from(self.pending_commits > 0)
+        self.events.len() as u64 + u64::from(self.pending_commits > 0)
     }
 
-    fn push(&mut self, event: &TraceEvent) {
+    fn push(&mut self, event: TraceEvent) {
         self.flush_commits();
-        self.codec.encode(&mut self.bytes, event);
-        self.event_count += 1;
+        self.events.push(event);
     }
 
     fn flush_commits(&mut self) {
         if self.pending_commits > 0 {
-            let count = self.pending_commits;
+            self.events.push(TraceEvent::Commit {
+                count: self.pending_commits,
+                core: self.pending_core,
+            });
             self.pending_commits = 0;
-            self.codec.encode(
-                &mut self.bytes,
-                &TraceEvent::Commit {
-                    count,
-                    core: self.pending_core,
-                },
-            );
-            self.event_count += 1;
         }
     }
 
@@ -184,6 +133,7 @@ impl TraceRecorder {
     #[must_use]
     pub fn finish(mut self, summary: TraceSummary) -> Trace {
         self.flush_commits();
+        self.events.shrink_to_fit();
         Trace::from_parts(
             TraceHeader {
                 version: FORMAT_VERSION,
@@ -193,17 +143,16 @@ impl TraceRecorder {
                 platform: self.context.platform,
                 context_fingerprint: self.context.fingerprint,
                 summary,
-                event_count: self.event_count,
+                event_count: self.events.len() as u64,
             },
-            self.bytes,
+            self.events,
         )
     }
-}
 
-impl TraceSink for TraceRecorder {
-    fn record_fetch(&mut self, pc: u32, cycle: u64) {
+    /// An instruction fetch entered the pipeline.
+    pub fn record_fetch(&mut self, pc: u32, cycle: u64) {
         if self.detail == TraceDetail::Full {
-            self.push(&TraceEvent::Fetch {
+            self.push(TraceEvent::Fetch {
                 pc,
                 cycle,
                 core: self.current_core,
@@ -211,8 +160,9 @@ impl TraceSink for TraceRecorder {
         }
     }
 
-    fn record_mem_read(&mut self, address: u32, cycle: u64, value: u32, hit: bool, extra: u32) {
-        self.push(&TraceEvent::MemRead {
+    /// A load was issued to the memory system.
+    pub fn record_mem_read(&mut self, address: u32, cycle: u64, value: u32, hit: bool, extra: u32) {
+        self.push(TraceEvent::MemRead {
             address,
             cycle,
             value,
@@ -222,8 +172,9 @@ impl TraceSink for TraceRecorder {
         });
     }
 
-    fn record_mem_write(&mut self, address: u32, cycle: u64, value: u32, byte_mask: u8) {
-        self.push(&TraceEvent::MemWrite {
+    /// A store was issued to the memory system.
+    pub fn record_mem_write(&mut self, address: u32, cycle: u64, value: u32, byte_mask: u8) {
+        self.push(TraceEvent::MemWrite {
             address,
             cycle,
             value,
@@ -232,7 +183,8 @@ impl TraceSink for TraceRecorder {
         });
     }
 
-    fn record_commit(&mut self) {
+    /// One instruction committed (one fault-injection opportunity).
+    pub fn record_commit(&mut self) {
         if self.pending_commits > 0 && self.pending_core != self.current_core {
             // Commit runs never span cores: seal the other core's run first.
             self.flush_commits();
@@ -241,9 +193,10 @@ impl TraceSink for TraceRecorder {
         self.pending_commits += 1;
     }
 
-    fn record_stall(&mut self, kind: StallKind, cycle: u64, cycles: u64) {
+    /// The pipeline stalled.
+    pub fn record_stall(&mut self, kind: StallKind, cycle: u64, cycles: u64) {
         if self.detail == TraceDetail::Full {
-            self.push(&TraceEvent::Stall {
+            self.push(TraceEvent::Stall {
                 kind,
                 cycle,
                 cycles,
@@ -252,9 +205,10 @@ impl TraceSink for TraceRecorder {
         }
     }
 
-    fn record_line_fill(&mut self, level: MemLevel, address: u32) {
+    /// A cache level filled a line.
+    pub fn record_line_fill(&mut self, level: MemLevel, address: u32) {
         if self.detail == TraceDetail::Full {
-            self.push(&TraceEvent::LineFill {
+            self.push(TraceEvent::LineFill {
                 level,
                 address,
                 core: self.current_core,
@@ -262,154 +216,15 @@ impl TraceSink for TraceRecorder {
         }
     }
 
-    fn record_writeback(&mut self, level: MemLevel, address: u32) {
+    /// A cache level wrote a dirty line back.
+    pub fn record_writeback(&mut self, level: MemLevel, address: u32) {
         if self.detail == TraceDetail::Full {
-            self.push(&TraceEvent::Writeback {
+            self.push(TraceEvent::Writeback {
                 level,
                 address,
                 core: self.current_core,
             });
         }
-    }
-}
-
-/// A cloneable handle to one shared [`TraceRecorder`], so the pipeline and
-/// the memory hierarchy can both emit into a single stream, and the caller
-/// keeps a handle to recover the recording after the simulator is dropped.
-#[derive(Debug, Clone)]
-pub struct SharedSink {
-    recorder: Arc<Mutex<TraceRecorder>>,
-}
-
-impl SharedSink {
-    /// Wraps a recorder for sharing.
-    #[must_use]
-    pub fn new(recorder: TraceRecorder) -> Self {
-        SharedSink {
-            recorder: Arc::new(Mutex::new(recorder)),
-        }
-    }
-
-    /// A boxed clone suitable for attaching to an emitter.
-    #[must_use]
-    pub fn boxed(&self) -> Box<dyn TraceSink> {
-        Box::new(self.clone())
-    }
-
-    /// A boxed handle that stamps every event it forwards with `core` —
-    /// how a multi-core system feeds all its pipelines into one stream.
-    #[must_use]
-    pub fn boxed_for_core(&self, core: u8) -> Box<dyn TraceSink> {
-        Box::new(CoreTaggedSink {
-            shared: self.clone(),
-            core,
-        })
-    }
-
-    /// Seals the recording.  Returns `None` while other clones of the
-    /// handle are still alive (drop the simulator first).
-    #[must_use]
-    pub fn finish(self, summary: TraceSummary) -> Option<Trace> {
-        Arc::try_unwrap(self.recorder).ok().map(|mutex| {
-            mutex
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .finish(summary)
-        })
-    }
-}
-
-impl TraceSink for SharedSink {
-    fn record_fetch(&mut self, pc: u32, cycle: u64) {
-        self.lock().record_fetch(pc, cycle);
-    }
-
-    fn record_mem_read(&mut self, address: u32, cycle: u64, value: u32, hit: bool, extra: u32) {
-        self.lock()
-            .record_mem_read(address, cycle, value, hit, extra);
-    }
-
-    fn record_mem_write(&mut self, address: u32, cycle: u64, value: u32, byte_mask: u8) {
-        self.lock()
-            .record_mem_write(address, cycle, value, byte_mask);
-    }
-
-    fn record_commit(&mut self) {
-        self.lock().record_commit();
-    }
-
-    fn record_stall(&mut self, kind: StallKind, cycle: u64, cycles: u64) {
-        self.lock().record_stall(kind, cycle, cycles);
-    }
-
-    fn record_line_fill(&mut self, level: MemLevel, address: u32) {
-        self.lock().record_line_fill(level, address);
-    }
-
-    fn record_writeback(&mut self, level: MemLevel, address: u32) {
-        self.lock().record_writeback(level, address);
-    }
-}
-
-impl SharedSink {
-    fn lock(&self) -> std::sync::MutexGuard<'_, TraceRecorder> {
-        // Recover from poisoning instead of amplifying a worker panic: a
-        // half-recorded trace fails replay validation, never a report.
-        self.recorder
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// A [`SharedSink`] handle that stamps a fixed core id onto every event it
-/// forwards (see [`SharedSink::boxed_for_core`]).
-#[derive(Debug, Clone)]
-pub struct CoreTaggedSink {
-    shared: SharedSink,
-    core: u8,
-}
-
-impl TraceSink for CoreTaggedSink {
-    fn record_fetch(&mut self, pc: u32, cycle: u64) {
-        let mut recorder = self.shared.lock();
-        recorder.set_core(self.core);
-        recorder.record_fetch(pc, cycle);
-    }
-
-    fn record_mem_read(&mut self, address: u32, cycle: u64, value: u32, hit: bool, extra: u32) {
-        let mut recorder = self.shared.lock();
-        recorder.set_core(self.core);
-        recorder.record_mem_read(address, cycle, value, hit, extra);
-    }
-
-    fn record_mem_write(&mut self, address: u32, cycle: u64, value: u32, byte_mask: u8) {
-        let mut recorder = self.shared.lock();
-        recorder.set_core(self.core);
-        recorder.record_mem_write(address, cycle, value, byte_mask);
-    }
-
-    fn record_commit(&mut self) {
-        let mut recorder = self.shared.lock();
-        recorder.set_core(self.core);
-        recorder.record_commit();
-    }
-
-    fn record_stall(&mut self, kind: StallKind, cycle: u64, cycles: u64) {
-        let mut recorder = self.shared.lock();
-        recorder.set_core(self.core);
-        recorder.record_stall(kind, cycle, cycles);
-    }
-
-    fn record_line_fill(&mut self, level: MemLevel, address: u32) {
-        let mut recorder = self.shared.lock();
-        recorder.set_core(self.core);
-        recorder.record_line_fill(level, address);
-    }
-
-    fn record_writeback(&mut self, level: MemLevel, address: u32) {
-        let mut recorder = self.shared.lock();
-        recorder.set_core(self.core);
-        recorder.record_writeback(level, address);
     }
 }
 
@@ -426,8 +241,7 @@ mod tests {
         recorder.record_writeback(MemLevel::L2, 0x200);
         recorder.record_commit();
         let trace = recorder.finish(TraceSummary::default());
-        let events: Vec<TraceEvent> = trace.events().map(Result::unwrap).collect();
-        assert_eq!(events, vec![TraceEvent::Commit { count: 1, core: 0 }]);
+        assert_eq!(trace.events(), [TraceEvent::Commit { count: 1, core: 0 }]);
     }
 
     #[test]
@@ -439,7 +253,7 @@ mod tests {
         recorder.record_commit();
         assert_eq!(recorder.event_count(), 3);
         let trace = recorder.finish(TraceSummary::default());
-        let events: Vec<TraceEvent> = trace.events().map(Result::unwrap).collect();
+        let events = trace.events();
         assert!(matches!(
             events[0],
             TraceEvent::Commit { count: 2, core: 0 }
@@ -453,19 +267,14 @@ mod tests {
 
     #[test]
     fn shared_sink_merges_two_emitters_and_unwraps_once_free() {
-        let shared = SharedSink::new(TraceRecorder::full(TraceContext::new("w", "s", "p", 0)));
-        let mut pipeline_side = shared.boxed();
-        let mut mem_side = shared.boxed();
-        pipeline_side.record_mem_read(0x10, 1, 0, false, 9);
-        mem_side.record_line_fill(MemLevel::Dl1, 0x10);
-        pipeline_side.record_commit();
-        // Clones still alive: cannot seal yet.
-        assert!(shared.clone().finish(TraceSummary::default()).is_none());
-        drop(pipeline_side);
-        drop(mem_side);
-        let trace = shared.finish(TraceSummary::default()).expect("sole owner");
+        // The pipeline's and the hierarchy's events reach one owner's
+        // stream in emission order, and sealing it needs no other handle.
+        let mut recorder = TraceRecorder::full(TraceContext::new("w", "s", "p", 0));
+        recorder.record_mem_read(0x10, 1, 0, false, 9);
+        recorder.record_line_fill(MemLevel::Dl1, 0x10);
+        recorder.record_commit();
+        let trace = recorder.finish(TraceSummary::default());
         assert_eq!(trace.header.event_count, 3);
-        let events: Vec<TraceEvent> = trace.events().map(Result::unwrap).collect();
-        assert!(matches!(events[1], TraceEvent::LineFill { .. }));
+        assert!(matches!(trace.events()[1], TraceEvent::LineFill { .. }));
     }
 }

@@ -1,6 +1,6 @@
 //! The replay engine.
 //!
-//! [`replay_trace`] walks a recorded stream and drives a [`ReplayTarget`]
+//! [`replay_events`] walks a recorded stream and drives a [`ReplayTarget`]
 //! (in practice `laec_mem::ReplayMemory`: the memory hierarchy plus an
 //! optional fault campaign) through exactly the calls the full simulator
 //! would have made: same addresses, same cycle stamps, same store values,
@@ -33,7 +33,7 @@
 //! this end to end.
 
 use crate::event::TraceEvent;
-use crate::format::{Trace, TraceError};
+use crate::format::TraceError;
 
 /// A replayed load response, as the target observed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +94,9 @@ pub enum Divergence {
         /// Address of the load.
         address: u32,
     },
-    /// The trace itself could not be decoded.
+    /// The trace does not fit the cell it is replayed for: a foreign
+    /// workload or configuration, or event counts that disagree with its
+    /// summary.
     Trace(TraceError),
 }
 
@@ -139,54 +141,19 @@ pub struct ReplayProgress {
     pub stores: u64,
 }
 
-/// Replays `trace` against `target`, checking faithfulness at every load.
-///
-/// Decodes the stream on the fly; when replaying the same trace many times
-/// (one per fault seed), decode once with
-/// [`Trace::decode_events`](crate::Trace::decode_events) and use
-/// [`replay_events`] instead.
+/// Replays `events` (usually [`Trace::events`](crate::Trace::events))
+/// against `target`, checking faithfulness at every load.
 ///
 /// # Errors
 ///
 /// Returns the first [`Divergence`] (the target's state is then partial
 /// and must be discarded; fall back to full simulation).
-pub fn replay_trace<T: ReplayTarget>(
-    trace: &Trace,
-    target: &mut T,
-) -> Result<ReplayProgress, Divergence> {
-    let mut progress = ReplayProgress::default();
-    for (index, event) in trace.events().enumerate() {
-        let event = event.map_err(Divergence::Trace)?;
-        replay_one(index, event, target, &mut progress)?;
-    }
-    Ok(progress)
-}
-
-/// Replays an already-decoded event stream against `target` — the hot path
-/// of trace-backed campaigns.
-///
-/// # Errors
-///
-/// Returns the first [`Divergence`], exactly like [`replay_trace`].
 pub fn replay_events<T: ReplayTarget>(
     events: &[TraceEvent],
     target: &mut T,
 ) -> Result<ReplayProgress, Divergence> {
     let mut progress = ReplayProgress::default();
     for (index, &event) in events.iter().enumerate() {
-        replay_one(index, event, target, &mut progress)?;
-    }
-    Ok(progress)
-}
-
-#[inline]
-fn replay_one<T: ReplayTarget>(
-    index: usize,
-    event: TraceEvent,
-    target: &mut T,
-    progress: &mut ReplayProgress,
-) -> Result<(), Divergence> {
-    {
         progress.events += 1;
         match event {
             TraceEvent::Commit { count, .. } => {
@@ -241,14 +208,14 @@ fn replay_one<T: ReplayTarget>(
             | TraceEvent::Writeback { .. } => {}
         }
     }
-    Ok(())
+    Ok(progress)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{TraceContext, TraceRecorder, TraceSink};
-    use crate::TraceSummary;
+    use crate::record::{TraceContext, TraceRecorder};
+    use crate::{Trace, TraceSummary};
 
     /// Scripted target: answers loads from a queue and logs calls.
     #[derive(Debug, Default)]
@@ -298,7 +265,7 @@ mod tests {
             responses: vec![faithful_response()],
             log: Vec::new(),
         };
-        let progress = replay_trace(&recorded_trace(), &mut target).expect("faithful");
+        let progress = replay_events(recorded_trace().events(), &mut target).expect("faithful");
         assert_eq!(
             target.log,
             vec!["ld 0x100@4", "commit x2", "st 0x104=5/15@8", "commit x1"]
@@ -323,7 +290,7 @@ mod tests {
             }],
             log: Vec::new(),
         };
-        let error = replay_trace(&recorded_trace(), &mut target).unwrap_err();
+        let error = replay_events(recorded_trace().events(), &mut target).unwrap_err();
         assert_eq!(
             error,
             Divergence::LoadValue {
@@ -346,7 +313,7 @@ mod tests {
             log: Vec::new(),
         };
         assert_eq!(
-            replay_trace(&recorded_trace(), &mut target).unwrap_err(),
+            replay_events(recorded_trace().events(), &mut target).unwrap_err(),
             Divergence::LoadTiming {
                 event: 0,
                 address: 0x100
@@ -364,7 +331,7 @@ mod tests {
             log: Vec::new(),
         };
         assert_eq!(
-            replay_trace(&recorded_trace(), &mut target).unwrap_err(),
+            replay_events(recorded_trace().events(), &mut target).unwrap_err(),
             Divergence::SchemeTimingError {
                 event: 0,
                 address: 0x100

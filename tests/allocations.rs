@@ -29,7 +29,7 @@ use laec::isa::Program;
 use laec::mem::{FaultCampaignConfig, ReplayMemory};
 use laec::prelude::{Campaign, CampaignSpec, EccScheme, ExecutionMode, PipelineConfig};
 use laec::prelude::{PlatformVariant, Simulator};
-use laec::trace::{replay_events, SharedSink, TraceContext, TraceDetail, TraceRecorder};
+use laec::trace::{replay_events, TraceContext, TraceDetail, TraceRecorder};
 
 /// Allocations per simulated instruction of the golden spec in full
 /// simulation.  Measured: 1901 allocations over 174078 instructions
@@ -117,25 +117,24 @@ fn loop_allocations(iterations: u32, config: &PipelineConfig) -> (u64, u64) {
     let (program, run_config) = (resident_loop(iterations), config.clone());
     let (_, simulated) = allocations_during(|| Simulator::run(program, run_config));
 
-    let shared = SharedSink::new(TraceRecorder::with_detail(
+    let mut simulator = Simulator::new(resident_loop(iterations), config.clone());
+    simulator.attach_recorder(TraceRecorder::with_detail(
         TraceContext::new("resident_loop", config.scheme.to_string(), "-", 0),
         TraceDetail::Replay,
     ));
-    let mut simulator = Simulator::new(resident_loop(iterations), config.clone());
-    simulator.attach_trace_sink(shared.boxed());
     let result = simulator.execute();
-    drop(simulator);
-    let trace = shared
-        .finish(result.trace_summary())
-        .expect("the simulator was dropped");
-    let events = trace.decode_events().expect("a fresh recording decodes");
+    let trace = simulator
+        .take_recorder()
+        .expect("the recorder is still attached")
+        .finish(result.trace_summary());
+    let events = trace.events();
 
     let (_, replayed) = allocations_during(|| {
         let mut target = ReplayMemory::new(config.hierarchy);
         if let Some(fault) = config.fault_campaign {
             target = target.with_fault_campaign(fault);
         }
-        let outcome = replay_events(&events, &mut target);
+        let outcome = replay_events(events, &mut target);
         (outcome, target.drain_to_memory())
     });
     (simulated, replayed)
@@ -188,8 +187,7 @@ fn check_ceilings() {
             for &scheme in &grid.schemes {
                 let (_, trace) =
                     record_cell(&grid, workload, scheme, platform, TraceDetail::Replay);
-                let events = trace.decode_events().expect("a fresh recording decodes");
-                replayed_events += events.len() as u64 * grid.fault_seeds.len() as u64;
+                replayed_events += trace.events().len() as u64 * grid.fault_seeds.len() as u64;
             }
         }
     }

@@ -131,6 +131,81 @@ fn campaign_section_is_engine_invariant_between_full_and_trace_backed() {
     assert!(traced_dump.engine_counters.contains_key("trace.recorded"));
 }
 
+/// The fallback explanation of one trace-backed run: the per-scheme ×
+/// divergence-kind split and the divergence-position deciles, after
+/// checking that the split sums to `trace.fallbacks` and the deciles to
+/// every positioned divergence.
+fn fallback_split(dump: &MetricsDump) -> Vec<(String, u64)> {
+    let counters = &dump.engine_counters;
+    let sum = |prefix: &str| -> u64 {
+        counters
+            .iter()
+            .filter(|(name, _)| name.starts_with(prefix))
+            .map(|(_, &count)| count)
+            .sum()
+    };
+    let fallbacks = counters["trace.fallbacks"];
+    let unpositioned = sum("trace.fallbacks.") - sum("trace.div_decile.");
+    assert_eq!(
+        sum("trace.fallbacks."),
+        fallbacks,
+        "the split sums to the total"
+    );
+    assert_eq!(
+        unpositioned,
+        counters
+            .iter()
+            .filter(|(name, _)| name.ends_with(".trace"))
+            .map(|(_, &count)| count)
+            .sum::<u64>(),
+        "every divergence but a trace error has a position decile"
+    );
+    counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("trace.fallbacks.") || name.starts_with("trace.div_"))
+        .map(|(name, &count)| (name.clone(), count))
+        .collect()
+}
+
+#[test]
+fn fallback_split_is_thread_count_invariant_and_sums_to_the_total() {
+    let grid = || {
+        CampaignBuilder::smoke()
+            .named_workloads(["vector_sum", "table_lookup"])
+            .schemes([EccScheme::NoEcc, EccScheme::Laec])
+            .platforms([PlatformVariant::WriteBack, PlatformVariant::WriteThrough])
+            .fault_seeds([7, 8])
+            .fault_interval(60)
+            .trace_backed()
+            .validate()
+            .expect("valid spec")
+    };
+    let sampled = || {
+        CampaignBuilder::smoke()
+            .named_workloads(["vector_sum"])
+            .schemes([EccScheme::NoEcc])
+            .fault_interval(60)
+            .sampled(16)
+            .batch(8)
+            .min_samples(8)
+            .trace_backed()
+            .validate()
+            .expect("valid sampled spec")
+    };
+    for spec in [grid, sampled] {
+        let one = Obs::enabled();
+        let eight = Obs::enabled();
+        let _ = Campaign::new(spec()).run_observed(1, &one);
+        let _ = Campaign::new(spec()).run_observed(8, &eight);
+        let split = fallback_split(&one.dump());
+        assert!(
+            split.iter().any(|(name, _)| name.ends_with(".load_value")),
+            "no-ecc strikes reach loaded values: {split:?}"
+        );
+        assert_eq!(split, fallback_split(&eight.dump()));
+    }
+}
+
 #[test]
 fn wall_clock_timings_are_excluded_from_every_compared_section() {
     let obs = Obs::enabled();
