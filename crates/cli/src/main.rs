@@ -760,9 +760,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
 
     let campaign = Campaign::new(validated);
     let (outcome, forensics) = if flags.forensics {
-        campaign
-            .run_forensic(flags.threads, &obs)
-            .map_err(|e| e.to_string())?
+        campaign.run_forensic(flags.threads, &obs)
     } else {
         (campaign.run_observed(flags.threads, &obs), None)
     };
@@ -798,7 +796,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
 }
 
 /// Rejects specs whose engine cannot trace fault lifecycles (sampled
-/// mode) or whose grid has a multi-core `smpN` platform.
+/// mode).
 fn check_forensics_mode(validated: &ValidatedSpec) -> Result<(), String> {
     let caps = engine_for(validated.mode()).capabilities();
     if !caps.forensics {
@@ -808,7 +806,7 @@ fn check_forensics_mode(validated: &ValidatedSpec) -> Result<(), String> {
             caps.name
         ));
     }
-    validated.check_forensics().map_err(|e| e.to_string())
+    Ok(())
 }
 
 /// Writes the Chrome trace-event export to `--chrome-trace FILE`, if
@@ -839,9 +837,7 @@ fn cmd_forensics(flags: &Flags) -> Result<(), String> {
     let validated = spec.validate().map_err(|e| e.to_string())?;
     check_forensics_mode(&validated)?;
     let obs = build_obs(flags)?;
-    let (_, forensics) = Campaign::new(validated)
-        .run_forensic(flags.threads, &obs)
-        .map_err(|e| e.to_string())?;
+    let (_, forensics) = Campaign::new(validated).run_forensic(flags.threads, &obs);
     let forensics = forensics.expect("forensics-capable engine checked above");
     if flags.json {
         println!("{}", forensics.to_json());
@@ -1425,6 +1421,11 @@ fn cmd_trace_record(flags: &Flags) -> Result<(), String> {
         Some([platform]) => *platform,
         Some(_) => return Err("trace record takes exactly one platform".to_string()),
     };
+    if platform.cores() > 1 {
+        return Err(format!(
+            "trace record captures one core's access stream; `{platform}` is multi-core"
+        ));
+    }
     let (spec, workload) = trace_cell_spec(flags, name)?;
     let detail = if flags.detailed {
         TraceDetail::Full

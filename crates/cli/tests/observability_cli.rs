@@ -128,28 +128,6 @@ fn stats_rejects_a_file_that_is_not_a_metrics_dump() {
 }
 
 #[test]
-fn forensics_on_a_multi_core_platform_fails_instead_of_printing_zeros() {
-    let run = cli(&[
-        "forensics",
-        "--smoke",
-        "--workloads",
-        "vector_sum",
-        "--schemes",
-        "laec",
-        "--cores",
-        "2",
-        "--fault-seeds",
-        "1",
-        "--fault-interval",
-        "200",
-    ]);
-    assert!(!run.status.success());
-    assert!(run.stdout.is_empty(), "no forensics document is printed");
-    let stderr = String::from_utf8(run.stderr).expect("UTF-8 stderr");
-    assert!(stderr.contains("multi-core `smp2` platform"), "{stderr}");
-}
-
-#[test]
 fn trace_info_reports_the_per_core_event_histogram() {
     let trace = scratch("histogram.trace");
     let record = cli(&[

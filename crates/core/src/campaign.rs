@@ -48,7 +48,7 @@ use laec_pipeline::{EccScheme, PipelineConfig};
 use laec_workloads::{eembc_suite, kernel_suite, GeneratorConfig, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{run_with_config, run_with_config_forensic};
+use crate::runner::{run_cell, Hooks};
 
 // ---------------------------------------------------------------------------
 // Spec: the axes of the grid
@@ -629,11 +629,7 @@ fn execute_full_impl(
         };
         let (cell, forensics) = {
             let _span = obs.span(phase);
-            if forensic {
-                run_job_forensic(spec, &workloads, job)
-            } else {
-                (run_job(spec, &workloads, job), CellForensics::default())
-            }
+            run_job(spec, &workloads, job, forensic)
         };
         let tallies = forensic.then(|| forensics.outcome_tallies());
         obs.emit(&ProgressEvent::Cell {
@@ -772,51 +768,27 @@ pub(crate) fn cell_from_result(
     }
 }
 
-pub(crate) fn run_job(spec: &CampaignSpec, workloads: &[Workload], job: Job) -> CampaignCell {
-    let workload = &workloads[job.workload];
-    let platform = spec.platforms[job.platform];
-    let config = job_config(spec, job);
-    let fault_seed = job.fault.map(|index| spec.fault_seeds[index]);
-    let result = if platform.cores() > 1 {
-        crate::smp_campaign::run_observed_core(workload, config, platform.cores(), spec.protocol)
-    } else {
-        run_with_config(workload, config)
-    };
-    cell_from_result(
-        workload,
-        spec.schemes[job.scheme],
-        platform,
-        fault_seed,
-        &result,
-    )
-}
-
-/// [`run_job`] with per-fault lifecycle forensics.  Multi-core cells run
-/// unchanged — the coherent SMP port does not expose forensics — and
-/// contribute an empty record set; `Campaign::run_forensic` rejects such
-/// grids before they get here.
-pub(crate) fn run_job_forensic(
+/// Runs one grid job, with per-fault lifecycle forensics when `forensic`
+/// (off, the record set is empty).  The cell is the same either way: the
+/// forensics hooks only observe.
+pub(crate) fn run_job(
     spec: &CampaignSpec,
     workloads: &[Workload],
     job: Job,
+    forensic: bool,
 ) -> (CampaignCell, CellForensics) {
     let workload = &workloads[job.workload];
     let platform = spec.platforms[job.platform];
-    let config = job_config(spec, job);
-    let fault_seed = job.fault.map(|index| spec.fault_seeds[index]);
-    let mut result = if platform.cores() > 1 {
-        crate::smp_campaign::run_observed_core(workload, config, platform.cores(), spec.protocol)
-    } else {
-        run_with_config_forensic(workload, config)
+    let hooks = Hooks {
+        forensics: forensic,
+        recorder: None,
     };
+    let config = job_config(spec, job);
+    let (mut result, _) = run_cell(workload, config, platform, spec.protocol, hooks);
     let forensics = result.forensics.take().unwrap_or_default();
-    let cell = cell_from_result(
-        workload,
-        spec.schemes[job.scheme],
-        platform,
-        fault_seed,
-        &result,
-    );
+    let fault_seed = job.fault.map(|index| spec.fault_seeds[index]);
+    let scheme = spec.schemes[job.scheme];
+    let cell = cell_from_result(workload, scheme, platform, fault_seed, &result);
     (cell, forensics)
 }
 

@@ -61,7 +61,6 @@ pub mod observe;
 pub mod report;
 pub mod runner;
 pub mod sampling;
-pub mod smp_campaign;
 pub mod spec;
 pub mod trace_backed;
 
@@ -76,7 +75,6 @@ pub use sampling::{
     render_sampled, sampler_fingerprint, stratum_count, CheckpointError, SampleExecution,
     SampledReport, Sampler, SamplerCheckpoint, SamplingPlan, StratumEstimate,
 };
-pub use smp_campaign::run_observed_core;
 pub use spec::{
     engine_for, Campaign, CampaignBuilder, CampaignEngine, CampaignOutcome, EngineCaps,
     ExecutionMode, FullSimEngine, PlanViolation, SampledEngine, SpecError, TraceBackedEngine,
@@ -97,4 +95,6 @@ pub use report::{
     render_energy, render_fault_campaign, render_figure8, render_hazard_breakdown, render_table1,
     render_table2, render_wt_vs_wb, table1_commercial_processors, CommercialProcessor,
 };
-pub use runner::{compare_schemes, run_scheme, run_with_config, SchemeComparison};
+pub use runner::{
+    compare_schemes, run_observed_core, run_scheme, run_with_config, SchemeComparison,
+};

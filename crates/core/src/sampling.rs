@@ -68,8 +68,10 @@ use laec_trace::{varint, Divergence, Trace};
 use laec_workloads::Workload;
 use serde::Serialize;
 
-use crate::campaign::{default_threads, mix64, run_pool, CampaignSpec};
-use crate::runner::run_with_config;
+use crate::campaign::{
+    cell_from_result, default_threads, mix64, run_pool, CampaignCell, CampaignSpec,
+};
+use crate::runner::{run_cell, Hooks};
 use crate::trace_backed::{obtain_recording, replay_cell, Origin, TraceBackedStats};
 
 // ---------------------------------------------------------------------------
@@ -387,6 +389,16 @@ struct Baseline {
     memory_checksum: u64,
 }
 
+impl From<&CampaignCell> for Baseline {
+    fn from(cell: &CampaignCell) -> Self {
+        Baseline {
+            cycles: cell.cycles,
+            registers_fingerprint: cell.registers_fingerprint,
+            memory_checksum: cell.memory_checksum,
+        }
+    }
+}
+
 /// Per-stratum accumulators — exactly the state a checkpoint persists.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct StratumStats {
@@ -411,6 +423,36 @@ struct SampleOutcome {
     faults_corrected: u64,
     registers_fingerprint: u64,
     memory_checksum: u64,
+}
+
+impl From<&CampaignCell> for SampleOutcome {
+    fn from(cell: &CampaignCell) -> Self {
+        SampleOutcome {
+            cycles: cell.cycles,
+            unrecoverable_errors: cell.unrecoverable_errors,
+            detected_uncorrectable: cell.faults_detected_uncorrectable,
+            faults_injected: cell.faults_injected,
+            faults_corrected: cell.faults_corrected,
+            registers_fingerprint: cell.registers_fingerprint,
+            memory_checksum: cell.memory_checksum,
+        }
+    }
+}
+
+/// Simulates one stratum's cell in full through the one cell runner:
+/// fault-free for its baseline, under `fault` for a sample.
+fn simulate_cell(
+    spec: &CampaignSpec,
+    workload: &Workload,
+    coords: StratumCoords,
+    fault: Option<FaultCampaignConfig>,
+) -> CampaignCell {
+    let scheme = spec.schemes[coords.scheme];
+    let platform = spec.platforms[coords.platform];
+    let mut config = platform.apply_config(PipelineConfig::for_scheme(scheme));
+    config.fault_campaign = fault;
+    let (result, _) = run_cell(workload, config, platform, spec.protocol, Hooks::default());
+    cell_from_result(workload, scheme, platform, None, &result)
 }
 
 impl StratumStats {
@@ -1019,16 +1061,8 @@ impl Sampler {
             SampleExecution::FullSim => {
                 let baselines = run_pool(strata.len(), threads, |index| {
                     let coords = strata[index];
-                    let config = spec.platforms[coords.platform]
-                        .apply_config(PipelineConfig::for_scheme(spec.schemes[coords.scheme]));
-                    let result = run_with_config(&workloads[coords.workload], config);
-                    Baseline {
-                        cycles: result.stats.cycles,
-                        registers_fingerprint: crate::campaign::registers_fingerprint(
-                            &result.registers,
-                        ),
-                        memory_checksum: result.memory_checksum,
-                    }
+                    let cell = simulate_cell(spec, &workloads[coords.workload], coords, None);
+                    Baseline::from(&cell)
                 });
                 (baselines, None)
             }
@@ -1054,11 +1088,7 @@ impl Sampler {
                         }
                         Origin::CacheHit => trace_stats.cache_loads += 1,
                     }
-                    baselines.push(Baseline {
-                        cycles: cell.cycles,
-                        registers_fingerprint: cell.registers_fingerprint,
-                        memory_checksum: cell.memory_checksum,
-                    });
+                    baselines.push(Baseline::from(&cell));
                     traces.push(trace);
                 }
                 (baselines, Some(traces))
@@ -1269,44 +1299,17 @@ impl Sampler {
                 replay_cell(&self.spec, &traces[stratum], workload, Some(fault), None)
             };
             match replayed {
-                Ok(cell) => {
-                    return (
-                        SampleOutcome {
-                            cycles: cell.cycles,
-                            unrecoverable_errors: cell.unrecoverable_errors,
-                            detected_uncorrectable: cell.faults_detected_uncorrectable,
-                            faults_injected: cell.faults_injected,
-                            faults_corrected: cell.faults_corrected,
-                            registers_fingerprint: cell.registers_fingerprint,
-                            memory_checksum: cell.memory_checksum,
-                        },
-                        None,
-                    );
-                }
+                Ok(cell) => return (SampleOutcome::from(&cell), None),
                 Err(diverged) => divergence = Some(diverged),
             }
         }
-        let config = self.spec.platforms[coords.platform]
-            .apply_config(PipelineConfig::for_scheme(self.spec.schemes[coords.scheme]))
-            .with_fault_campaign(fault);
         let _span = self.obs.span(if self.traces.is_some() {
             Phase::FullSimFallback
         } else {
             Phase::FullSim
         });
-        let result = run_with_config(workload, config);
-        (
-            SampleOutcome {
-                cycles: result.stats.cycles,
-                unrecoverable_errors: result.unrecoverable_errors,
-                detected_uncorrectable: result.stats.mem.dl1.ecc.uncorrectable(),
-                faults_injected: result.stats.faults_injected,
-                faults_corrected: result.stats.mem.dl1.ecc.corrected(),
-                registers_fingerprint: crate::campaign::registers_fingerprint(&result.registers),
-                memory_checksum: result.memory_checksum,
-            },
-            divergence,
-        )
+        let cell = simulate_cell(&self.spec, workload, coords, Some(fault));
+        (SampleOutcome::from(&cell), divergence)
     }
 
     /// Builds the report from the current accumulators.  Valid at any

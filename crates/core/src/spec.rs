@@ -166,13 +166,6 @@ pub enum SpecError {
         /// The first single-core platform's label.
         platform: String,
     },
-    /// Forensics was requested for a grid with a multi-core `smpN`
-    /// platform.  The coherent ports journal no per-core strikes yet, so
-    /// that platform's cells would report zero faults.
-    ForensicsNeedsSingleCore {
-        /// The first multi-core platform's label.
-        platform: String,
-    },
     /// The spec carries fixed fault seeds *and* requests sampled
     /// execution, which replaces the fault-seed axis.
     FaultSeedsWithSampling,
@@ -215,11 +208,6 @@ impl fmt::Display for SpecError {
                 f,
                 "the `{protocol}` coherence protocol needs multi-core `smpN` platforms \
                  (`{platform}` is single-core)"
-            ),
-            SpecError::ForensicsNeedsSingleCore { platform } => write!(
-                f,
-                "forensics cannot trace the multi-core `{platform}` platform yet (its cells \
-                 would report no faults); run forensics on single-core platforms"
             ),
             SpecError::FaultSeedsWithSampling => write!(
                 f,
@@ -751,21 +739,6 @@ impl ValidatedSpec {
     #[must_use]
     pub fn fingerprint_hex(&self) -> String {
         format!("0x{:032x}", self.fingerprint())
-    }
-
-    /// Checks that forensics can trace every cell of the grid.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError::ForensicsNeedsSingleCore`] naming the first multi-core
-    /// `smpN` platform.
-    pub fn check_forensics(&self) -> Result<(), SpecError> {
-        if let Some(platform) = self.spec.platforms.iter().find(|p| p.cores() > 1) {
-            return Err(SpecError::ForensicsNeedsSingleCore {
-                platform: platform.to_string(),
-            });
-        }
-        Ok(())
     }
 
     /// The execution mode.
@@ -1447,18 +1420,11 @@ impl Campaign {
     ///
     /// Engines that cannot trace lifecycles
     /// ([`EngineCaps::forensics`] `== false`) return `None`.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError::ForensicsNeedsSingleCore`] when the grid has a
-    /// multi-core `smpN` platform (see [`ValidatedSpec::check_forensics`]);
-    /// nothing runs.
     pub fn run_forensic(
         &self,
         threads: usize,
         obs: &Obs,
-    ) -> Result<(CampaignOutcome, Option<ForensicsReport>), SpecError> {
-        self.spec.check_forensics()?;
+    ) -> (CampaignOutcome, Option<ForensicsReport>) {
         let engine = self.engine();
         obs.set_context(&self.spec.fingerprint_hex(), engine.capabilities().name);
         let (outcome, forensics) = engine.execute_forensic(&self.spec, threads, obs);
@@ -1471,7 +1437,7 @@ impl Campaign {
             }
             _ => None,
         };
-        Ok((outcome, report))
+        (outcome, report)
     }
 }
 

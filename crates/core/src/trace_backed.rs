@@ -44,9 +44,9 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use laec_mem::{CellForensics, FaultCampaignConfig, MemoryPort, ReplayMemory};
+use laec_mem::{CellForensics, FaultCampaignConfig, ReplayMemory};
 use laec_obs::{Obs, Phase, ProgressEvent};
-use laec_pipeline::{EccScheme, PipelineConfig, Simulator};
+use laec_pipeline::{EccScheme, PipelineConfig};
 use laec_trace::{
     replay_events, Divergence, Trace, TraceContext, TraceDetail, TraceError, TraceEvent,
     TraceRecorder,
@@ -55,9 +55,10 @@ use laec_workloads::Workload;
 
 use crate::campaign::{
     assemble_report, cell_from_result, default_threads, fnv1a, job_injection_seed,
-    registers_fingerprint, run_job, run_job_forensic, run_pool, CampaignCell, CampaignReport,
-    CampaignSpec, Job, PlatformVariant,
+    registers_fingerprint, run_job, run_pool, CampaignCell, CampaignReport, CampaignSpec, Job,
+    PlatformVariant,
 };
+use crate::runner::{run_cell, Hooks};
 
 /// Execution counters of one trace-backed campaign.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -160,14 +161,14 @@ pub fn record_cell(
         platform.to_string(),
         cell_fingerprint(spec, scheme, platform),
     );
-    let mut simulator = Simulator::new(workload.program.clone(), config);
-    simulator.attach_recorder(TraceRecorder::with_detail(context, detail));
-    let result = simulator.execute();
-    let recorder = simulator
-        .take_recorder()
-        // laec-lint: allow(panic-in-library) -- the recorder was attached
-        // three statements up and nothing in between detaches it.
-        .expect("the recorder attached above is still attached");
+    let hooks = Hooks {
+        forensics: false,
+        recorder: Some(TraceRecorder::with_detail(context, detail)),
+    };
+    let (result, recorder) = run_cell(workload, config, platform, spec.protocol, hooks);
+    // laec-lint: allow(panic-in-library) -- `run_cell` hands back the
+    // recorder it was given.
+    let recorder = recorder.expect("the recorder comes back");
     let mut summary = result.trace_summary();
     summary.registers_fingerprint = registers_fingerprint(&result.registers);
     let cell = cell_from_result(workload, scheme, platform, None, &result);
@@ -277,18 +278,19 @@ fn replay_cell_events_impl(
         return Err(corrupt("event counts disagree with the recorded summary"));
     }
 
-    // Mirror the order of `Simulator::execute`/`finalize`: statistics
+    // Mirror the order of `Core::finalize`: statistics
     // snapshot first, then the dirty-state drain that produces the final
     // memory checksum, then the metadata-fault counters (the drain can
     // settle pending lost-writeback classifications).
     let stats = target.stats();
     let faults_injected = target.campaign_report().injected;
-    let unrecoverable_errors = target.system().unrecoverable_errors();
+    let unrecoverable_errors = target.system().core_unrecoverable_errors(0);
     let memory_checksum = target.drain_to_memory();
-    let meta_faults_injected = target.system().meta_faults_injected();
-    let lost_writebacks = target.system().lost_writebacks();
-    let stale_metadata_reads = target.system().stale_metadata_reads();
-    // Like `Simulator::finalize`: the forensics set closes only after the
+    let dl1 = target.system().dl1(0);
+    let meta_faults_injected = dl1.meta_faults_injected();
+    let lost_writebacks = dl1.lost_writebacks();
+    let stale_metadata_reads = dl1.stale_reads();
+    // Like `Simulator::execute`: the forensics set closes only after the
     // drain has settled every pending lifecycle.
     let forensics = target.take_forensics().unwrap_or_default();
     if fault.is_none() && memory_checksum != summary.memory_checksum {
@@ -525,11 +527,7 @@ fn execute_trace_backed_impl(
                 Ok((cell, forensics)) => (cell, None, forensics),
                 Err(divergence) => {
                     let _span = obs.span(Phase::FullSimFallback);
-                    let (cell, forensics) = if forensic {
-                        run_job_forensic(spec, &workloads, job)
-                    } else {
-                        (run_job(spec, &workloads, job), CellForensics::default())
-                    };
+                    let (cell, forensics) = run_job(spec, &workloads, job, forensic);
                     (cell, Some(divergence), forensics)
                 }
             };

@@ -166,8 +166,8 @@ pub enum LocalWriteAction {
 /// operation → next state + bus action.
 ///
 /// Implementations are stateless lookup tables; the substrate (per-core
-/// caches, the shared bus/L2, the snoop loops) lives in `laec_smp` and
-/// consults the table at each decision point.  Everything else — residency,
+/// caches, the shared bus/L2, the snoop loops) lives in
+/// [`crate::MemorySystem`] and consults the table at each decision point.  Everything else — residency,
 /// LRU, ECC, writebacks, the fault-injection oracle — is shared by all
 /// protocols through the dirty/valid lattice of [`LineState`].
 ///

@@ -10,7 +10,7 @@
 
 use laec_ecc::ErrorInjector;
 
-use crate::port::MemoryPort;
+use crate::hierarchy::MemorySystem;
 
 /// The spatial shape of each injected strike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -211,7 +211,7 @@ pub struct FaultCampaignReport {
     pub skipped_empty: u64,
 }
 
-/// Drives periodic fault injection into a [`MemorySystem`](crate::MemorySystem).
+/// Drives periodic fault injection into one core's DL1 of a [`MemorySystem`].
 #[derive(Debug)]
 pub struct FaultCampaign {
     config: FaultCampaignConfig,
@@ -241,10 +241,10 @@ impl FaultCampaign {
         &self.config
     }
 
-    /// Called once per injection opportunity (typically once per simulated
-    /// cycle or per memory access); injects when the interval elapses.
-    /// Returns the struck address when an injection happened.
-    pub fn maybe_inject<M: MemoryPort>(&mut self, system: &mut M) -> Option<u32> {
+    /// Called once per injection opportunity (the pipeline offers one per
+    /// committed instruction); injects into `core`'s DL1 when the interval
+    /// elapses.  Returns the struck address when an injection happened.
+    pub fn maybe_inject(&mut self, system: &mut MemorySystem, core: usize) -> Option<u32> {
         if self.config.interval == 0 {
             return None;
         }
@@ -253,7 +253,7 @@ impl FaultCampaign {
             return None;
         }
         self.until_next = self.config.interval;
-        self.inject_now(system)
+        self.inject_now(system, core)
     }
 
     /// Advances `opportunities` injection opportunities at once, injecting
@@ -263,7 +263,12 @@ impl FaultCampaign {
     /// to burn through run-length-encoded commit runs.
     ///
     /// Returns the number of faults injected.
-    pub fn maybe_inject_many<M: MemoryPort>(&mut self, opportunities: u64, system: &mut M) -> u64 {
+    pub fn maybe_inject_many(
+        &mut self,
+        opportunities: u64,
+        system: &mut MemorySystem,
+        core: usize,
+    ) -> u64 {
         if self.config.interval == 0 {
             return 0;
         }
@@ -272,7 +277,7 @@ impl FaultCampaign {
         while remaining >= self.until_next {
             remaining -= self.until_next;
             self.until_next = self.config.interval;
-            if self.inject_now(system).is_some() {
+            if self.inject_now(system, core).is_some() {
                 injected += 1;
             }
         }
@@ -280,8 +285,8 @@ impl FaultCampaign {
         injected
     }
 
-    fn inject_now<M: MemoryPort>(&mut self, system: &mut M) -> Option<u32> {
-        match system.inject_random_fault(&mut self.injector, &self.config) {
+    fn inject_now(&mut self, system: &mut MemorySystem, core: usize) -> Option<u32> {
+        match system.inject_random_dl1_fault(core, &mut self.injector, &self.config) {
             Some(address) => {
                 self.report.injected += 1;
                 Some(address)
@@ -304,18 +309,17 @@ impl FaultCampaign {
 mod tests {
     use super::*;
     use crate::config::HierarchyConfig;
-    use crate::hierarchy::MemorySystem;
 
     #[test]
     fn disabled_campaign_never_injects() {
         let mut system = MemorySystem::new(HierarchyConfig::ngmp_write_back());
-        system.load_word(0x100, 0);
+        system.load(0, 0x100, 0);
         let mut campaign = FaultCampaign::new(FaultCampaignConfig {
             interval: 0,
             ..FaultCampaignConfig::default()
         });
         for _ in 0..100 {
-            assert!(campaign.maybe_inject(&mut system).is_none());
+            assert!(campaign.maybe_inject(&mut system, 0).is_none());
         }
         assert_eq!(campaign.report().injected, 0);
     }
@@ -323,11 +327,11 @@ mod tests {
     #[test]
     fn campaign_injects_at_the_configured_interval() {
         let mut system = MemorySystem::new(HierarchyConfig::ngmp_write_back());
-        system.load_word(0x100, 0);
+        system.load(0, 0x100, 0);
         let mut campaign = FaultCampaign::new(FaultCampaignConfig::single_bit(7, 10));
         let mut injections = 0;
         for _ in 0..100 {
-            if campaign.maybe_inject(&mut system).is_some() {
+            if campaign.maybe_inject(&mut system, 0).is_some() {
                 injections += 1;
             }
         }
@@ -341,7 +345,7 @@ mod tests {
         let mut system = MemorySystem::new(HierarchyConfig::ngmp_write_back());
         let mut campaign = FaultCampaign::new(FaultCampaignConfig::single_bit(7, 1));
         for _ in 0..5 {
-            assert!(campaign.maybe_inject(&mut system).is_none());
+            assert!(campaign.maybe_inject(&mut system, 0).is_none());
         }
         assert_eq!(campaign.report().skipped_empty, 5);
     }
@@ -355,8 +359,8 @@ mod tests {
         let mut serial_system = MemorySystem::new(HierarchyConfig::ngmp_write_back());
         let mut bulk_system = MemorySystem::new(HierarchyConfig::ngmp_write_back());
         for i in 0..16u32 {
-            serial_system.load_word(0x4000 + 4 * i, u64::from(i));
-            bulk_system.load_word(0x4000 + 4 * i, u64::from(i));
+            serial_system.load(0, 0x4000 + 4 * i, u64::from(i));
+            bulk_system.load(0, 0x4000 + 4 * i, u64::from(i));
         }
         let config = FaultCampaignConfig::single_bit(0xABCD, 7);
         let mut serial = FaultCampaign::new(config);
@@ -365,11 +369,11 @@ mod tests {
         let chunks = [3u64, 0, 11, 7, 1, 29, 2, 47];
         let total: u64 = chunks.iter().sum();
         for _ in 0..total {
-            serial.maybe_inject(&mut serial_system);
+            serial.maybe_inject(&mut serial_system, 0);
         }
         let mut bulk_injected = 0;
         for chunk in chunks {
-            bulk_injected += bulk.maybe_inject_many(chunk, &mut bulk_system);
+            bulk_injected += bulk.maybe_inject_many(chunk, &mut bulk_system, 0);
         }
         assert_eq!(serial.report(), bulk.report());
         assert_eq!(bulk_injected, bulk.report().injected);
@@ -380,11 +384,14 @@ mod tests {
             let address = 0x4000 + 4 * i;
             let now = 1_000 + u64::from(i);
             assert_eq!(
-                serial_system.load_word(address, now).outcome,
-                bulk_system.load_word(address, now).outcome
+                serial_system.load(0, address, now).outcome,
+                bulk_system.load(0, address, now).outcome
             );
         }
-        assert_eq!(serial_system.stats().dl1.ecc, bulk_system.stats().dl1.ecc);
+        assert_eq!(
+            serial_system.core_stats(0).dl1.ecc,
+            bulk_system.core_stats(0).dl1.ecc
+        );
     }
 
     #[test]
@@ -394,7 +401,7 @@ mod tests {
             system.preload_word(0x5000 + 4 * i, i);
         }
         for i in 0..8u32 {
-            system.load_word(0x5000 + 4 * i, u64::from(i));
+            system.load(0, 0x5000 + 4 * i, u64::from(i));
         }
         let mut campaign = FaultCampaign::new(FaultCampaignConfig::with_pattern(
             5,
@@ -403,8 +410,10 @@ mod tests {
         ));
         let mut uncorrectable_reads = 0;
         for round in 0..20u64 {
-            let struck = campaign.maybe_inject(&mut system).expect("line resident");
-            let read = system.load_word(struck, 100 * (round + 1));
+            let struck = campaign
+                .maybe_inject(&mut system, 0)
+                .expect("line resident");
+            let read = system.load(0, struck, 100 * (round + 1));
             if read.outcome.is_uncorrectable() {
                 uncorrectable_reads += 1;
             }
@@ -414,7 +423,7 @@ mod tests {
             uncorrectable_reads, 20,
             "every adjacent double must be detected, never corrected"
         );
-        assert_eq!(system.stats().dl1.ecc.corrected(), 0);
+        assert_eq!(system.core_stats(0).dl1.ecc.corrected(), 0);
     }
 
     #[test]
@@ -424,22 +433,22 @@ mod tests {
             system.preload_word(0x2000 + 4 * i, i);
         }
         for i in 0..32u32 {
-            system.load_word(0x2000 + 4 * i, u64::from(i));
+            system.load(0, 0x2000 + 4 * i, u64::from(i));
         }
         // Inject single-bit strikes one at a time, reading everything back
         // (and thereby scrubbing) between strikes: every strike is absorbed.
         let mut campaign = FaultCampaign::new(FaultCampaignConfig::single_bit(123, 1));
         for round in 0..50u64 {
-            campaign.maybe_inject(&mut system);
+            campaign.maybe_inject(&mut system, 0);
             for i in 0..32u32 {
                 let now = 1_000 + 100 * round + u64::from(i);
-                assert_eq!(system.load_word(0x2000 + 4 * i, now).value, i);
+                assert_eq!(system.load(0, 0x2000 + 4 * i, now).value, i);
             }
         }
         assert_eq!(campaign.report().injected, 50);
-        assert_eq!(system.unrecoverable_errors(), 0);
+        assert_eq!(system.core_unrecoverable_errors(0), 0);
         assert!(
-            system.stats().dl1.ecc.corrected() > 0,
+            system.core_stats(0).dl1.ecc.corrected() > 0,
             "some strikes were read back"
         );
     }

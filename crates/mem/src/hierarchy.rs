@@ -102,7 +102,7 @@ pub struct MemorySystem {
     coherence: CoherenceStats,
     /// The run's trace recorder, if it is being recorded.  The hierarchy
     /// emits its line fills and writebacks into it, and the pipeline its
-    /// own events through [`crate::MemoryPort::recorder`].  `None` by
+    /// own events through [`MemorySystem::recorder`].  `None` by
     /// default: every emission site is a single branch.  Boxed, so the
     /// field is one word in every hierarchy, recorded or not.
     recorder: Option<Box<TraceRecorder>>,
@@ -326,8 +326,7 @@ impl MemorySystem {
 
     /// Attaches a trace recorder, which this hierarchy then owns for the
     /// run: it emits line fills and writebacks into it (kept at full
-    /// detail), and its pipeline emits through
-    /// [`crate::MemoryPort::recorder`].
+    /// detail), and its pipelines emit through [`MemorySystem::recorder`].
     pub fn attach_recorder(&mut self, recorder: TraceRecorder) {
         self.recorder = Some(Box::new(recorder));
     }
@@ -337,9 +336,10 @@ impl MemorySystem {
         self.recorder.take().map(|recorder| *recorder)
     }
 
-    /// The attached trace recorder, if any.
+    /// The attached trace recorder, if any: the pipeline emits its fetch,
+    /// access, stall and commit events through it.
     #[inline]
-    pub(crate) fn recorder(&mut self) -> Option<&mut TraceRecorder> {
+    pub fn recorder(&mut self) -> Option<&mut TraceRecorder> {
         self.recorder.as_deref_mut()
     }
 
@@ -972,7 +972,6 @@ impl MemorySystem {
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::port::MemoryPort;
     use laec_ecc::CodeKind;
 
     fn wb_system() -> MemorySystem {
@@ -987,16 +986,16 @@ mod tests {
     fn cold_load_misses_then_hits() {
         let mut system = wb_system();
         system.preload_word(0x1000, 0xAABB_CCDD);
-        let miss = system.load_word(0x1000, 0);
+        let miss = system.load(0, 0x1000, 0);
         assert!(!miss.dl1_hit);
         assert_eq!(miss.value, 0xAABB_CCDD);
         assert_eq!(miss.extra_cycles, system.config().memory_penalty());
-        let hit = system.load_word(0x1000, 100);
+        let hit = system.load(0, 0x1000, 100);
         assert!(hit.dl1_hit);
         assert_eq!(hit.extra_cycles, 0);
         assert_eq!(hit.value, 0xAABB_CCDD);
         // Second access to the same line, different word: spatial locality.
-        let hit = system.load_word(0x1004, 101);
+        let hit = system.load(0, 0x1004, 101);
         assert!(hit.dl1_hit);
     }
 
@@ -1004,15 +1003,15 @@ mod tests {
     fn l2_hit_is_cheaper_than_memory() {
         let mut system = wb_system();
         system.preload_word(0x2000, 7);
-        let first = system.load_word(0x2000, 0);
+        let first = system.load(0, 0x2000, 0);
         assert_eq!(first.extra_cycles, system.config().memory_penalty());
         // Evict the DL1 line by touching enough conflicting lines (DL1 has
         // 128 sets * 32 B = 4 KB per way; 4 ways -> 5 conflicting lines).
         for i in 1..=4 {
-            system.load_word(0x2000 + i * 4096, 10 * u64::from(i));
+            system.load(0, 0x2000 + i * 4096, 10 * u64::from(i));
         }
         assert!(!system.dl1(0).probe(0x2000));
-        let refetch = system.load_word(0x2000, 1000);
+        let refetch = system.load(0, 0x2000, 1000);
         assert!(!refetch.dl1_hit);
         assert_eq!(refetch.value, 7);
         assert_eq!(refetch.extra_cycles, system.config().l2_hit_penalty());
@@ -1022,9 +1021,9 @@ mod tests {
     fn write_back_store_hits_are_local_and_dirty() {
         let mut system = wb_system();
         system.preload_word(0x3000, 1);
-        system.load_word(0x3000, 0);
+        system.load(0, 0x3000, 0);
         let bus_before = system.bus_transactions();
-        let response = system.store_word_masked(0x3000, 99, 0xF, 10);
+        let response = system.store(0, 0x3000, 99, 0xF, 10);
         assert!(response.dl1_hit);
         assert_eq!(response.extra_cycles, 0);
         assert_eq!(
@@ -1033,26 +1032,26 @@ mod tests {
             "WB store hit stays on-core"
         );
         assert_eq!(system.dl1(0).dirty_lines(), 1);
-        assert_eq!(system.load_word(0x3000, 20).value, 99);
+        assert_eq!(system.load(0, 0x3000, 20).value, 99);
     }
 
     #[test]
     fn write_back_store_miss_allocates() {
         let mut system = wb_system();
-        let response = system.store_word_masked(0x4000, 5, 0xF, 0);
+        let response = system.store(0, 0x4000, 5, 0xF, 0);
         assert!(!response.dl1_hit);
         assert!(response.extra_cycles >= system.config().l2_hit_penalty());
         assert!(system.dl1(0).probe(0x4000));
-        assert_eq!(system.load_word(0x4000, 50).value, 5);
+        assert_eq!(system.load(0, 0x4000, 50).value, 5);
     }
 
     #[test]
     fn write_through_store_always_uses_the_bus() {
         let mut system = wt_system();
         system.preload_word(0x5000, 0);
-        system.load_word(0x5000, 0);
+        system.load(0, 0x5000, 0);
         let bus_before = system.bus_transactions();
-        let response = system.store_word_masked(0x5000, 42, 0xF, 10);
+        let response = system.store(0, 0x5000, 42, 0xF, 10);
         assert!(response.dl1_hit, "the DL1 copy is updated");
         assert!(
             response.extra_cycles > 0,
@@ -1070,8 +1069,8 @@ mod tests {
         let mut wt = wt_system();
         for i in 0..64u32 {
             let address = 0x6000 + 4 * (i % 16);
-            wb.store_word_masked(address, i, 0xF, u64::from(i));
-            wt.store_word_masked(address, i, 0xF, u64::from(i));
+            wb.store(0, address, i, 0xF, u64::from(i));
+            wt.store(0, address, i, 0xF, u64::from(i));
         }
         assert!(
             wt.bus_transactions() > 4 * wb.bus_transactions(),
@@ -1084,33 +1083,33 @@ mod tests {
     #[test]
     fn dirty_eviction_writes_back_and_preserves_data() {
         let mut system = wb_system();
-        system.store_word_masked(0x7000, 0xDEAD, 0xF, 0);
+        system.store(0, 0x7000, 0xDEAD, 0xF, 0);
         // Evict by filling the set with conflicting lines.
         for i in 1..=4u32 {
-            system.load_word(0x7000 + i * 4096, u64::from(i) * 10);
+            system.load(0, 0x7000 + i * 4096, u64::from(i) * 10);
         }
         assert!(!system.dl1(0).probe(0x7000));
         // The dirty value survived in the L2.
-        assert_eq!(system.load_word(0x7000, 1000).value, 0xDEAD);
+        assert_eq!(system.load(0, 0x7000, 1000).value, 0xDEAD);
     }
 
     #[test]
     fn sub_word_stores_merge() {
         let mut system = wb_system();
         system.preload_word(0x8000, 0x1122_3344);
-        system.load_word(0x8000, 0);
-        system.store_word_masked(0x8000, 0x0000_00FF, 0b0001, 1);
-        assert_eq!(system.load_word(0x8000, 2).value, 0x1122_33FF);
-        system.store_word_masked(0x8000, 0xAA00_0000, 0b1000, 3);
-        assert_eq!(system.load_word(0x8000, 4).value, 0xAA22_33FF);
+        system.load(0, 0x8000, 0);
+        system.store(0, 0x8000, 0x0000_00FF, 0b0001, 1);
+        assert_eq!(system.load(0, 0x8000, 2).value, 0x1122_33FF);
+        system.store(0, 0x8000, 0xAA00_0000, 0b1000, 3);
+        assert_eq!(system.load(0, 0x8000, 4).value, 0xAA22_33FF);
     }
 
     #[test]
     fn drain_to_memory_reaches_main_memory() {
         let mut system = wb_system();
-        system.store_word_masked(0x9000, 77, 0xF, 0);
+        system.store(0, 0x9000, 77, 0xF, 0);
         assert_eq!(system.peek_memory(0x9000), 0, "still only in the DL1");
-        let checksum = system.drain_to_memory();
+        let checksum = system.drain(0);
         assert_eq!(system.peek_memory(0x9000), 77);
         assert_ne!(checksum, MainMemory::new(0).checksum());
     }
@@ -1120,10 +1119,10 @@ mod tests {
         let mut system = wb_system();
         system.preload_word(0xA000, 5);
         assert_eq!(system.peek_coherent(0xA000), 5);
-        system.store_word_masked(0xA000, 6, 0xF, 0);
-        let stats_before = system.stats();
+        system.store(0, 0xA000, 6, 0xF, 0);
+        let stats_before = system.core_stats(0);
         assert_eq!(system.peek_coherent(0xA000), 6);
-        let stats_after = system.stats();
+        let stats_after = system.core_stats(0);
         assert_eq!(stats_before.dl1.read_hits, stats_after.dl1.read_hits);
     }
 
@@ -1131,39 +1130,39 @@ mod tests {
     fn injected_single_fault_in_wb_dl1_is_corrected() {
         let mut system = wb_system();
         system.preload_word(0xB000, 0x1234_5678);
-        system.load_word(0xB000, 0);
+        system.load(0, 0xB000, 0);
         assert!(system.inject_dl1_fault_at(0, 0xB000, &FlipPlan::single_data(7)));
-        let hit = system.load_word(0xB000, 10);
+        let hit = system.load(0, 0xB000, 10);
         assert_eq!(hit.value, 0x1234_5678);
         assert!(hit.outcome.is_error() && hit.outcome.is_usable());
-        assert_eq!(system.unrecoverable_errors(), 0);
+        assert_eq!(system.core_unrecoverable_errors(0), 0);
     }
 
     #[test]
     fn double_fault_on_dirty_wb_data_is_unrecoverable() {
         let mut system = wb_system();
-        system.store_word_masked(0xC000, 1, 0xF, 0);
+        system.store(0, 0xC000, 1, 0xF, 0);
         assert!(system.inject_dl1_fault_at(0, 0xC000, &FlipPlan::double_data(0, 1)));
-        let hit = system.load_word(0xC000, 10);
+        let hit = system.load(0, 0xC000, 10);
         assert!(hit.outcome.is_uncorrectable());
-        assert_eq!(system.unrecoverable_errors(), 1);
+        assert_eq!(system.core_unrecoverable_errors(0), 1);
     }
 
     #[test]
     fn parity_error_in_wt_dl1_recovers_from_l2() {
         let mut system = wt_system();
         system.preload_word(0xD000, 0xFEED);
-        system.load_word(0xD000, 0);
+        system.load(0, 0xD000, 0);
         // Parity detects but cannot correct; the WT DL1 refetches from L2.
         assert!(system.inject_dl1_fault_at(0, 0xD000, &FlipPlan::single_data(3)));
-        let reload = system.load_word(0xD000, 10);
+        let reload = system.load(0, 0xD000, 10);
         assert_eq!(reload.value, 0xFEED, "clean copy restored from the L2");
         assert!(!reload.dl1_hit);
         assert!(reload.extra_cycles > 0, "recovery costs a refetch");
-        assert_eq!(system.recovered_by_refetch(), 1);
-        assert_eq!(system.unrecoverable_errors(), 0);
+        assert_eq!(system.core_recovered_by_refetch(0), 1);
+        assert_eq!(system.core_unrecoverable_errors(0), 0);
         // And the refetched line is clean again.
-        assert_eq!(system.load_word(0xD000, 20).outcome, Outcome::Clean);
+        assert_eq!(system.load(0, 0xD000, 20).outcome, Outcome::Clean);
     }
 
     #[test]
@@ -1174,7 +1173,7 @@ mod tests {
         assert!(system
             .inject_random_dl1_fault(0, &mut injector, &config)
             .is_none());
-        system.load_word(0xE000, 0);
+        system.load(0, 0xE000, 0);
         let address = system
             .inject_random_dl1_fault(0, &mut injector, &config)
             .expect("a resident word exists");
@@ -1192,27 +1191,27 @@ mod tests {
         // refetches it — data survives at a latency cost.
         let mut system = wb_system();
         system.preload_word(0xE100, 0x0BAD_F00D);
-        system.load_word(0xE100, 0);
+        system.load(0, 0xE100, 0);
         let mut injector = ErrorInjector::new(7);
         let config = FaultCampaignConfig::with_pattern(7, 1, FaultPattern::Adjacent2);
         for round in 0..20u64 {
             let struck = system
                 .inject_random_dl1_fault(0, &mut injector, &config)
                 .expect("line is resident");
-            let read = system.load_word(struck, 10 * (round + 1));
+            let read = system.load(0, struck, 10 * (round + 1));
             assert!(read.outcome.is_uncorrectable(), "double must be detected");
             if struck == 0xE100 {
                 assert_eq!(read.value, 0x0BAD_F00D, "refetch restores the data");
             }
         }
-        assert_eq!(system.recovered_by_refetch(), 20);
-        assert_eq!(system.unrecoverable_errors(), 0);
+        assert_eq!(system.core_recovered_by_refetch(0), 20);
+        assert_eq!(system.core_unrecoverable_errors(0), 0);
     }
 
     #[test]
     fn adjacent_mbu2_on_dirty_secded_line_is_unrecoverable() {
         let mut system = wb_system();
-        system.store_word_masked(0xE200, 0xFACE, 0xF, 0);
+        system.store(0, 0xE200, 0xFACE, 0xF, 0);
         let mut injector = ErrorInjector::new(9);
         let config = FaultCampaignConfig::with_pattern(9, 1, FaultPattern::Adjacent2);
         // The DL1 holds exactly one (dirty) line, so the strike hits it.
@@ -1221,9 +1220,9 @@ mod tests {
             .expect("line is resident");
         // The strike may land in any of the line's words; read them all.
         for i in 0..8u32 {
-            let _ = system.load_word((0xE200 & !31) + 4 * i, 100 + u64::from(i));
+            let _ = system.load(0, (0xE200 & !31) + 4 * i, 100 + u64::from(i));
         }
-        assert_eq!(system.unrecoverable_errors(), 1, "dirty data is lost");
+        assert_eq!(system.core_unrecoverable_errors(0), 1, "dirty data is lost");
     }
 
     #[test]
@@ -1235,9 +1234,9 @@ mod tests {
         };
         let mut system = MemorySystem::new(config);
         system.preload_word(0xF000, 100);
-        system.load_word(0xF000, 0);
+        system.load(0, 0xF000, 0);
         system.inject_dl1_fault_at(0, 0xF000, &FlipPlan::single_data(0));
-        let hit = system.load_word(0xF000, 10);
+        let hit = system.load(0, 0xF000, 10);
         assert_eq!(hit.outcome, Outcome::Clean, "no code, no detection");
         assert_eq!(hit.value, 101, "silent corruption");
     }
@@ -1254,12 +1253,12 @@ mod tests {
         for i in 0..16u32 {
             system.preload_word(0x4000 + 4 * i, 100 + i);
         }
-        let response = system.load_word(0x4020, 0);
+        let response = system.load(0, 0x4020, 0);
         assert!(!response.dl1_hit);
         assert_eq!(response.value, 108, "word 8 of the 64 B DL1 line");
         for i in 0..16u32 {
             assert_eq!(
-                system.load_word(0x4000 + 4 * i, 10 + u64::from(i)).value,
+                system.load(0, 0x4000 + 4 * i, 10 + u64::from(i)).value,
                 100 + i
             );
         }
@@ -1272,8 +1271,8 @@ mod tests {
         noisy.set_bus_interference(Interference::every_request(8));
         quiet.preload_word(0x1_0000, 1);
         noisy.preload_word(0x1_0000, 1);
-        let q = quiet.load_word(0x1_0000, 0);
-        let n = noisy.load_word(0x1_0000, 0);
+        let q = quiet.load(0, 0x1_0000, 0);
+        let n = noisy.load(0, 0x1_0000, 0);
         assert_eq!(n.extra_cycles, q.extra_cycles + 8);
     }
 
@@ -1282,12 +1281,12 @@ mod tests {
         // On one core a `Shared` line can only come from a state-bit
         // strike; with no copy to invalidate, the store stays on-core.
         let mut one = wb_system();
-        one.load_word(0x3000, 0);
+        one.load(0, 0x3000, 0);
         one.cores[0]
             .dl1
             .set_coherence_state(0x3000, LineState::Shared);
         let bus_before = one.bus_transactions();
-        assert_eq!(one.store_word_masked(0x3000, 1, 0xF, 10).extra_cycles, 0);
+        assert_eq!(one.store(0, 0x3000, 1, 0xF, 10).extra_cycles, 0);
         assert_eq!(one.bus_transactions(), bus_before);
         assert_eq!(one.coherence_stats(), CoherenceStats::default());
 

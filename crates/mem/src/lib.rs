@@ -19,8 +19,9 @@
 //! * [`bus`] — the shared bus with an interference model for unobserved cores,
 //! * [`memory`] — flat main memory,
 //! * [`hierarchy`] — [`MemorySystem`], the one hierarchy for 1..N cores:
-//!   per-core DL1s kept coherent by snooping, the shared bus, L2 and memory,
-//! * [`port`] — [`MemoryPort`], the per-core interface the pipeline drives,
+//!   per-core DL1s kept coherent by snooping, the shared bus, L2 and memory.
+//!   Every access names its issuing core; each pipeline borrows the
+//!   hierarchy for the length of one step,
 //! * [`fault`] — periodic soft-error injection campaigns (single-bit and
 //!   adjacent-bit MBU patterns),
 //! * [`forensics`] — per-fault lifecycle records (strike → latent residency →
@@ -33,14 +34,14 @@
 //! # Example
 //!
 //! ```
-//! use laec_mem::{HierarchyConfig, MemoryPort, MemorySystem};
+//! use laec_mem::{HierarchyConfig, MemorySystem};
 //!
 //! let mut system = MemorySystem::new(HierarchyConfig::ngmp_write_back());
 //! system.preload_word(0x1000, 42);
-//! let miss = system.load_word(0x1000, 0);
+//! let miss = system.load(0, 0x1000, 0);
 //! assert_eq!(miss.value, 42);
 //! assert!(!miss.dl1_hit);
-//! let hit = system.load_word(0x1000, 50);
+//! let hit = system.load(0, 0x1000, 50);
 //! assert!(hit.dl1_hit);
 //! assert_eq!(hit.extra_cycles, 0);
 //! ```
@@ -56,7 +57,6 @@ pub mod fault;
 pub mod forensics;
 pub mod hierarchy;
 pub mod memory;
-pub mod port;
 pub mod replay;
 pub mod stats;
 pub mod write_buffer;
@@ -75,7 +75,6 @@ pub use fault::{
 pub use forensics::{ActivationKind, CellForensics, FaultOutcome, FaultRecord};
 pub use hierarchy::{LoadResponse, MemorySystem, StoreResponse};
 pub use memory::MainMemory;
-pub use port::MemoryPort;
 pub use replay::ReplayMemory;
 pub use stats::{CacheStats, CoherenceStats, MemStats};
 pub use write_buffer::{PendingStore, WriteBuffer};

@@ -16,7 +16,6 @@ use crate::config::HierarchyConfig;
 use crate::fault::{FaultCampaign, FaultCampaignConfig, FaultCampaignReport};
 use crate::forensics::CellForensics;
 use crate::hierarchy::MemorySystem;
-use crate::port::MemoryPort;
 use crate::stats::MemStats;
 
 /// A memory system (plus optional fault campaign) driven by a trace.
@@ -102,7 +101,7 @@ impl ReplayMemory {
     /// Accumulated memory statistics.
     #[must_use]
     pub fn stats(&self) -> MemStats {
-        self.system.stats()
+        self.system.core_stats(0)
     }
 
     /// The fault campaign's counters (zeroes when no campaign is attached).
@@ -116,13 +115,13 @@ impl ReplayMemory {
     /// Flushes dirty state and returns the final memory-image checksum
     /// (mirrors the end of `Simulator::execute`).
     pub fn drain_to_memory(&mut self) -> u64 {
-        self.system.drain_to_memory()
+        self.system.drain(0)
     }
 }
 
 impl ReplayTarget for ReplayMemory {
     fn replay_load(&mut self, address: u32, cycle: u64) -> ReplayLoad {
-        let response = self.system.load_word(address, cycle);
+        let response = self.system.load(0, address, cycle);
         ReplayLoad {
             value: response.value,
             hit: response.dl1_hit,
@@ -132,14 +131,12 @@ impl ReplayTarget for ReplayMemory {
     }
 
     fn replay_store(&mut self, address: u32, value: u32, byte_mask: u8, cycle: u64) {
-        let _ = self
-            .system
-            .store_word_masked(address, value, byte_mask, cycle);
+        let _ = self.system.store(0, address, value, byte_mask, cycle);
     }
 
     fn replay_commits(&mut self, count: u64) {
         if let Some(campaign) = &mut self.campaign {
-            let _ = campaign.maybe_inject_many(count, &mut self.system);
+            let _ = campaign.maybe_inject_many(count, &mut self.system, 0);
         }
     }
 }
@@ -162,7 +159,7 @@ mod tests {
         let mut cycle = 0u64;
         for i in 0..16u32 {
             let address = 0x1000 + 4 * (i % 8);
-            let response = original.load_word(address, cycle);
+            let response = original.load(0, address, cycle);
             recorder.record_mem_read(
                 address,
                 cycle,
@@ -174,13 +171,13 @@ mod tests {
             cycle += 1 + u64::from(response.extra_cycles);
             if i % 3 == 0 {
                 let value = 0xA000 + i;
-                original.store_word_masked(address, value, 0xF, cycle);
+                original.store(0, address, value, 0xF, cycle);
                 recorder.record_mem_write(address, cycle, value, 0xF);
                 recorder.record_commit();
                 cycle += 1;
             }
         }
-        let original_stats = original.stats();
+        let original_stats = original.core_stats(0);
         let trace = recorder.finish(TraceSummary::default());
 
         let mut twin = ReplayMemory::new(HierarchyConfig::ngmp_write_back());
@@ -190,7 +187,7 @@ mod tests {
         let progress = replay_events(trace.events(), &mut twin).expect("no faults, no divergence");
         assert_eq!(progress.loads, 16);
         assert_eq!(twin.stats(), original_stats);
-        assert_eq!(twin.drain_to_memory(), original.drain_to_memory());
+        assert_eq!(twin.drain_to_memory(), original.drain(0));
     }
 
     #[test]
@@ -226,7 +223,7 @@ mod tests {
         for round in 0..rounds {
             for i in 0..8u32 {
                 let address = 0x3000 + 4 * i;
-                let response = original.load_word(address, cycle);
+                let response = original.load(0, address, cycle);
                 recorder.record_mem_read(
                     address,
                     cycle,

@@ -19,19 +19,19 @@
 //! Plus the deliberate false-sharing kernel: under Dragon the line never
 //! ping-pongs — zero invalidations, only update traffic.
 
-use laec_mem::{HierarchyConfig, LineState, ProtocolKind};
+use laec_mem::{HierarchyConfig, LineState, MemorySystem, ProtocolKind};
 use laec_pipeline::PipelineConfig;
-use laec_smp::{CoherentMemory, SmpSystem, StopPolicy};
+use laec_smp::{SmpSystem, StopPolicy};
 use laec_workloads::smp::{false_sharing, SHARED_BASE};
 
 const A: u32 = 0x1_0000;
 
-fn two_cores() -> CoherentMemory {
-    CoherentMemory::with_protocol(HierarchyConfig::ngmp_write_back(), 2, ProtocolKind::Dragon)
+fn two_cores() -> MemorySystem {
+    MemorySystem::with_cores(HierarchyConfig::ngmp_write_back(), 2, ProtocolKind::Dragon)
 }
 
 /// Drives core 0's copy of `A` into the requested start state.
-fn reach(memory: &CoherentMemory, state: LineState) {
+fn reach(memory: &mut MemorySystem, state: LineState) {
     memory.preload_word(A, 0xC0DE);
     match state {
         LineState::Invalid => {}
@@ -43,51 +43,65 @@ fn reach(memory: &CoherentMemory, state: LineState) {
             memory.load(0, A, 10);
         }
         LineState::Modified => {
-            memory.store(0, A, 0xBEEF, 0);
+            memory.store(0, A, 0xBEEF, 0xF, 0);
         }
         LineState::SharedModified => {
             memory.load(1, A, 0);
             memory.load(0, A, 10);
-            memory.store(0, A, 0xBEEF, 20);
+            memory.store(0, A, 0xBEEF, 0xF, 20);
         }
         other => unreachable!("{other:?} is not a Dragon state"),
     }
-    assert_eq!(memory.state(0, A), state, "setup failed for {state:?}");
+    assert_eq!(
+        memory.dl1(0).coherence_state(A),
+        state,
+        "setup failed for {state:?}"
+    );
+}
+
+/// Evicts the line holding `address` from `core`'s DL1 by filling its set
+/// with conflicting lines.
+fn evict(memory: &mut MemorySystem, core: usize, address: u32, now: u64) {
+    let dl1 = memory.config().dl1;
+    let stride = dl1.sets() * dl1.line_bytes;
+    for i in 1..=dl1.ways {
+        memory.load(core, address.wrapping_add(i * stride), now + u64::from(i));
+    }
 }
 
 #[test]
 fn from_invalid_local_read_fills_exclusive_without_sharers() {
-    let memory = two_cores();
-    reach(&memory, LineState::Invalid);
+    let mut memory = two_cores();
+    reach(&mut memory, LineState::Invalid);
     let response = memory.load(0, A, 0);
     assert!(!response.dl1_hit);
     assert_eq!(response.value, 0xC0DE);
-    assert_eq!(memory.state(0, A), LineState::Exclusive);
+    assert_eq!(memory.dl1(0).coherence_state(A), LineState::Exclusive);
 }
 
 #[test]
 fn from_invalid_local_read_joins_existing_copies_as_shared_clean() {
-    let memory = two_cores();
+    let mut memory = two_cores();
     memory.preload_word(A, 0xC0DE);
     memory.load(1, A, 0); // remote copy: E in core 1
     let response = memory.load(0, A, 10);
     assert_eq!(response.value, 0xC0DE);
-    assert_eq!(memory.state(0, A), LineState::SharedClean);
-    assert_eq!(memory.state(1, A), LineState::SharedClean);
+    assert_eq!(memory.dl1(0).coherence_state(A), LineState::SharedClean);
+    assert_eq!(memory.dl1(1).coherence_state(A), LineState::SharedClean);
     assert_eq!(memory.coherence_stats().invalidations, 0);
 }
 
 #[test]
 fn from_invalid_local_read_of_a_dirty_line_is_supplied_cache_to_cache() {
-    let memory = two_cores();
+    let mut memory = two_cores();
     memory.preload_word(A, 0xC0DE);
-    memory.store(1, A, 0xFACE, 0); // M in core 1, memory stale
-    assert_eq!(memory.state(1, A), LineState::Modified);
+    memory.store(1, A, 0xFACE, 0xF, 0); // M in core 1, memory stale
+    assert_eq!(memory.dl1(1).coherence_state(A), LineState::Modified);
     let response = memory.load(0, A, 10);
     assert_eq!(response.value, 0xFACE, "the dirty owner supplied the line");
-    assert_eq!(memory.state(0, A), LineState::SharedClean);
+    assert_eq!(memory.dl1(0).coherence_state(A), LineState::SharedClean);
     assert_eq!(
-        memory.state(1, A),
+        memory.dl1(1).coherence_state(A),
         LineState::SharedModified,
         "the supplier keeps the writeback obligation"
     );
@@ -101,13 +115,17 @@ fn from_invalid_local_read_of_a_dirty_line_is_supplied_cache_to_cache() {
 
 #[test]
 fn writes_to_shared_lines_update_remote_copies_instead_of_invalidating() {
-    let memory = two_cores();
-    reach(&memory, LineState::SharedClean);
-    let response = memory.store(0, A, 9, 20);
+    let mut memory = two_cores();
+    reach(&mut memory, LineState::SharedClean);
+    let response = memory.store(0, A, 9, 0xF, 20);
     assert!(response.dl1_hit);
     assert!(response.extra_cycles > 0, "a BusUpd broadcast is not free");
-    assert_eq!(memory.state(0, A), LineState::SharedModified);
-    assert_eq!(memory.state(1, A), LineState::SharedClean, "copy survives");
+    assert_eq!(memory.dl1(0).coherence_state(A), LineState::SharedModified);
+    assert_eq!(
+        memory.dl1(1).coherence_state(A),
+        LineState::SharedClean,
+        "copy survives"
+    );
     let remote = memory.load(1, A, 30);
     assert!(remote.dl1_hit, "the remote copy was never invalidated");
     assert_eq!(remote.value, 9, "the update merged the written bytes");
@@ -119,51 +137,55 @@ fn writes_to_shared_lines_update_remote_copies_instead_of_invalidating() {
 
 #[test]
 fn from_shared_modified_further_writes_keep_broadcasting() {
-    let memory = two_cores();
-    reach(&memory, LineState::SharedModified);
+    let mut memory = two_cores();
+    reach(&mut memory, LineState::SharedModified);
     let before = memory.coherence_stats().bus_updates;
-    memory.store(0, A, 0xAAAA, 30);
-    assert_eq!(memory.state(0, A), LineState::SharedModified);
+    memory.store(0, A, 0xAAAA, 0xF, 30);
+    assert_eq!(memory.dl1(0).coherence_state(A), LineState::SharedModified);
     assert_eq!(memory.coherence_stats().bus_updates, before + 1);
     assert_eq!(memory.load(1, A, 40).value, 0xAAAA);
 }
 
 #[test]
 fn an_absorbed_update_transfers_the_writeback_obligation() {
-    let memory = two_cores();
-    reach(&memory, LineState::SharedModified); // core 0 Sm, core 1 Sc
-    memory.store(1, A, 0x5555, 30);
+    let mut memory = two_cores();
+    reach(&mut memory, LineState::SharedModified); // core 0 Sm, core 1 Sc
+    memory.store(1, A, 0x5555, 0xF, 30);
     assert_eq!(
-        memory.state(0, A),
+        memory.dl1(0).coherence_state(A),
         LineState::SharedClean,
         "the old owner downgrades: the writer now owes the writeback"
     );
-    assert_eq!(memory.state(1, A), LineState::SharedModified);
+    assert_eq!(memory.dl1(1).coherence_state(A), LineState::SharedModified);
     assert_eq!(memory.peek_coherent(A), 0x5555);
     assert_eq!(memory.coherence_stats().invalidations, 0);
 }
 
 #[test]
 fn from_exclusive_local_write_goes_modified_silently() {
-    let memory = two_cores();
-    reach(&memory, LineState::Exclusive);
+    let mut memory = two_cores();
+    reach(&mut memory, LineState::Exclusive);
     let bus_before = memory.core_stats(0).bus_transactions;
-    let response = memory.store(0, A, 3, 20);
+    let response = memory.store(0, A, 3, 0xF, 20);
     assert!(response.dl1_hit);
     assert_eq!(response.extra_cycles, 0, "E→M needs no bus transaction");
     assert_eq!(memory.core_stats(0).bus_transactions, bus_before);
-    assert_eq!(memory.state(0, A), LineState::Modified);
+    assert_eq!(memory.dl1(0).coherence_state(A), LineState::Modified);
 }
 
 #[test]
 fn a_write_miss_with_sharers_fetches_then_broadcasts() {
-    let memory = two_cores();
+    let mut memory = two_cores();
     memory.preload_word(A, 0xC0DE);
     memory.load(1, A, 0); // remote copy
-    let response = memory.store(0, A, 7, 10);
+    let response = memory.store(0, A, 7, 0xF, 10);
     assert!(!response.dl1_hit);
-    assert_eq!(memory.state(0, A), LineState::SharedModified);
-    assert_eq!(memory.state(1, A), LineState::SharedClean, "still resident");
+    assert_eq!(memory.dl1(0).coherence_state(A), LineState::SharedModified);
+    assert_eq!(
+        memory.dl1(1).coherence_state(A),
+        LineState::SharedClean,
+        "still resident"
+    );
     assert_eq!(memory.load(1, A, 20).value, 7);
     let stats = memory.coherence_stats();
     assert_eq!(stats.bus_updates, 1);
@@ -172,11 +194,11 @@ fn a_write_miss_with_sharers_fetches_then_broadcasts() {
 
 #[test]
 fn dirty_shared_eviction_writes_back() {
-    let memory = two_cores();
-    reach(&memory, LineState::SharedModified);
-    memory.evict(1, A, 50); // drop the clean remote copy (silent)
-    memory.evict(0, A, 100); // the Sm owner must write back
-    assert_eq!(memory.state(0, A), LineState::Invalid);
+    let mut memory = two_cores();
+    reach(&mut memory, LineState::SharedModified);
+    evict(&mut memory, 1, A, 50); // drop the clean remote copy (silent)
+    evict(&mut memory, 0, A, 100); // the Sm owner must write back
+    assert_eq!(memory.dl1(0).coherence_state(A), LineState::Invalid);
     assert_eq!(memory.load(1, A, 200).value, 0xBEEF, "dirty data survived");
 }
 

@@ -14,7 +14,7 @@
 //! injects) and chunks that end exactly at an injection boundary
 //! (`remaining == until_next` entering the bulk call).
 
-use laec_mem::{FaultCampaign, FaultCampaignConfig, HierarchyConfig, MemoryPort, MemorySystem};
+use laec_mem::{FaultCampaign, FaultCampaignConfig, HierarchyConfig, MemorySystem};
 
 /// A memory system with a populated DL1 so every strike finds a target.
 fn populated_system() -> MemorySystem {
@@ -23,7 +23,7 @@ fn populated_system() -> MemorySystem {
         system.preload_word(0x6000 + 4 * i, i.wrapping_mul(0x0101_0101));
     }
     for i in 0..32u32 {
-        system.load_word(0x6000 + 4 * i, u64::from(i));
+        system.load(0, 0x6000 + 4 * i, u64::from(i));
     }
     system
 }
@@ -42,13 +42,13 @@ fn assert_bulk_matches_serial(interval: u64, chunks: &[u64], tail: u64) {
     let total: u64 = chunks.iter().sum();
     let mut serial_injected = 0;
     for _ in 0..total {
-        if serial.maybe_inject(&mut serial_system).is_some() {
+        if serial.maybe_inject(&mut serial_system, 0).is_some() {
             serial_injected += 1;
         }
     }
     let mut bulk_injected = 0;
     for &chunk in chunks {
-        bulk_injected += bulk.maybe_inject_many(chunk, &mut bulk_system);
+        bulk_injected += bulk.maybe_inject_many(chunk, &mut bulk_system, 0);
     }
 
     assert_eq!(
@@ -65,8 +65,8 @@ fn assert_bulk_matches_serial(interval: u64, chunks: &[u64], tail: u64) {
     // campaigns serially and require identical injection patterns.
     for opportunity in 0..tail {
         assert_eq!(
-            serial.maybe_inject(&mut serial_system).is_some(),
-            bulk.maybe_inject(&mut bulk_system).is_some(),
+            serial.maybe_inject(&mut serial_system, 0).is_some(),
+            bulk.maybe_inject(&mut bulk_system, 0).is_some(),
             "interval {interval}, chunks {chunks:?}: countdown diverged at \
              tail opportunity {opportunity}"
         );
@@ -78,15 +78,18 @@ fn assert_bulk_matches_serial(interval: u64, chunks: &[u64], tail: u64) {
         let address = 0x6000 + 4 * i;
         let now = 10_000 + u64::from(i);
         assert_eq!(
-            serial_system.load_word(address, now).outcome,
-            bulk_system.load_word(address, now).outcome,
+            serial_system.load(0, address, now).outcome,
+            bulk_system.load(0, address, now).outcome,
             "interval {interval}, chunks {chunks:?}: word {address:#x} differs"
         );
     }
-    assert_eq!(serial_system.stats().dl1.ecc, bulk_system.stats().dl1.ecc);
     assert_eq!(
-        serial_system.unrecoverable_errors(),
-        bulk_system.unrecoverable_errors()
+        serial_system.core_stats(0).dl1.ecc,
+        bulk_system.core_stats(0).dl1.ecc
+    );
+    assert_eq!(
+        serial_system.core_unrecoverable_errors(0),
+        bulk_system.core_unrecoverable_errors(0)
     );
 }
 
@@ -96,7 +99,7 @@ fn interval_one_injects_on_every_opportunity_in_both_paths() {
     assert_bulk_matches_serial(1, &[1, 1, 1, 5, 0, 3], 7);
     let mut system = populated_system();
     let mut campaign = FaultCampaign::new(FaultCampaignConfig::single_bit(9, 1));
-    assert_eq!(campaign.maybe_inject_many(13, &mut system), 13);
+    assert_eq!(campaign.maybe_inject_many(13, &mut system, 0), 13);
     assert_eq!(campaign.report().injected, 13);
 }
 
@@ -131,15 +134,15 @@ fn odd_shaped_chunk_streams_match_serial_exactly() {
 fn zero_opportunities_are_a_no_op_in_both_paths() {
     let mut system = populated_system();
     let mut campaign = FaultCampaign::new(FaultCampaignConfig::single_bit(5, 4));
-    assert_eq!(campaign.maybe_inject_many(0, &mut system), 0);
+    assert_eq!(campaign.maybe_inject_many(0, &mut system, 0), 0);
     assert_eq!(campaign.report().injected, 0);
     assert_eq!(campaign.report().skipped_empty, 0);
     // The countdown must be untouched: three more opportunities reach the
     // interval-4 boundary exactly on the fourth.
-    assert!(campaign.maybe_inject(&mut system).is_none());
-    assert!(campaign.maybe_inject(&mut system).is_none());
-    assert!(campaign.maybe_inject(&mut system).is_none());
-    assert!(campaign.maybe_inject(&mut system).is_some());
+    assert!(campaign.maybe_inject(&mut system, 0).is_none());
+    assert!(campaign.maybe_inject(&mut system, 0).is_none());
+    assert!(campaign.maybe_inject(&mut system, 0).is_none());
+    assert!(campaign.maybe_inject(&mut system, 0).is_some());
 }
 
 #[test]
@@ -149,6 +152,6 @@ fn disabled_campaign_bulk_path_is_inert() {
         interval: 0,
         ..FaultCampaignConfig::default()
     });
-    assert_eq!(campaign.maybe_inject_many(1_000, &mut system), 0);
+    assert_eq!(campaign.maybe_inject_many(1_000, &mut system, 0), 0);
     assert_eq!(campaign.report().injected, 0);
 }

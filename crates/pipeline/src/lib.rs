@@ -13,9 +13,12 @@
 //! | [`EccScheme::Laec`] | §III.E | look-ahead: address in RA, DL1 in Exe, ECC in M when safe |
 //! | [`EccScheme::SpeculateFlush`] | §II.B(4) | deliver unchecked, flush on error (ablation) |
 //!
-//! The [`Simulator`] reproduces the stall patterns of the paper's
-//! chronograms (Figures 2–5 and 7) exactly — see the unit tests in
-//! [`simulator`] — and produces the statistics behind Table II and Figure 8.
+//! The [`Simulator`] — one [`Core`] over the one-core hierarchy it owns —
+//! reproduces the stall patterns of the paper's chronograms (Figures 2–5
+//! and 7) exactly — see the unit tests in [`simulator`] — and produces the
+//! statistics behind Table II and Figure 8.  A [`Core`] borrows its
+//! hierarchy for each step, so `laec_smp` steps N of them over one shared
+//! hierarchy.
 //!
 //! # Example
 //!
@@ -55,6 +58,6 @@ pub use chronogram::{Chronogram, TraceEntry};
 pub use config::PipelineConfig;
 pub use hazards::{decide_lookahead, LookaheadBlock, LookaheadDecision, PreviousInstruction};
 pub use scheme::{EccScheme, ParseSchemeError};
-pub use simulator::{SimResult, Simulator};
+pub use simulator::{Core, SimResult, Simulator};
 pub use stage::Stage;
 pub use stats::PipelineStats;

@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 
 use laec_isa::{semantics, Instruction, Program, Reg, RegisterFile, NUM_REGS};
-use laec_mem::{FaultCampaign, MemoryPort, MemorySystem};
+use laec_mem::{FaultCampaign, MemorySystem};
 use laec_trace::{StallKind, TraceRecorder, TraceSummary};
 
 use crate::chronogram::{Chronogram, TraceEntry};
@@ -66,6 +66,8 @@ pub struct SimResult {
     pub meta_faults_injected: u64,
     /// Per-fault lifecycle records (strike → activation → outcome), present
     /// only when [`Simulator::enable_forensics`] was called before the run.
+    /// [`Core::finalize`] leaves it `None`: the records belong to the
+    /// hierarchy, which closes them after every core drained.
     pub forensics: Option<laec_mem::CellForensics>,
 }
 
@@ -102,9 +104,8 @@ struct PrevTiming {
 }
 
 /// The scheme's pipeline depth and the positions of the stages `step`
-/// addresses directly, looked up once per simulator: the scheme never
-/// changes mid-run.  Bytes, because `laec_smp` keeps one simulator per
-/// core on the heap.
+/// addresses directly, looked up once per core: the scheme never changes
+/// mid-run.  Bytes, so the lookup adds four bytes to every [`Core`].
 #[derive(Debug, Clone, Copy)]
 struct StageLayout {
     depth: u8,
@@ -134,18 +135,18 @@ struct RecentProducer {
     counted: bool,
 }
 
-/// The simulator for one program under one configuration.
-///
-/// Generic over its data-memory backend: by default it owns a one-core
-/// [`MemorySystem`], the paper's uniprocessor; `laec_smp` plugs in one
-/// core's shared port of an N-core `MemorySystem` instead.
+/// One core's pipeline: the program, architectural and timing state, and
+/// statistics of one core, plus its core index.  It owns no memory: every
+/// step borrows the hierarchy the core issues into, so the uniprocessor
+/// [`Simulator`] and `laec_smp`'s N-core system drive the same type.
 #[derive(Debug)]
-pub struct Simulator<M: MemoryPort = MemorySystem> {
+pub struct Core {
+    /// The core index every access, strike and drain names.
+    index: usize,
     config: PipelineConfig,
     layout: StageLayout,
     program: Program,
     regs: RegisterFile,
-    mem: M,
     stats: PipelineStats,
     chronogram: Chronogram,
     fault_campaign: Option<FaultCampaign>,
@@ -165,6 +166,14 @@ pub struct Simulator<M: MemoryPort = MemorySystem> {
     last_retire: u64,
 }
 
+/// The uniprocessor: one [`Core`] over the one-core [`MemorySystem`] it
+/// owns — the paper's platform.
+#[derive(Debug)]
+pub struct Simulator {
+    core: Core,
+    mem: MemorySystem,
+}
+
 impl Simulator {
     /// Creates a simulator for `program` under `config`, loading the
     /// program's data image into main memory.
@@ -178,7 +187,10 @@ impl Simulator {
         if let Some(interference) = config.bus_interference {
             mem.set_bus_interference(interference);
         }
-        Simulator::with_port(program, config, mem)
+        Simulator {
+            core: Core::new(0, program, config),
+            mem,
+        }
     }
 
     /// Records the run: the hierarchy owns `recorder`, the pipeline emits
@@ -200,22 +212,53 @@ impl Simulator {
         let mut simulator = Simulator::new(program, config);
         simulator.execute()
     }
+
+    /// Turns on per-fault lifecycle forensics in the hierarchy.  Call
+    /// before the run; the records come back in [`SimResult::forensics`].
+    pub fn enable_forensics(&mut self) {
+        self.mem.enable_forensics();
+    }
+
+    /// Pre-fills the DL1 with the lines containing `addresses` (without
+    /// counting the accesses), so short chronogram examples start from a warm
+    /// cache like the paper's figures assume.
+    pub fn prefill_dl1(&mut self, addresses: &[u32]) {
+        for &address in addresses {
+            let _ = self.mem.load(0, address, 0);
+        }
+        // Forget the warm-up traffic in the statistics.
+        self.core.stats.mem = self.mem.core_stats(0);
+    }
+
+    /// Pre-sets an architectural register before the run (test/example setup).
+    pub fn preset_register(&mut self, reg: Reg, value: u32) {
+        self.core.regs.write(reg, value);
+    }
+
+    /// Runs the program to completion (or to the instruction cap) and
+    /// produces the result, with the forensics records taken after the
+    /// drain.
+    pub fn execute(&mut self) -> SimResult {
+        while self.core.step_one(&mut self.mem) {}
+        let mut result = self.core.finalize(&mut self.mem);
+        result.forensics = self.mem.take_forensics();
+        result
+    }
 }
 
-impl<M: MemoryPort> Simulator<M> {
-    /// Creates a simulator for `program` against an externally built memory
-    /// backend (the data image must already be loaded into it).  This is how
-    /// `laec_smp` attaches each core's pipeline to its port of the shared,
-    /// coherent hierarchy.
+impl Core {
+    /// Creates core `index`'s pipeline for `program` under `config`.  The
+    /// program's data image must already be in the hierarchy the core will
+    /// step with.
     #[must_use]
-    pub fn with_port(program: Program, config: PipelineConfig, port: M) -> Self {
+    pub fn new(index: usize, program: Program, config: PipelineConfig) -> Self {
         let fault_campaign = config.fault_campaign.map(FaultCampaign::new);
         let chronogram = Chronogram::new(config.trace_instructions);
-        Simulator {
+        Core {
+            index,
             layout: StageLayout::new(config.scheme),
             program,
             regs: RegisterFile::new(),
-            mem: port,
             stats: PipelineStats::new(),
             chronogram,
             fault_campaign,
@@ -233,41 +276,11 @@ impl<M: MemoryPort> Simulator<M> {
         }
     }
 
-    /// Turns on per-fault lifecycle forensics on the memory port (a no-op
-    /// for ports that do not support it).  Call before the run; the records
-    /// come back in [`SimResult::forensics`].
-    pub fn enable_forensics(&mut self) {
-        self.mem.enable_forensics();
-    }
-
-    /// Pre-fills the DL1 with the lines containing `addresses` (without
-    /// counting the accesses), so short chronogram examples start from a warm
-    /// cache like the paper's figures assume.
-    pub fn prefill_dl1(&mut self, addresses: &[u32]) {
-        for &address in addresses {
-            let _ = self.mem.load_word(address, 0);
-        }
-        // Forget the warm-up traffic in the statistics.
-        self.stats.mem = self.mem.stats();
-    }
-
-    /// Pre-sets an architectural register before the run (test/example setup).
-    pub fn preset_register(&mut self, reg: Reg, value: u32) {
-        self.regs.write(reg, value);
-    }
-
-    /// Runs the program to completion (or to the instruction cap) and
-    /// produces the result.
-    pub fn execute(&mut self) -> SimResult {
-        while self.step_one() {}
-        self.finalize()
-    }
-
-    /// Executes one dynamic instruction, returning `false` once the core is
-    /// done (halted, fell off the program, or hit the instruction cap).
-    /// External schedulers — `laec_smp`'s deterministic cycle interleaver —
-    /// drive cores through this instead of [`Simulator::execute`].
-    pub fn step_one(&mut self) -> bool {
+    /// Executes one dynamic instruction against `mem`, returning `false`
+    /// once the core is done (halted, fell off the program, or hit the
+    /// instruction cap).  `laec_smp`'s deterministic cycle interleaver
+    /// steps its cores one instruction at a time through this.
+    pub fn step_one(&mut self, mem: &mut MemorySystem) -> bool {
         if self.halted {
             return false;
         }
@@ -280,7 +293,7 @@ impl<M: MemoryPort> Simulator<M> {
             self.halted = true;
             return false;
         };
-        self.step(instruction);
+        self.step(mem, instruction);
         !self.halted
     }
 
@@ -293,37 +306,35 @@ impl<M: MemoryPort> Simulator<M> {
         self.last_retire
     }
 
-    /// Seals the run: drains the memory hierarchy and packages the result.
-    pub fn finalize(&mut self) -> SimResult {
+    /// Seals the run: drains this core's dirty state through `mem` and
+    /// packages the result.  The result carries no forensics: the records
+    /// are the hierarchy's, taken once after every core drained.
+    pub fn finalize(&mut self, mem: &mut MemorySystem) -> SimResult {
+        let core = self.index;
         let baseline_mem = self.stats.mem.write_buffer_enqueues;
         let mut stats = self.stats;
         stats.cycles = self.last_retire;
-        stats.mem = self.mem.stats();
+        stats.mem = mem.core_stats(core);
         stats.mem.write_buffer_enqueues = baseline_mem.max(stats.stores);
-        // Drain before taking forensics so end-of-run flush activations are
-        // part of the record set.
-        let memory_checksum = self.drain_memory_checksum();
+        let memory_checksum = mem.drain(core);
+        let dl1 = mem.dl1(core);
         SimResult {
             stats,
             registers: self.regs.snapshot(),
             memory_checksum,
             chronogram: self.chronogram.clone(),
             hit_instruction_limit: self.hit_instruction_limit,
-            unrecoverable_errors: self.mem.unrecoverable_errors(),
-            recovered_by_refetch: self.mem.recovered_by_refetch(),
-            lost_writebacks: self.mem.lost_writebacks(),
-            stale_metadata_reads: self.mem.stale_metadata_reads(),
-            meta_faults_injected: self.mem.meta_faults_injected(),
-            forensics: self.mem.take_forensics(),
+            unrecoverable_errors: mem.core_unrecoverable_errors(core),
+            recovered_by_refetch: mem.core_recovered_by_refetch(core),
+            lost_writebacks: dl1.lost_writebacks(),
+            stale_metadata_reads: dl1.stale_reads(),
+            meta_faults_injected: dl1.meta_faults_injected(),
+            forensics: None,
         }
     }
 
-    fn drain_memory_checksum(&mut self) -> u64 {
-        self.mem.drain_to_memory()
-    }
-
     /// Processes one dynamic instruction: timing, function and statistics.
-    fn step(&mut self, instruction: Instruction) {
+    fn step(&mut self, mem: &mut MemorySystem, instruction: Instruction) {
         let n = usize::from(self.layout.depth);
         let idx_ra = usize::from(self.layout.register_access);
         let idx_ex = usize::from(self.layout.execute);
@@ -335,7 +346,7 @@ impl<M: MemoryPort> Simulator<M> {
         for s in 1..=idx_ex {
             entry[s] = (entry[s - 1] + 1).max(self.structural(s));
         }
-        if let Some(recorder) = self.mem.recorder() {
+        if let Some(recorder) = mem.recorder() {
             recorder.record_fetch(self.pc, entry[0]);
         }
 
@@ -386,7 +397,7 @@ impl<M: MemoryPort> Simulator<M> {
         }
         self.stats.operand_stall_cycles += memory_entry - natural_memory_entry;
         if memory_entry > natural_memory_entry {
-            if let Some(recorder) = self.mem.recorder() {
+            if let Some(recorder) = mem.recorder() {
                 recorder.record_stall(
                     StallKind::Operand,
                     natural_memory_entry,
@@ -401,7 +412,7 @@ impl<M: MemoryPort> Simulator<M> {
             if self.wb_free_at > memory_entry {
                 memory_entry = self.wb_free_at;
                 self.stats.write_buffer_drain_stall_cycles += memory_entry - before_wb;
-                if let Some(recorder) = self.mem.recorder() {
+                if let Some(recorder) = mem.recorder() {
                     recorder.record_stall(
                         StallKind::WriteBufferDrain,
                         before_wb,
@@ -415,7 +426,7 @@ impl<M: MemoryPort> Simulator<M> {
                 memory_entry = memory_entry.max(self.wb_free_at);
                 self.stats.write_buffer_full_stall_cycles += memory_entry - before_wb;
                 if memory_entry > before_wb {
-                    if let Some(recorder) = self.mem.recorder() {
+                    if let Some(recorder) = mem.recorder() {
                         recorder.record_stall(
                             StallKind::WriteBufferFull,
                             before_wb,
@@ -442,8 +453,8 @@ impl<M: MemoryPort> Simulator<M> {
             } => {
                 self.stats.loads += 1;
                 let address = semantics::effective_address(self.regs.read(base), offset);
-                let response = self.mem.load_word(address & !3, entry[idx_m]);
-                if let Some(recorder) = self.mem.recorder() {
+                let response = mem.load(self.index, address & !3, entry[idx_m]);
+                if let Some(recorder) = mem.recorder() {
                     recorder.record_mem_read(
                         address & !3,
                         entry[idx_m],
@@ -482,12 +493,10 @@ impl<M: MemoryPort> Simulator<M> {
                 let value = self.regs.read(src);
                 let (merged, mask) = store_word_and_mask(address, width, value);
                 let drain_start = self.wb_free_at.max(entry[idx_m]);
-                if let Some(recorder) = self.mem.recorder() {
+                if let Some(recorder) = mem.recorder() {
                     recorder.record_mem_write(address & !3, drain_start, merged, mask);
                 }
-                let response = self
-                    .mem
-                    .store_word_masked(address & !3, merged, mask, drain_start);
+                let response = mem.store(self.index, address & !3, merged, mask, drain_start);
                 let occupancy = 1 + u64::from(response.extra_cycles);
                 self.wb_free_at = drain_start + occupancy;
                 self.wb_completions.push_back(self.wb_free_at);
@@ -583,11 +592,11 @@ impl<M: MemoryPort> Simulator<M> {
                 lookahead,
             });
         }
-        if let Some(recorder) = self.mem.recorder() {
+        if let Some(recorder) = mem.recorder() {
             recorder.record_commit();
         }
         if let Some(campaign) = &mut self.fault_campaign {
-            if campaign.maybe_inject(&mut self.mem).is_some() {
+            if campaign.maybe_inject(mem, self.index).is_some() {
                 self.stats.faults_injected += 1;
             }
         }

@@ -4,20 +4,19 @@
 //! core, representing the other cores' bus traffic with a synthetic
 //! interference generator.  This crate replaces that stand-in with the real
 //! thing: N cores, each running the existing cycle-accurate
-//! [`laec_pipeline::Simulator`] against a *private, coherent* DL1, all
+//! [`laec_pipeline::Core`] against a *private, coherent* DL1, all
 //! snooping one shared bus in front of the shared write-back L2 — the
 //! actual NGMP topology.  Which coherence protocol governs the snoops is an
 //! axis: the [`laec_mem::CoherenceProtocol`] decision table (MESI by
 //! default; Dragon and MOESI via [`SmpSystem::with_protocol`]).
 //!
-//! * [`memory`] — [`CoherentMemory`]: a shared handle on one N-core
-//!   `laec_mem::MemorySystem` — the same hierarchy, and the same access
-//!   flows, the uniprocessor runs with one core.  Each core's [`CorePort`]
-//!   is that handle plus a core index and implements `laec_mem::MemoryPort`,
-//!   so a one-core system is the uniprocessor, under every protocol.
-//! * [`system`] — [`SmpSystem`]: one pipeline per core, advanced by a
-//!   deterministic lowest-local-clock scheduler (round-robin tie-break), so
-//!   multi-core runs are exactly reproducible.
+//! [`SmpSystem`] is N [`laec_pipeline::Core`]s and one N-core
+//! [`laec_mem::MemorySystem`] — the same hierarchy, and the same access
+//! flows, the uniprocessor runs with one core.  Every core borrows that one
+//! hierarchy for each step, so a one-core system is the uniprocessor, under
+//! every protocol.  A deterministic lowest-local-clock scheduler
+//! (round-robin tie-break) advances the cores, so multi-core runs are
+//! exactly reproducible.
 //!
 //! Coherence metadata (state bits, tags) is *not* covered by the DL1's
 //! ECC on the modelled platforms, which makes it a first-class fault
@@ -46,9 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod memory;
 pub mod system;
 
 pub use laec_mem::CoherenceStats;
-pub use memory::{CoherentMemory, CorePort};
 pub use system::{SmpRunResult, SmpSystem, StopPolicy};

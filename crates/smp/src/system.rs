@@ -3,7 +3,7 @@
 //!
 //! # Scheduling
 //!
-//! Each core's `Simulator` is instruction-stepped and keeps a local clock
+//! Each [`Core`] is instruction-stepped and keeps a local clock
 //! (the retirement cycle of its newest instruction).  The system always
 //! steps the unfinished core whose clock is furthest behind, breaking ties
 //! by core id — a deterministic round-robin interleaving of the cores'
@@ -13,10 +13,8 @@
 //! producer it waits for is always scheduled.
 
 use laec_isa::Program;
-use laec_mem::{CoherenceStats, ProtocolKind};
-use laec_pipeline::{PipelineConfig, SimResult, Simulator};
-
-use crate::memory::{CoherentMemory, CorePort};
+use laec_mem::{CellForensics, CoherenceStats, MemorySystem, ProtocolKind};
+use laec_pipeline::{Core, PipelineConfig, SimResult};
 
 /// When the system stops stepping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,13 +42,18 @@ pub struct SmpRunResult {
     pub final_checksum: u64,
     /// Coherence-protocol event counters.
     pub coherence: CoherenceStats,
+    /// The system's per-fault lifecycle records, taken once after every
+    /// core drained; present only when [`SmpSystem::enable_forensics`] was
+    /// called before the run.
+    pub forensics: Option<CellForensics>,
 }
 
-/// An N-core system: per-core simulators over one [`CoherentMemory`].
+/// An N-core system: one [`Core`] per core, all stepping with the one
+/// [`MemorySystem`].
 #[derive(Debug)]
 pub struct SmpSystem {
-    memory: CoherentMemory,
-    cores: Vec<Simulator<CorePort>>,
+    memory: MemorySystem,
+    cores: Vec<Core>,
 }
 
 impl SmpSystem {
@@ -87,7 +90,7 @@ impl SmpSystem {
             configs.iter().all(|c| c.hierarchy == hierarchy),
             "all cores share one hierarchy"
         );
-        let memory = CoherentMemory::with_protocol(hierarchy, programs.len(), protocol);
+        let mut memory = MemorySystem::with_cores(hierarchy, programs.len(), protocol);
         let words: usize = programs.iter().map(|p| p.data().len()).sum();
         memory.reserve_memory(words);
         for program in &programs {
@@ -102,9 +105,7 @@ impl SmpSystem {
             .into_iter()
             .zip(configs)
             .enumerate()
-            .map(|(core, (program, config))| {
-                Simulator::with_port(program, config, memory.port(core))
-            })
+            .map(|(core, (program, config))| Core::new(core, program, config))
             .collect();
         SmpSystem { memory, cores }
     }
@@ -117,8 +118,15 @@ impl SmpSystem {
 
     /// The shared coherent memory (inspection).
     #[must_use]
-    pub fn memory(&self) -> &CoherentMemory {
+    pub fn memory(&self) -> &MemorySystem {
         &self.memory
+    }
+
+    /// Turns on per-fault lifecycle forensics in the shared hierarchy.
+    /// Call before the run; the records come back in
+    /// [`SmpRunResult::forensics`].
+    pub fn enable_forensics(&mut self) {
+        self.memory.enable_forensics();
     }
 
     /// Runs the system under `stop`, then drains every core (in core-id
@@ -133,7 +141,7 @@ impl SmpSystem {
             let Some(core) = next else {
                 break; // everyone finished
             };
-            if !self.cores[core].step_one() {
+            if !self.cores[core].step_one(&mut self.memory) {
                 finished[core] = true;
             }
             if stop == StopPolicy::ObservedCoreHalts && finished[0] {
@@ -144,11 +152,12 @@ impl SmpSystem {
         let cores: Vec<SimResult> = self
             .cores
             .iter_mut()
-            .map(laec_pipeline::Simulator::finalize)
+            .map(|core| core.finalize(&mut self.memory))
             .collect();
         SmpRunResult {
             final_checksum: self.memory.memory_checksum(),
             coherence: self.memory.coherence_stats(),
+            forensics: self.memory.take_forensics(),
             cores,
         }
     }

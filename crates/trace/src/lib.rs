@@ -19,9 +19,9 @@
 //!   delta-encoded binary container, written and read only when a trace is
 //!   persisted,
 //! * [`record`] — the capture side: the [`TraceRecorder`], which the one
-//!   `laec_mem::MemorySystem` of a run owns and `laec_pipeline::Simulator`
-//!   reaches through its memory port; it appends events to an in-memory
-//!   stream,
+//!   `laec_mem::MemorySystem` of a run owns and the pipeline reaches
+//!   through the hierarchy's recorder accessor; it appends events to an
+//!   in-memory stream,
 //! * [`replay`] — the replay engine: a generic [`ReplayTarget`] driver with
 //!   *checked* divergence detection, the foundation of the byte-identical
 //!   guarantee of trace-backed campaigns.

@@ -3,7 +3,8 @@
 //! A recording has one owner from its first event to its last replay.
 //! `laec_mem::MemorySystem` holds an optional recorder (`None` by default,
 //! so every emission site costs one branch on untraced runs); the pipeline
-//! reaches it through its memory port and the hierarchy emits its own
+//! reaches it through the hierarchy's recorder accessor and the hierarchy
+//! emits its own
 //! line-fill and writeback events into the same stream.  The recorder
 //! appends plain [`TraceEvent`]s; nothing is encoded until a trace is
 //! persisted ([`Trace::encode`]).

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on the EEMBC Automotive 1.1 suite, which is
 //! proprietary.  This crate substitutes it with two workload families (the
-//! substitution is documented in the repository's `DESIGN.md`):
+//! substitution is documented in the repository's `EXPERIMENTS.md`):
 //!
 //! * [`suite::eembc_suite`] — sixteen synthetic workloads, one per EEMBC
 //!   benchmark, generated from profiles calibrated against the paper's

@@ -9,9 +9,12 @@
 //! 1. **Steady state.**  A DL1-resident load/store loop runs for `N` and
 //!    for `4N` iterations under each Figure 8 scheme on `wb` and `wt`,
 //!    fault-free and with data strikes at interval 200, and so does the
-//!    replay of each run's recording.  The longer run must allocate
-//!    exactly as often as the shorter one: everything the loop needs is
-//!    allocated while it warms up.
+//!    replay of each run's recording.  So does a two-core system whose
+//!    cores both run the loop on the same lines — every iteration
+//!    write-shares and snoops — under MESI, Dragon and MOESI, with and
+//!    without strikes on core 0.  The longer run must allocate exactly as
+//!    often as the shorter one: everything the loop needs is allocated
+//!    while it warms up.
 //! 2. **Ceilings.**  The golden spec `specs/ci_smoke.json`, run through
 //!    `Campaign::run(1)` in full simulation and trace-backed, stays under
 //!    the committed allocations per simulated instruction and per replayed
@@ -26,9 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use laec::core::record_cell;
 use laec::isa::Program;
-use laec::mem::{FaultCampaignConfig, ReplayMemory};
+use laec::mem::{FaultCampaignConfig, ProtocolKind, ReplayMemory};
 use laec::prelude::{Campaign, CampaignSpec, EccScheme, ExecutionMode, PipelineConfig};
 use laec::prelude::{PlatformVariant, Simulator};
+use laec::smp::{SmpSystem, StopPolicy};
 use laec::trace::{replay_events, TraceContext, TraceDetail, TraceRecorder};
 
 /// Allocations per simulated instruction of the golden spec in full
@@ -140,6 +144,25 @@ fn loop_allocations(iterations: u32, config: &PipelineConfig) -> (u64, u64) {
     (simulated, replayed)
 }
 
+/// Allocations of one two-core run in which both cores run the loop on
+/// the same lines; only core 0 carries `config`'s strikes.
+fn shared_loop_allocations(
+    iterations: u32,
+    config: &PipelineConfig,
+    protocol: ProtocolKind,
+) -> u64 {
+    let programs = vec![resident_loop(iterations), resident_loop(iterations)];
+    let unstruck = PipelineConfig {
+        fault_campaign: None,
+        ..config.clone()
+    };
+    let configs = vec![config.clone(), unstruck];
+    let (_, allocations) = allocations_during(|| {
+        SmpSystem::with_protocol(programs, configs, protocol).run(StopPolicy::AllHalt)
+    });
+    allocations
+}
+
 fn check_steady_state() {
     const N: u32 = 1000;
     // One uncounted run first, so one-time lazy set-up in the standard
@@ -158,6 +181,30 @@ fn check_steady_state() {
                     "{cell}: full simulation allocates per iteration"
                 );
                 assert_eq!(short.1, long.1, "{cell}: replay allocates per iteration");
+            }
+        }
+    }
+    check_shared_steady_state();
+}
+
+fn check_shared_steady_state() {
+    const N: u32 = 500;
+    for protocol in ProtocolKind::ALL {
+        for scheme in EccScheme::figure8_set() {
+            for platform in [PlatformVariant::WriteBack, PlatformVariant::WriteThrough] {
+                for fault in [None, Some(FaultCampaignConfig::single_bit(0x5EED, 200))] {
+                    let mut config = platform.apply_config(PipelineConfig::for_scheme(scheme));
+                    config.fault_campaign = fault;
+                    let short = shared_loop_allocations(N, &config, protocol);
+                    let long = shared_loop_allocations(4 * N, &config, protocol);
+                    assert_eq!(
+                        short,
+                        long,
+                        "two {protocol} cores, {scheme} on {platform}, strikes {}: \
+                         the shared step path allocates per iteration",
+                        fault.is_some()
+                    );
+                }
             }
         }
     }

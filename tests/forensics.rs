@@ -34,40 +34,52 @@ fn grid_spec(mode: ExecutionMode) -> ValidatedSpec {
     builder.validate().expect("valid spec")
 }
 
+/// An `smp2` fault grid: the observed core carries the strikes while a
+/// background core streams through the shared bus and L2 beside it.
+fn smp2_spec() -> ValidatedSpec {
+    CampaignBuilder::smoke()
+        .named_workloads(["vector_sum", "fir_filter", "cache_buster"])
+        .schemes([EccScheme::NoEcc, EccScheme::Laec])
+        .platforms([PlatformVariant::smp(2)])
+        .fault_seeds([1, 2])
+        .fault_interval(200)
+        .validate()
+        .expect("valid smp2 spec")
+}
+
 #[test]
 fn forensic_run_report_is_byte_identical_to_plain_run() {
-    let plain = Campaign::new(grid_spec(ExecutionMode::Full)).run(2);
-    let (forensic, report) = Campaign::new(grid_spec(ExecutionMode::Full))
-        .run_forensic(2, &Obs::disabled())
-        .expect("single-core grid");
-    assert_eq!(plain.to_json(), forensic.to_json());
-    assert_eq!(plain.render(), forensic.render());
-    let report = report.expect("the full engine traces lifecycles");
-    assert!(report.total_faults() > 0);
+    for spec in [grid_spec(ExecutionMode::Full), smp2_spec()] {
+        let plain = Campaign::new(spec.clone()).run(2);
+        let (forensic, report) = Campaign::new(spec).run_forensic(2, &Obs::disabled());
+        assert_eq!(plain.to_json(), forensic.to_json());
+        assert_eq!(plain.render(), forensic.render());
+        let report = report.expect("the full engine traces lifecycles");
+        assert!(report.total_faults() > 0);
+        // One record per strike the cells report, on every platform.
+        let cells = &forensic.grid().expect("a grid report").cells;
+        let injected: u64 = cells.iter().map(|cell| cell.faults_injected).sum();
+        assert_eq!(report.total_faults(), injected);
+    }
 }
 
 #[test]
 fn forensics_document_is_thread_count_invariant() {
-    let (_, one) = Campaign::new(grid_spec(ExecutionMode::Full))
-        .run_forensic(1, &Obs::disabled())
-        .expect("single-core grid");
-    let (_, eight) = Campaign::new(grid_spec(ExecutionMode::Full))
-        .run_forensic(8, &Obs::disabled())
-        .expect("single-core grid");
-    let (one, eight) = (one.expect("forensics"), eight.expect("forensics"));
-    assert_eq!(one.to_json(), eight.to_json());
-    assert_eq!(one.render(true), eight.render(true));
-    assert_eq!(one.chrome_trace_json(), eight.chrome_trace_json());
+    for spec in [grid_spec(ExecutionMode::Full), smp2_spec()] {
+        let (_, one) = Campaign::new(spec.clone()).run_forensic(1, &Obs::disabled());
+        let (_, eight) = Campaign::new(spec).run_forensic(8, &Obs::disabled());
+        let (one, eight) = (one.expect("forensics"), eight.expect("forensics"));
+        assert_eq!(one.to_json(), eight.to_json());
+        assert_eq!(one.render(true), eight.render(true));
+        assert_eq!(one.chrome_trace_json(), eight.chrome_trace_json());
+    }
 }
 
 #[test]
 fn forensics_document_is_engine_invariant() {
-    let (_, full) = Campaign::new(grid_spec(ExecutionMode::Full))
-        .run_forensic(2, &Obs::disabled())
-        .expect("single-core grid");
+    let (_, full) = Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
     let (_, traced) = Campaign::new(grid_spec(ExecutionMode::TraceBacked { cache_dir: None }))
-        .run_forensic(2, &Obs::disabled())
-        .expect("single-core grid");
+        .run_forensic(2, &Obs::disabled());
     let (full, traced) = (full.expect("forensics"), traced.expect("forensics"));
     assert!(full.total_faults() > 0);
     assert_eq!(full.to_json(), traced.to_json());
@@ -75,9 +87,8 @@ fn forensics_document_is_engine_invariant() {
 
 #[test]
 fn outcome_classes_track_the_scheme() {
-    let (_, report) = Campaign::new(grid_spec(ExecutionMode::Full))
-        .run_forensic(2, &Obs::disabled())
-        .expect("single-core grid");
+    let (_, report) =
+        Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
     let report = report.expect("forensics");
     for cell in &report.cells {
         for record in &cell.records {
@@ -132,9 +143,8 @@ fn outcome_classes_track_the_scheme() {
 
 #[test]
 fn chrome_trace_export_is_schema_valid() {
-    let (_, report) = Campaign::new(grid_spec(ExecutionMode::Full))
-        .run_forensic(2, &Obs::disabled())
-        .expect("single-core grid");
+    let (_, report) =
+        Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
     let report = report.expect("forensics");
     let value = serde_json::parse(&report.chrome_trace_json()).expect("valid JSON");
     let events = value
@@ -168,9 +178,7 @@ fn chrome_trace_export_is_schema_valid() {
 #[test]
 fn metrics_dump_carries_the_forensics_sections() {
     let obs = Obs::enabled();
-    let (_, report) = Campaign::new(grid_spec(ExecutionMode::Full))
-        .run_forensic(2, &obs)
-        .expect("single-core grid");
+    let (_, report) = Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &obs);
     let report = report.expect("forensics");
     let dump = obs.dump();
     assert_eq!(dump.counters["forensics.faults"], report.total_faults());
@@ -203,33 +211,7 @@ fn forensics_incapable_engines_return_none() {
         .min_samples(8)
         .validate()
         .expect("valid sampled spec");
-    let (outcome, forensics) = Campaign::new(spec)
-        .run_forensic(2, &Obs::disabled())
-        .expect("single-core grid");
+    let (outcome, forensics) = Campaign::new(spec).run_forensic(2, &Obs::disabled());
     assert!(outcome.sampled().is_some());
     assert!(forensics.is_none());
-}
-
-#[test]
-fn forensics_reject_multi_core_platforms() {
-    // The coherent ports journal no strikes yet: an `smpN` cell would
-    // report zero faults, so the run is refused before it starts.
-    let spec = CampaignBuilder::smoke()
-        .named_workloads(["vector_sum"])
-        .schemes([EccScheme::Laec])
-        .platforms([PlatformVariant::WriteBack, PlatformVariant::smp(2)])
-        .fault_seeds([1])
-        .fault_interval(200)
-        .validate()
-        .expect("valid smp2 spec");
-    let error = Campaign::new(spec)
-        .run_forensic(2, &Obs::disabled())
-        .expect_err("smp2 cells cannot be traced");
-    assert_eq!(
-        error,
-        SpecError::ForensicsNeedsSingleCore {
-            platform: "smp2".to_string()
-        }
-    );
-    assert!(error.to_string().contains("`smp2`"), "{error}");
 }

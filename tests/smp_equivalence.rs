@@ -1,31 +1,50 @@
 //! The one-core anchor and the coherence-metadata fault classes.
 //!
 //! 1. A one-core SMP system is the uniprocessor.  `run_observed_core` at one
-//!    core builds a real `laec_smp` system, whose pipeline reaches the
-//!    hierarchy through a shared handle; `run_with_config` lets the pipeline
-//!    own it.  Both must return the same result — every statistic,
-//!    register, checksum and error counter — over the kernel suite × the
-//!    Figure 8 schemes × {wb, wt}, fault-free and under data, state and tag
-//!    strikes.  State strikes matter most: on one core a line is `Shared`
-//!    only because a strike flipped its state bits, and a store to it must
-//!    not broadcast an upgrade nobody can snoop.
+//!    core steps a real `laec_smp` system, whose scheduler picks the core
+//!    before every instruction; `run_with_config` runs the uniprocessor's
+//!    direct loop.  Both borrow the same hierarchy type, and must return
+//!    the same result — every statistic, register, checksum and error
+//!    counter — over the kernel suite × the Figure 8 schemes × {wb, wt},
+//!    fault-free and under data, state and tag strikes.  Under strikes the
+//!    two also keep the same forensics record set.  State strikes matter
+//!    most: on one core a line is `Shared` only because a strike flipped
+//!    its state bits, and a store to it must not broadcast an upgrade
+//!    nobody can snoop.
 //! 2. Metadata strikes (coherence state / tag bits) must surface as their
 //!    own silent-data-corruption classes in the report.
 
 use laec::core::campaign::{CampaignSpec, PlatformVariant, WorkloadSet};
 use laec::core::{run_observed_core, run_with_config};
-use laec::mem::{FaultCampaignConfig, FaultTarget, ProtocolKind};
-use laec::pipeline::{EccScheme, PipelineConfig};
-use laec::workloads::kernel_suite;
+use laec::mem::{CellForensics, FaultCampaignConfig, FaultTarget, ProtocolKind};
+use laec::pipeline::{EccScheme, PipelineConfig, Simulator};
+use laec::smp::{SmpSystem, StopPolicy};
+use laec::workloads::{kernel_suite, Workload};
 use laec_bench::run_full;
 
 /// Injector seeds and mean strike interval of the faulty anchor cells.
 const SEEDS: [u64; 2] = [1, 11];
 const INTERVAL: u64 = 200;
 
+/// The forensics record sets of one cell on the uniprocessor and on a
+/// one-core system under the N-core scheduler, the one `run_observed_core`
+/// drives.
+fn forensics_pair(workload: &Workload, config: &PipelineConfig) -> [Option<CellForensics>; 2] {
+    let mut uniprocessor = Simulator::new(workload.program.clone(), config.clone());
+    uniprocessor.enable_forensics();
+    let programs = vec![workload.program.clone()];
+    let mut system = SmpSystem::with_protocol(programs, vec![config.clone()], ProtocolKind::Mesi);
+    system.enable_forensics();
+    [
+        uniprocessor.execute().forensics,
+        system.run(StopPolicy::ObservedCoreHalts).forensics,
+    ]
+}
+
 /// Asserts the one-core SMP engine reproduces the uniprocessor on every
 /// kernel × Figure 8 scheme × {wb, wt} cell — fault-free when `target` is
-/// `None`, otherwise under `target` strikes for each of [`SEEDS`].
+/// `None`, otherwise under `target` strikes for each of [`SEEDS`], with
+/// the same forensics record set.
 fn assert_one_core_anchor(target: Option<FaultTarget>) {
     for workload in kernel_suite() {
         for scheme in EccScheme::figure8_set() {
@@ -43,14 +62,23 @@ fn assert_one_core_anchor(target: Option<FaultTarget>) {
                         .collect(),
                 };
                 for (seed, config) in cells {
+                    let cell = format!("{}/{scheme}/{platform}", workload.name);
+                    if seed.is_some() {
+                        let [uniprocessor, smp] = forensics_pair(&workload, &config);
+                        assert!(uniprocessor.is_some(), "{cell}: forensics enabled");
+                        assert_eq!(
+                            uniprocessor, smp,
+                            "{cell}, {target:?} strikes, seed {seed:?}: \
+                             a one-core system must keep the uniprocessor's records"
+                        );
+                    }
                     let uniprocessor = run_with_config(&workload, config.clone());
                     let smp = run_observed_core(&workload, config, 1, ProtocolKind::Mesi);
                     assert_eq!(
                         format!("{uniprocessor:?}"),
                         format!("{smp:?}"),
-                        "{}/{scheme}/{platform}, {target:?} strikes, seed {seed:?}: \
-                         a one-core system must be the uniprocessor",
-                        workload.name
+                        "{cell}, {target:?} strikes, seed {seed:?}: \
+                         a one-core system must be the uniprocessor"
                     );
                 }
             }
