@@ -13,8 +13,7 @@ use std::path::Path;
 
 use laec_core::campaign::CampaignSpec;
 use laec_core::sampling::{SampleExecution, SampledReport, SamplingPlan};
-use laec_core::trace_backed::TracedCampaign;
-use laec_core::{Campaign, CampaignOutcome, CampaignReport, ExecutionMode};
+use laec_core::{Campaign, CampaignOutcome, CampaignReport, ExecutionMode, TraceBackedStats};
 use laec_workloads::GeneratorConfig;
 
 /// The workload shape used inside measured benchmark loops (small, so each
@@ -48,6 +47,15 @@ pub fn run_full(spec: &CampaignSpec, threads: usize) -> CampaignReport {
     run_mode(spec, ExecutionMode::Full, threads)
         .into_grid()
         .expect("grid report")
+}
+
+/// A trace-backed campaign's report plus how the trace engine earned it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TracedCampaign {
+    /// The report — byte-identical to full simulation of the same spec.
+    pub report: CampaignReport,
+    /// Record/replay/fallback counters.
+    pub stats: TraceBackedStats,
 }
 
 /// Trace-backed mode, with the record/replay counters.

@@ -42,7 +42,8 @@ use laec_core::forensics::ForensicsReport;
 use laec_core::observe::record_outcome_metrics;
 use laec_core::sampling::{render_sampled, SampleExecution, Sampler, SamplerCheckpoint};
 use laec_core::spec::{
-    engine_for, Campaign, CampaignBuilder, CampaignOutcome, CampaignSpec as SpecV2, ValidatedSpec,
+    Campaign, CampaignBuilder, CampaignOutcome, CampaignSpec as SpecV2, ExecutionMode,
+    ValidatedSpec,
 };
 use laec_core::trace_backed::{record_cell, replay_cell, trace_file_name};
 use laec_core::{
@@ -798,12 +799,12 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
 /// Rejects specs whose engine cannot trace fault lifecycles (sampled
 /// mode).
 fn check_forensics_mode(validated: &ValidatedSpec) -> Result<(), String> {
-    let caps = engine_for(validated.mode()).capabilities();
-    if !caps.forensics {
+    let mode = validated.mode();
+    if let ExecutionMode::Sampled { .. } = mode {
         return Err(format!(
             "the {} engine cannot trace fault lifecycles; forensics needs the full or \
              trace-backed mode",
-            caps.name
+            mode.kind()
         ));
     }
     Ok(())

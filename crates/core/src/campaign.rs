@@ -2,28 +2,31 @@
 //!
 //! The per-artefact functions in [`crate::experiment`] each reproduce one
 //! table or figure serially.  This module generalises them into a single
-//! engine: a [`CampaignSpec`] names the axes of an experiment grid
+//! executor: a [`CampaignSpec`] names the axes of an experiment grid
 //! (workloads, [`EccScheme`]s, platform configurations, fault-injection
-//! seeds), the engine expands the grid into jobs and executes them on a
-//! [`std::thread::scope`]-based worker pool, and the result is aggregated
+//! seeds), the executor expands the grid into workload × platform × scheme
+//! triples and runs each triple's cells — fault-free first, then one per
+//! fault seed — as one job on a [`std::thread::scope`]-based worker pool,
+//! in full simulation or trace-backed, and the result is aggregated
 //! into a [`CampaignReport`] with per-cell statistics, slowdown matrices and
 //! architectural-equivalence checks, renderable as aligned text
 //! ([`render_campaign`]) or JSON ([`CampaignReport::to_json`]).
 //!
 //! # Determinism
 //!
-//! Reports are *byte-identical* regardless of worker count: the job grid is
-//! expanded in a fixed order, each job's fault-injection seed is derived
-//! only from the spec seed and the job's grid coordinates (never from
-//! thread identity or scheduling), and every job writes its result into its
-//! own pre-allocated slot.  Running the same spec on 1 and on 8 workers
-//! therefore serializes to the same JSON — the integration tests assert
-//! exactly that.
+//! Reports are *byte-identical* regardless of worker count: the triples
+//! are expanded in a fixed order, each faulty cell's fault-injection seed
+//! is derived only from the spec seed and the cell's grid coordinates
+//! (never from thread identity or scheduling), and every job writes its
+//! cells into its own pre-allocated slot.  Running the same spec on 1 and
+//! on 8 workers therefore serializes to the same JSON — the integration
+//! tests assert exactly that.
 //!
-//! This module holds the grid *description* ([`CampaignSpec`]) and the
-//! full-simulation engine.  Campaigns run through the unified, serializable
-//! API in [`crate::spec`] ([`crate::spec::Campaign`] dispatches every
-//! execution mode behind one entry point).
+//! This module holds the grid *description* ([`CampaignSpec`]) and the one
+//! grid executor, for full-simulation and trace-backed grids alike.
+//! Campaigns run through the unified, serializable API in [`crate::spec`]
+//! ([`crate::spec::Campaign`] dispatches every execution mode behind one
+//! entry point).
 //!
 //! # Example
 //!
@@ -40,15 +43,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use laec_mem::{
-    CellForensics, FaultCampaignConfig, FaultTarget, HierarchyConfig, Interference, ProtocolKind,
-};
+use laec_mem::{CellForensics, FaultTarget, HierarchyConfig, Interference, ProtocolKind};
 use laec_obs::{Obs, Phase, ProgressEvent};
 use laec_pipeline::{EccScheme, PipelineConfig};
 use laec_workloads::{eembc_suite, kernel_suite, GeneratorConfig, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{run_cell, Hooks};
+use crate::runner::{grid_triples, Cells, Faulty, Triple};
+use crate::sampling::SampleExecution;
+use crate::trace_backed::TraceBackedStats;
 
 // ---------------------------------------------------------------------------
 // Spec: the axes of the grid
@@ -503,15 +506,6 @@ impl CampaignReport {
 // Execution
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Job {
-    pub(crate) workload: usize,
-    pub(crate) scheme: usize,
-    pub(crate) platform: usize,
-    /// Index into `spec.fault_seeds`; `None` is the fault-free run.
-    pub(crate) fault: Option<usize>,
-}
-
 /// SplitMix64 finaliser, used to decorrelate per-job injection seeds.
 pub(crate) fn mix64(mut value: u64) -> u64 {
     value = value.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -532,15 +526,16 @@ pub(crate) fn registers_fingerprint(registers: &[u32]) -> u64 {
     fnv1a(registers.iter().flat_map(|r| r.to_le_bytes()))
 }
 
-/// The seed a faulty job injects under: a pure function of the spec seed,
-/// the grid-axis fault seed and the job's coordinates — never of scheduling.
-pub(crate) fn job_injection_seed(spec: &CampaignSpec, job: Job, axis_seed: u64) -> u64 {
+/// The seed a faulty grid cell injects under: a pure function of the spec
+/// seed, the grid-axis fault seed and the cell's triple — never of
+/// scheduling.
+pub(crate) fn grid_injection_seed(spec: &CampaignSpec, triple: Triple, axis_seed: u64) -> u64 {
     mix64(
         spec.seed
             ^ axis_seed.rotate_left(17)
-            ^ ((job.workload as u64) << 40)
-            ^ ((job.scheme as u64) << 20)
-            ^ (job.platform as u64),
+            ^ ((triple.workload as u64) << 40)
+            ^ ((triple.scheme as u64) << 20)
+            ^ (triple.platform as u64),
     )
 }
 
@@ -554,83 +549,47 @@ pub fn default_threads() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The full-simulation grid engine behind [`crate::spec::FullSimEngine`]:
-/// expands `spec` into its job grid and executes it on `threads` workers
-/// (`0` = [`default_threads`]).
+/// Runs `spec`'s grid on `threads` workers (`0` = [`default_threads`]).
+///
+/// A worker-pool job is one workload × platform × scheme triple: its
+/// fault-free cell, then its faulty cells in fault-axis order.  Under
+/// [`SampleExecution::TraceBacked`] the fault-free cell is recorded (or
+/// loaded from the trace cache) and the faulty cells replay the recording,
+/// which is dropped when its triple ends, so a worker holds one recording
+/// at a time; under [`SampleExecution::FullSim`] every cell is simulated.
+/// The report is byte-identical either way.  Cells, the record/replay
+/// counters (`Some` when trace-backed) and one [`CellForensics`] per cell
+/// (empty record sets unless `forensic`) come back in grid order for any
+/// thread count.
 ///
 /// # Panics
 ///
 /// Panics if a worker thread panics (the underlying simulator is panic-free
 /// on valid programs; a panic indicates a bug, not bad input).
-#[must_use]
-pub(crate) fn execute_full(spec: &CampaignSpec, threads: usize, obs: &Obs) -> CampaignReport {
-    execute_full_impl(spec, threads, obs, false).0
-}
-
-/// [`execute_full`] with per-fault lifecycle forensics: also returns one
-/// [`CellForensics`] per grid cell, in the report's cell order.  The report
-/// itself is byte-identical to [`execute_full`] — forensics only observes.
-#[must_use]
-pub(crate) fn execute_full_forensic(
+pub(crate) fn execute_grid(
     spec: &CampaignSpec,
     threads: usize,
-    obs: &Obs,
-) -> (CampaignReport, Vec<CellForensics>) {
-    execute_full_impl(spec, threads, obs, true)
-}
-
-fn execute_full_impl(
-    spec: &CampaignSpec,
-    threads: usize,
-    obs: &Obs,
+    execution: &SampleExecution,
     forensic: bool,
-) -> (CampaignReport, Vec<CellForensics>) {
+    obs: &Obs,
+) -> (CampaignReport, Option<TraceBackedStats>, Vec<CellForensics>) {
     let workloads = spec.materialize_workloads();
-    let threads = if threads == 0 {
-        default_threads()
-    } else {
-        threads
+    let triples = grid_triples(spec, workloads.len());
+    let cells = Cells {
+        spec,
+        workloads: &workloads,
+        forensic,
+        obs,
     };
-
-    // Deterministic grid order: workload-major, then platform, scheme, fault.
-    let mut jobs = Vec::new();
-    for workload in 0..workloads.len() {
-        for platform in 0..spec.platforms.len() {
-            for scheme in 0..spec.schemes.len() {
-                jobs.push(Job {
-                    workload,
-                    scheme,
-                    platform,
-                    fault: None,
-                });
-                for fault in 0..spec.fault_seeds.len() {
-                    jobs.push(Job {
-                        workload,
-                        scheme,
-                        platform,
-                        fault: Some(fault),
-                    });
-                }
-            }
-        }
-    }
-
+    let per_triple = 1 + spec.fault_seeds.len();
+    let total = (triples.len() * per_triple) as u64;
+    let trace_backed = matches!(execution, SampleExecution::TraceBacked { .. });
+    let engine = if trace_backed { "trace-backed" } else { "full" };
     obs.emit(&ProgressEvent::CampaignStart {
-        engine: "full",
-        jobs: jobs.len() as u64,
+        engine,
+        jobs: total,
     });
-    let total = jobs.len() as u64;
-    let results = run_pool(jobs.len(), threads, |index| {
-        let job = jobs[index];
-        let phase = if job.fault.is_some() {
-            Phase::Inject
-        } else {
-            Phase::FullSim
-        };
-        let (cell, forensics) = {
-            let _span = obs.span(phase);
-            run_job(spec, &workloads, job, forensic)
-        };
+    let emit = |index: usize, cell: &CampaignCell, phase: Phase, forensics: &CellForensics| {
         let tallies = forensic.then(|| forensics.outcome_tallies());
         obs.emit(&ProgressEvent::Cell {
             index: index as u64,
@@ -643,23 +602,74 @@ fn execute_full_impl(
             phase: phase.label(),
             outcomes: tallies.as_ref().map(|t| &t[..]),
         });
-        (cell, forensics)
+    };
+    let blocks = run_pool(triples.len(), threads, |index| {
+        let triple = triples[index];
+        let first = index * per_triple;
+        let fault_free = cells.fault_free(triple, execution);
+        emit(
+            first,
+            &fault_free.cell,
+            fault_free.origin.phase(),
+            &CellForensics::default(),
+        );
+        let recording = fault_free.recording.as_ref();
+        let faulty: Vec<Faulty> = spec
+            .fault_seeds
+            .iter()
+            .enumerate()
+            .map(|(fault, &axis_seed)| {
+                let seed = grid_injection_seed(spec, triple, axis_seed);
+                let faulty = cells.faulty(triple, seed, Some(axis_seed), recording);
+                emit(
+                    first + 1 + fault,
+                    &faulty.cell,
+                    faulty.served.phase(),
+                    &faulty.forensics,
+                );
+                faulty
+            })
+            .collect();
+        let events = recording.map_or(0, |trace| trace.events().len());
+        // The recording is dropped here, as its triple ends.
+        (fault_free.cell, fault_free.origin, faulty, events)
     });
     obs.emit(&ProgressEvent::CampaignEnd {
-        engine: "full",
+        engine,
         executed: total,
     });
-    let (cells, forensics): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    (assemble_report(spec, &workloads, cells), forensics)
+
+    let mut stats = TraceBackedStats::default();
+    let mut grid_cells = Vec::with_capacity(total as usize);
+    let mut forensics = Vec::with_capacity(total as usize);
+    for (cell, origin, faulty, events) in blocks {
+        stats.count_fault_free(origin);
+        grid_cells.push(cell);
+        // A fault-free cell injects nothing: its record set is empty.
+        forensics.push(CellForensics::default());
+        for faulty in faulty {
+            stats.count_faulty(&faulty.cell.scheme, &faulty.served, events);
+            grid_cells.push(faulty.cell);
+            forensics.push(faulty.forensics);
+        }
+    }
+    let report = assemble_report(spec, &workloads, grid_cells);
+    (report, trace_backed.then_some(stats), forensics)
 }
 
-/// Executes `count` jobs on a scoped worker pool (one shared cursor, one
-/// pre-allocated slot per job), preserving index order in the result.
+/// Executes `count` jobs on a scoped worker pool of `threads` workers
+/// (`0` = [`default_threads`]; one shared cursor, one pre-allocated slot per
+/// job), preserving index order in the result.
 pub(crate) fn run_pool<T, F>(count: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    let threads = if threads == 0 {
+        default_threads()
+    } else {
+        threads
+    };
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
     thread::scope(|scope| {
@@ -691,8 +701,7 @@ where
 }
 
 /// Derives the slowdown matrix and equivalence checks from grid-ordered
-/// cells and packages the report (shared by the full-simulation and the
-/// trace-backed campaign paths, which must serialize identically).
+/// cells and packages the report.
 pub(crate) fn assemble_report(
     spec: &CampaignSpec,
     workloads: &[Workload],
@@ -714,23 +723,6 @@ pub(crate) fn assemble_report(
         equivalence,
         degenerate_baselines,
     }
-}
-
-/// The pipeline configuration one job runs under, including its derived
-/// fault-campaign configuration (if on the fault axis).
-pub(crate) fn job_config(spec: &CampaignSpec, job: Job) -> PipelineConfig {
-    let scheme = spec.schemes[job.scheme];
-    let platform = spec.platforms[job.platform];
-    let mut config = platform.apply_config(PipelineConfig::for_scheme(scheme));
-    if let Some(index) = job.fault {
-        let axis_seed = spec.fault_seeds[index];
-        let injection_seed = job_injection_seed(spec, job, axis_seed);
-        config = config.with_fault_campaign(
-            FaultCampaignConfig::single_bit(injection_seed, spec.fault_interval)
-                .with_target(spec.fault_target),
-        );
-    }
-    config
 }
 
 /// Builds a grid cell from a finished simulation (shared by the full-sim
@@ -766,30 +758,6 @@ pub(crate) fn cell_from_result(
         memory_checksum: result.memory_checksum,
         slowdown: None, // filled once every cell (incl. the baseline) exists
     }
-}
-
-/// Runs one grid job, with per-fault lifecycle forensics when `forensic`
-/// (off, the record set is empty).  The cell is the same either way: the
-/// forensics hooks only observe.
-pub(crate) fn run_job(
-    spec: &CampaignSpec,
-    workloads: &[Workload],
-    job: Job,
-    forensic: bool,
-) -> (CampaignCell, CellForensics) {
-    let workload = &workloads[job.workload];
-    let platform = spec.platforms[job.platform];
-    let hooks = Hooks {
-        forensics: forensic,
-        recorder: None,
-    };
-    let config = job_config(spec, job);
-    let (mut result, _) = run_cell(workload, config, platform, spec.protocol, hooks);
-    let forensics = result.forensics.take().unwrap_or_default();
-    let fault_seed = job.fault.map(|index| spec.fault_seeds[index]);
-    let scheme = spec.schemes[job.scheme];
-    let cell = cell_from_result(workload, scheme, platform, fault_seed, &result);
-    (cell, forensics)
 }
 
 /// Normalizes every cell to its group's fault-free no-ECC baseline.
@@ -1054,7 +1022,7 @@ mod tests {
         let mut spec = CampaignSpec::smoke();
         spec.workloads = WorkloadSet::Named(vec!["vector_sum".into(), "fir_filter".into()]);
         spec.fault_seeds = vec![1, 2];
-        let report = execute_full(&spec, 2, &Obs::disabled());
+        let report = execute_grid(&spec, 2, &SampleExecution::FullSim, false, &Obs::disabled()).0;
         // 2 workloads x 1 platform x 4 schemes x (1 fault-free + 2 faulty).
         assert_eq!(report.total_jobs, 2 * 4 * 3);
         assert_eq!(report.cells.len(), 24);
@@ -1066,7 +1034,7 @@ mod tests {
     fn slowdowns_are_normalised_to_no_ecc() {
         let mut spec = CampaignSpec::smoke();
         spec.workloads = WorkloadSet::Named(vec!["vector_sum".into()]);
-        let report = execute_full(&spec, 1, &Obs::disabled());
+        let report = execute_grid(&spec, 1, &SampleExecution::FullSim, false, &Obs::disabled()).0;
         let no_ecc = report
             .cells
             .iter()
@@ -1084,7 +1052,7 @@ mod tests {
         let mut spec = CampaignSpec::smoke();
         spec.workloads = WorkloadSet::Named(vec!["vector_sum".into()]);
         spec.schemes = vec![EccScheme::Laec, EccScheme::ExtraStage];
-        let report = execute_full(&spec, 1, &Obs::disabled());
+        let report = execute_grid(&spec, 1, &SampleExecution::FullSim, false, &Obs::disabled()).0;
         assert!(report.cells.iter().all(|c| c.slowdown.is_none()));
         assert!(report.slowdowns.averages.iter().all(Option::is_none));
     }
@@ -1096,7 +1064,7 @@ mod tests {
         spec.schemes = vec![EccScheme::Laec];
         spec.fault_seeds = vec![0xBEEF];
         spec.fault_interval = 50;
-        let report = execute_full(&spec, 2, &Obs::disabled());
+        let report = execute_grid(&spec, 2, &SampleExecution::FullSim, false, &Obs::disabled()).0;
         let faulty = report
             .cells
             .iter()

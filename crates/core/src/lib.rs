@@ -33,10 +33,12 @@
 //! versioned [`spec::CampaignSpec`] (grid axes + [`spec::ExecutionMode`]),
 //! a fluent [`spec::CampaignBuilder`] with typed validation
 //! ([`spec::SpecError`]), and one dispatch point — [`spec::Campaign::run`]
-//! — over the three [`spec::CampaignEngine`] implementations (full
-//! simulation, trace-backed replay, stratified sampling).  The
-//! `laec-cli` binary drives all layers from the command line and can dump
-//! or load any campaign as a JSON spec file.
+//! — that matches on the mode: full simulation and trace-backed replay run
+//! through the one grid executor in [`campaign`], stratified sampling
+//! through [`sampling::Sampler`], and both run every cell through the
+//! same cell functions in [`runner`].  The `laec-cli` binary drives all
+//! layers from the command line and can dump or load any campaign as a
+//! JSON spec file.
 //!
 //! # Example
 //!
@@ -76,13 +78,12 @@ pub use sampling::{
     SampledReport, Sampler, SamplerCheckpoint, SamplingPlan, StratumEstimate,
 };
 pub use spec::{
-    engine_for, Campaign, CampaignBuilder, CampaignEngine, CampaignOutcome, EngineCaps,
-    ExecutionMode, FullSimEngine, PlanViolation, SampledEngine, SpecError, TraceBackedEngine,
+    Campaign, CampaignBuilder, CampaignOutcome, ExecutionMode, PlanViolation, SpecError,
     ValidatedSpec, SPEC_VERSION,
 };
 pub use trace_backed::{
     cell_fingerprint, record_cell, replay_cell, replay_cell_events, trace_file_name,
-    TraceBackedStats, TracedCampaign,
+    TraceBackedStats,
 };
 
 pub use energy::{EnergyBreakdown, EnergyModel};

@@ -1,5 +1,6 @@
-//! The one cell runner, and the convenience layer over it for running
-//! workloads under the different schemes.
+//! The one cell runner, the cell functions every campaign engine calls,
+//! and the convenience layer over them for running workloads under the
+//! different schemes.
 //!
 //! `run_cell` builds the pipelines of every campaign cell — full,
 //! forensic and recorded cells, and the sampler's baselines and fallbacks —
@@ -10,14 +11,25 @@
 //! own coherent DL1s but never write a byte, so the observed core's
 //! architectural results — and therefore the campaign's cross-scheme
 //! equivalence checks — are untouched.
+//!
+//! A grid is a list of workload × platform × scheme triples (`grid_triples`,
+//! in grid order); the grid executor and the sampler both run a triple
+//! through the same two cell functions (`Cells::fault_free` and
+//! `Cells::faulty`): one fault-free cell (simulated, or recorded or loaded
+//! from the trace cache), then faulty cells that replay that recording,
+//! fall back to full simulation when the replay diverges, or are simulated
+//! when there is no recording.
 
-use laec_mem::ProtocolKind;
+use laec_mem::{CellForensics, FaultCampaignConfig, ProtocolKind};
+use laec_obs::{Obs, Phase};
 use laec_pipeline::{EccScheme, PipelineConfig, SimResult, Simulator};
 use laec_smp::{SmpSystem, StopPolicy};
-use laec_trace::TraceRecorder;
+use laec_trace::{Divergence, Trace, TraceRecorder};
 use laec_workloads::{background_traffic, Workload};
 
-use crate::campaign::PlatformVariant;
+use crate::campaign::{cell_from_result, CampaignCell, CampaignSpec, PlatformVariant};
+use crate::sampling::SampleExecution;
+use crate::trace_backed::{obtain_recording, replay_cell_forensic};
 
 /// Base address of the first background core's private streaming region —
 /// far above every workload data region (inputs/outputs live below 1 MiB).
@@ -105,6 +117,219 @@ pub(crate) fn run_cell(
     result.memory_checksum = run.final_checksum;
     result.forensics = run.forensics;
     (result, None)
+}
+
+// ---------------------------------------------------------------------------
+// Grid cells
+// ---------------------------------------------------------------------------
+
+/// One workload × platform × scheme triple of a campaign grid, as indices
+/// into the spec's axes: the cells that share one fault-free run (and, in
+/// trace-backed execution, one recording), and one stratum of a sampled
+/// campaign.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Triple {
+    pub workload: usize,
+    pub platform: usize,
+    pub scheme: usize,
+}
+
+/// Every triple of a grid over `workloads` workloads and `spec`'s platform
+/// and scheme axes, in grid order: workload-major, then platform, then
+/// scheme.
+pub(crate) fn grid_triples(spec: &CampaignSpec, workloads: usize) -> Vec<Triple> {
+    let mut triples = Vec::with_capacity(workloads * spec.platforms.len() * spec.schemes.len());
+    for workload in 0..workloads {
+        for platform in 0..spec.platforms.len() {
+            for scheme in 0..spec.schemes.len() {
+                triples.push(Triple {
+                    workload,
+                    platform,
+                    scheme,
+                });
+            }
+        }
+    }
+    triples
+}
+
+/// The fault-free pipeline configuration of one scheme on one platform.
+pub(crate) fn cell_config(scheme: EccScheme, platform: PlatformVariant) -> PipelineConfig {
+    platform.apply_config(PipelineConfig::for_scheme(scheme))
+}
+
+/// How a triple's fault-free cell was obtained.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Origin {
+    /// Simulated in full, without a recorder.
+    Simulated,
+    /// Simulated in full under a recorder, and written to the trace cache
+    /// when there is one.
+    Recorded { cache_write_failed: bool },
+    /// Rebuilt from a recording in the trace cache.
+    CacheHit,
+}
+
+impl Origin {
+    /// The phase that served the cell.
+    pub(crate) fn phase(self) -> Phase {
+        match self {
+            Origin::Simulated => Phase::FullSim,
+            Origin::Recorded { .. } => Phase::TraceRecord,
+            Origin::CacheHit => Phase::TraceDecode,
+        }
+    }
+}
+
+/// A triple's fault-free cell.
+pub(crate) struct FaultFree {
+    pub cell: CampaignCell,
+    pub origin: Origin,
+    /// The recording the triple's faulty cells replay; `None` under full
+    /// simulation.
+    pub recording: Option<Trace>,
+}
+
+/// How a faulty cell was served.
+pub(crate) enum Served {
+    /// Simulated in full: there was no recording to replay.
+    Simulated,
+    /// Replayed from its triple's recording.
+    Replayed,
+    /// Simulated in full after its replay diverged.
+    FellBack(Divergence),
+}
+
+impl Served {
+    /// The phase that served the cell.
+    pub(crate) fn phase(&self) -> Phase {
+        match self {
+            Served::Simulated => Phase::Inject,
+            Served::Replayed => Phase::Replay,
+            Served::FellBack(_) => Phase::FullSimFallback,
+        }
+    }
+}
+
+/// One faulty cell, and how it was served.
+pub(crate) struct Faulty {
+    pub cell: CampaignCell,
+    /// Its per-fault lifecycle records (empty unless [`Cells::forensic`]).
+    pub forensics: CellForensics,
+    pub served: Served,
+}
+
+/// What every cell of one campaign shares: the grid, its materialised
+/// workload axis, whether faulty cells trace per-fault lifecycles, and the
+/// instrumentation their phase spans go to.
+pub(crate) struct Cells<'a> {
+    pub spec: &'a CampaignSpec,
+    pub workloads: &'a [Workload],
+    pub forensic: bool,
+    pub obs: &'a Obs,
+}
+
+impl Cells<'_> {
+    /// Runs `triple`'s fault-free cell: simulated under
+    /// [`SampleExecution::FullSim`]; otherwise rebuilt from the trace cache
+    /// or recorded (see [`obtain_recording`]), and the recording returned
+    /// for the triple's faulty cells.
+    pub(crate) fn fault_free(&self, triple: Triple, execution: &SampleExecution) -> FaultFree {
+        let SampleExecution::TraceBacked { cache_dir } = execution else {
+            let _span = self.obs.span(Phase::FullSim);
+            return FaultFree {
+                cell: self.simulate(triple, None, None).0,
+                origin: Origin::Simulated,
+                recording: None,
+            };
+        };
+        let (cell, trace, origin) = obtain_recording(
+            self.spec,
+            &self.workloads[triple.workload],
+            self.spec.schemes[triple.scheme],
+            self.spec.platforms[triple.platform],
+            cache_dir.as_deref(),
+            self.obs,
+        );
+        FaultFree {
+            cell,
+            origin,
+            recording: Some(trace),
+        }
+    }
+
+    /// Runs one faulty cell of `triple`: single-bit upsets seeded by
+    /// `injection_seed` at the spec's interval and target.  It replays
+    /// `recording` when there is one and falls back to full simulation on a
+    /// [`Divergence`]; without a recording it is simulated.  `fault_seed`
+    /// is the cell's fault-axis label.
+    pub(crate) fn faulty(
+        &self,
+        triple: Triple,
+        injection_seed: u64,
+        fault_seed: Option<u64>,
+        recording: Option<&Trace>,
+    ) -> Faulty {
+        let fault = FaultCampaignConfig::single_bit(injection_seed, self.spec.fault_interval)
+            .with_target(self.spec.fault_target);
+        let mut served = Served::Simulated;
+        if let Some(trace) = recording {
+            let replayed = {
+                let _span = self.obs.span(Phase::Replay);
+                replay_cell_forensic(
+                    self.spec,
+                    trace,
+                    trace.events(),
+                    &self.workloads[triple.workload],
+                    Some(fault),
+                    fault_seed,
+                    self.forensic,
+                )
+            };
+            match replayed {
+                Ok((cell, forensics)) => {
+                    return Faulty {
+                        cell,
+                        forensics,
+                        served: Served::Replayed,
+                    }
+                }
+                Err(divergence) => served = Served::FellBack(divergence),
+            }
+        }
+        let _span = self.obs.span(served.phase());
+        let (cell, forensics) = self.simulate(triple, Some(fault), fault_seed);
+        Faulty {
+            cell,
+            forensics,
+            served,
+        }
+    }
+
+    /// Simulates one cell of `triple` in full, under `fault` if given.
+    fn simulate(
+        &self,
+        triple: Triple,
+        fault: Option<FaultCampaignConfig>,
+        fault_seed: Option<u64>,
+    ) -> (CampaignCell, CellForensics) {
+        let workload = &self.workloads[triple.workload];
+        let scheme = self.spec.schemes[triple.scheme];
+        let platform = self.spec.platforms[triple.platform];
+        let config = PipelineConfig {
+            fault_campaign: fault,
+            ..cell_config(scheme, platform)
+        };
+        // A fault-free cell injects nothing: it has no lifecycles to trace.
+        let hooks = Hooks {
+            forensics: self.forensic && fault.is_some(),
+            recorder: None,
+        };
+        let (mut result, _) = run_cell(workload, config, platform, self.spec.protocol, hooks);
+        let forensics = result.forensics.take().unwrap_or_default();
+        let cell = cell_from_result(workload, scheme, platform, fault_seed, &result);
+        (cell, forensics)
+    }
 }
 
 /// Runs one cell's workload on core 0 of a `cores`-core system coherent
@@ -196,7 +421,7 @@ pub fn compare_schemes(workload: &Workload) -> SchemeComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{execute_full, CampaignSpec, WorkloadSet};
+    use crate::campaign::{execute_grid, WorkloadSet};
     use laec_workloads::{kernel_suite, GeneratorConfig};
 
     #[test]
@@ -256,8 +481,9 @@ mod tests {
         spec.platforms = vec![PlatformVariant::smp(2)];
         spec.fault_seeds = vec![7];
         spec.fault_interval = 500;
-        let one = execute_full(&spec, 1, &laec_obs::Obs::disabled());
-        let four = execute_full(&spec, 4, &laec_obs::Obs::disabled());
+        let full = SampleExecution::FullSim;
+        let one = execute_grid(&spec, 1, &full, false, &Obs::disabled()).0;
+        let four = execute_grid(&spec, 4, &full, false, &Obs::disabled()).0;
         assert_eq!(one.to_json(), four.to_json());
         assert!(one.architecturally_equivalent());
         assert_eq!(one.platforms, vec!["smp2"]);

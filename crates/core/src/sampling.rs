@@ -61,18 +61,14 @@
 
 use std::path::PathBuf;
 
-use laec_mem::FaultCampaignConfig;
 use laec_obs::{Obs, Phase, ProgressEvent};
-use laec_pipeline::PipelineConfig;
-use laec_trace::{varint, Divergence, Trace};
+use laec_trace::{varint, Trace};
 use laec_workloads::Workload;
 use serde::Serialize;
 
-use crate::campaign::{
-    cell_from_result, default_threads, mix64, run_pool, CampaignCell, CampaignSpec,
-};
-use crate::runner::{run_cell, Hooks};
-use crate::trace_backed::{obtain_recording, replay_cell, Origin, TraceBackedStats};
+use crate::campaign::{mix64, run_pool, CampaignCell, CampaignSpec};
+use crate::runner::{grid_triples, Cells, Faulty, Served, Triple};
+use crate::trace_backed::TraceBackedStats;
 
 // ---------------------------------------------------------------------------
 // Statistics primitives
@@ -353,7 +349,7 @@ impl SamplingPlan {
 // Execution mode
 // ---------------------------------------------------------------------------
 
-/// How each sample is executed.
+/// How each sample — and each cell of an exhaustive grid — is executed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum SampleExecution {
     /// Every sample runs the full pipeline + memory simulation.
@@ -363,6 +359,8 @@ pub enum SampleExecution {
     /// `cache_dir`) and every sample replays the recording with its own
     /// fault campaign, falling back to full simulation on divergence.  The
     /// produced report is byte-identical to [`SampleExecution::FullSim`].
+    /// An exhaustive grid runs its fault axis the same way under
+    /// [`crate::spec::ExecutionMode::TraceBacked`].
     TraceBacked {
         /// Persist/reuse recordings under this directory.
         cache_dir: Option<PathBuf>,
@@ -372,14 +370,6 @@ pub enum SampleExecution {
 // ---------------------------------------------------------------------------
 // Internal state
 // ---------------------------------------------------------------------------
-
-/// Grid coordinates of one stratum (indices into the spec's axes).
-#[derive(Debug, Clone, Copy)]
-struct StratumCoords {
-    workload: usize,
-    platform: usize,
-    scheme: usize,
-}
 
 /// What the fault-free reference run of a stratum established.
 #[derive(Debug, Clone, Copy)]
@@ -439,22 +429,6 @@ impl From<&CampaignCell> for SampleOutcome {
     }
 }
 
-/// Simulates one stratum's cell in full through the one cell runner:
-/// fault-free for its baseline, under `fault` for a sample.
-fn simulate_cell(
-    spec: &CampaignSpec,
-    workload: &Workload,
-    coords: StratumCoords,
-    fault: Option<FaultCampaignConfig>,
-) -> CampaignCell {
-    let scheme = spec.schemes[coords.scheme];
-    let platform = spec.platforms[coords.platform];
-    let mut config = platform.apply_config(PipelineConfig::for_scheme(scheme));
-    config.fault_campaign = fault;
-    let (result, _) = run_cell(workload, config, platform, spec.protocol, Hooks::default());
-    cell_from_result(workload, scheme, platform, None, &result)
-}
-
 impl StratumStats {
     /// Folds one outcome in.  A sample *fails* when dirty data was lost
     /// (unrecoverable) or the final architectural state silently diverged
@@ -477,7 +451,7 @@ impl StratumStats {
 }
 
 /// Salt decorrelating sample-injection seeds from the fixed fault axis of
-/// [`crate::campaign::job_injection_seed`] (a sampled campaign must not
+/// [`crate::campaign::grid_injection_seed`] (a sampled campaign must not
 /// accidentally re-draw the exhaustive grid's seeds).
 const SAMPLE_SALT: u64 = 0x51A7_1571_CA15_AB1E;
 
@@ -954,10 +928,10 @@ pub struct Sampler {
     spec: CampaignSpec,
     plan: SamplingPlan,
     workloads: Vec<Workload>,
-    strata: Vec<StratumCoords>,
+    strata: Vec<Triple>,
     baselines: Vec<Baseline>,
-    /// One recording per stratum in trace-backed mode.
-    traces: Option<Vec<Trace>>,
+    /// Each stratum's recording, in trace-backed mode.
+    recordings: Vec<Option<Trace>>,
     states: Vec<StratumStats>,
     trace_stats: TraceBackedStats,
     /// Grid index of `strata[0]` — non-zero only for restricted samplers.
@@ -1028,72 +1002,35 @@ impl Sampler {
             "sampled campaigns do not support multi-core (smpN) platforms yet"
         );
         let workloads = spec.materialize_workloads();
-        let threads = if threads == 0 {
-            default_threads()
-        } else {
-            threads
-        };
 
-        // Stratum order mirrors the campaign grid: workload-major, then
-        // platform, then scheme.
-        let mut strata = Vec::new();
-        for workload in 0..workloads.len() {
-            for platform in 0..spec.platforms.len() {
-                for scheme in 0..spec.schemes.len() {
-                    strata.push(StratumCoords {
-                        workload,
-                        platform,
-                        scheme,
-                    });
-                }
-            }
-        }
+        // Strata are the grid's triples, in grid order.
+        let strata = grid_triples(spec, workloads.len());
         let grid_strata = strata.len();
         assert!(
             range.start <= range.end && range.end <= grid_strata,
             "stratum range {range:?} outside grid of {grid_strata}"
         );
         let first_stratum = range.start;
-        let strata: Vec<StratumCoords> = strata[range].to_vec();
+        let strata = strata[range].to_vec();
 
-        let mut trace_stats = TraceBackedStats::default();
-        let (baselines, traces) = match execution {
-            SampleExecution::FullSim => {
-                let baselines = run_pool(strata.len(), threads, |index| {
-                    let coords = strata[index];
-                    let cell = simulate_cell(spec, &workloads[coords.workload], coords, None);
-                    Baseline::from(&cell)
-                });
-                (baselines, None)
-            }
-            SampleExecution::TraceBacked { cache_dir } => {
-                let recorded = run_pool(strata.len(), threads, |index| {
-                    let coords = strata[index];
-                    obtain_recording(
-                        spec,
-                        &workloads[coords.workload],
-                        spec.schemes[coords.scheme],
-                        spec.platforms[coords.platform],
-                        cache_dir.as_deref(),
-                        &Obs::disabled(),
-                    )
-                });
-                let mut baselines = Vec::with_capacity(recorded.len());
-                let mut traces = Vec::with_capacity(recorded.len());
-                for (cell, trace, origin) in recorded {
-                    match origin {
-                        Origin::Recorded { cache_write_failed } => {
-                            trace_stats.recorded += 1;
-                            trace_stats.cache_write_failures += u64::from(cache_write_failed);
-                        }
-                        Origin::CacheHit => trace_stats.cache_loads += 1,
-                    }
-                    baselines.push(Baseline::from(&cell));
-                    traces.push(trace);
-                }
-                (baselines, Some(traces))
-            }
+        let obs = Obs::disabled();
+        let cells = Cells {
+            spec,
+            workloads: &workloads,
+            forensic: false,
+            obs: &obs,
         };
+        let fault_free = run_pool(strata.len(), threads, |index| {
+            cells.fault_free(strata[index], execution)
+        });
+        let mut trace_stats = TraceBackedStats::default();
+        let mut baselines = Vec::with_capacity(strata.len());
+        let mut recordings = Vec::with_capacity(strata.len());
+        for fault_free in fault_free {
+            trace_stats.count_fault_free(fault_free.origin);
+            baselines.push(Baseline::from(&fault_free.cell));
+            recordings.push(fault_free.recording);
+        }
 
         let states = vec![StratumStats::default(); strata.len()];
         Sampler {
@@ -1102,7 +1039,7 @@ impl Sampler {
             workloads,
             strata,
             baselines,
-            traces,
+            recordings,
             states,
             trace_stats,
             first_stratum,
@@ -1193,11 +1130,6 @@ impl Sampler {
     ///
     /// Panics if a worker thread panics.
     pub fn run_rounds(&mut self, threads: usize, max_rounds: Option<u64>) -> bool {
-        let threads = if threads == 0 {
-            default_threads()
-        } else {
-            threads
-        };
         let mut rounds = 0u64;
         loop {
             let mut jobs: Vec<(usize, u64)> = Vec::new();
@@ -1217,26 +1149,21 @@ impl Sampler {
                 return false;
             }
             let round_span = self.obs.span(Phase::SamplerRound);
-            let outcomes = run_pool(jobs.len(), threads, |index| {
+            let samples = run_pool(jobs.len(), threads, |index| {
                 let (stratum, sample) = jobs[index];
                 self.run_sample(stratum, sample)
             });
             let mut touched: Vec<usize> = Vec::new();
-            for (&(stratum, _), (outcome, divergence)) in jobs.iter().zip(&outcomes) {
+            for (&(stratum, _), (outcome, served)) in jobs.iter().zip(&samples) {
                 self.states[stratum].absorb(&self.baselines[stratum], outcome);
                 if touched.last() != Some(&stratum) {
                     touched.push(stratum);
                 }
-                if let Some(traces) = &self.traces {
-                    match divergence {
-                        None => self.trace_stats.replayed += 1,
-                        Some(divergence) => self.trace_stats.count_fallback(
-                            &self.spec.schemes[self.strata[stratum].scheme].to_string(),
-                            divergence,
-                            traces[stratum].events().len(),
-                        ),
-                    }
-                }
+                let scheme = self.spec.schemes[self.strata[stratum].scheme];
+                let events = self.recordings[stratum]
+                    .as_ref()
+                    .map_or(0, |trace| trace.events().len());
+                self.trace_stats.count_faulty(scheme, served, events);
             }
             for state in &mut self.states {
                 if !state.converged {
@@ -1259,13 +1186,13 @@ impl Sampler {
         let z = self.plan.z();
         for &stratum in touched {
             let state = &self.states[stratum];
-            let coords = self.strata[stratum];
+            let triple = self.strata[stratum];
             let (ci_low, ci_high) = wilson_interval(state.failures, state.taken, z);
             self.obs.emit(&ProgressEvent::Round {
                 round: state.taken.div_ceil(self.plan.batch),
-                workload: &self.workloads[coords.workload].name,
-                scheme: &self.spec.schemes[coords.scheme].to_string(),
-                platform: &self.spec.platforms[coords.platform].to_string(),
+                workload: &self.workloads[triple.workload].name,
+                scheme: &self.spec.schemes[triple.scheme].to_string(),
+                platform: &self.spec.platforms[triple.platform].to_string(),
                 samples: state.taken,
                 failures: state.failures,
                 ci_low,
@@ -1276,40 +1203,28 @@ impl Sampler {
         }
     }
 
-    /// Executes one sample: trace replay when a recording exists (falling
-    /// back to full simulation on divergence), full simulation otherwise.
-    /// Also returns the divergence that forced a fallback; `None` when
-    /// replay served the sample or no recording exists.
-    fn run_sample(&self, stratum: usize, sample: u64) -> (SampleOutcome, Option<Divergence>) {
-        let coords = self.strata[stratum];
+    /// Executes one sample: trace replay when the stratum has a recording
+    /// (falling back to full simulation on divergence), full simulation
+    /// otherwise.  Only what the fold reads is kept of the cell, so a
+    /// round holds a few words per sample.
+    fn run_sample(&self, stratum: usize, sample: u64) -> (SampleOutcome, Served) {
+        let triple = self.strata[stratum];
         let seed = sample_injection_seed(
             &self.spec,
-            coords.workload,
-            coords.scheme,
-            coords.platform,
+            triple.workload,
+            triple.scheme,
+            triple.platform,
             sample,
         );
-        let fault = FaultCampaignConfig::single_bit(seed, self.spec.fault_interval)
-            .with_target(self.spec.fault_target);
-        let workload = &self.workloads[coords.workload];
-        let mut divergence = None;
-        if let Some(traces) = &self.traces {
-            let replayed = {
-                let _span = self.obs.span(Phase::Replay);
-                replay_cell(&self.spec, &traces[stratum], workload, Some(fault), None)
-            };
-            match replayed {
-                Ok(cell) => return (SampleOutcome::from(&cell), None),
-                Err(diverged) => divergence = Some(diverged),
-            }
-        }
-        let _span = self.obs.span(if self.traces.is_some() {
-            Phase::FullSimFallback
-        } else {
-            Phase::FullSim
-        });
-        let cell = simulate_cell(&self.spec, workload, coords, Some(fault));
-        (SampleOutcome::from(&cell), divergence)
+        let cells = Cells {
+            spec: &self.spec,
+            workloads: &self.workloads,
+            forensic: false,
+            obs: &self.obs,
+        };
+        let Faulty { cell, served, .. } =
+            cells.faulty(triple, seed, None, self.recordings[stratum].as_ref());
+        (SampleOutcome::from(&cell), served)
     }
 
     /// Builds the report from the current accumulators.  Valid at any
@@ -1323,7 +1238,7 @@ impl Sampler {
         let mut total_samples = 0;
         let mut converged_strata = 0;
         let mut degenerate_baselines = 0;
-        for (index, coords) in self.strata.iter().enumerate() {
+        for (index, triple) in self.strata.iter().enumerate() {
             let state = &self.states[index];
             let baseline = &self.baselines[index];
             let (ci_low, ci_high) = wilson_interval(state.failures, state.taken, z);
@@ -1340,9 +1255,9 @@ impl Sampler {
             total_samples += state.taken;
             converged_strata += u64::from(state.converged);
             estimates.push(StratumEstimate {
-                workload: self.workloads[coords.workload].name.clone(),
-                scheme: self.spec.schemes[coords.scheme].to_string(),
-                platform: self.spec.platforms[coords.platform].to_string(),
+                workload: self.workloads[triple.workload].name.clone(),
+                scheme: self.spec.schemes[triple.scheme].to_string(),
+                platform: self.spec.platforms[triple.platform].to_string(),
                 samples: state.taken,
                 converged: state.converged,
                 failures: state.failures,
@@ -1384,9 +1299,9 @@ impl Sampler {
     }
 }
 
-/// The stratified-sampling engine behind [`crate::spec::SampledEngine`]:
-/// runs to completion and returns the report plus the trace record/replay
-/// counters (all zero in full-sim mode).
+/// Runs a sampled campaign ([`crate::spec::ExecutionMode::Sampled`]) to
+/// completion and returns the report plus, under
+/// [`SampleExecution::TraceBacked`], the trace record/replay counters.
 ///
 /// # Panics
 ///
@@ -1398,7 +1313,7 @@ pub(crate) fn execute_sampled(
     threads: usize,
     execution: &SampleExecution,
     obs: &Obs,
-) -> (SampledReport, TraceBackedStats) {
+) -> (SampledReport, Option<TraceBackedStats>) {
     // The baseline phase records (trace-backed) or fully simulates every
     // stratum's fault-free reference; bill it to the matching phase.
     let baseline_phase = match execution {
@@ -1421,7 +1336,8 @@ pub(crate) fn execute_sampled(
         engine: "sampled",
         executed: report.total_samples,
     });
-    (report, sampler.trace_stats())
+    let trace_backed = matches!(execution, SampleExecution::TraceBacked { .. });
+    (report, trace_backed.then(|| sampler.trace_stats()))
 }
 
 #[cfg(test)]

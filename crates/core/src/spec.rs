@@ -1,5 +1,5 @@
-//! The unified campaign API: one serializable, validated spec; one engine
-//! dispatch.
+//! The unified campaign API: one serializable, validated spec; one
+//! dispatch over the execution modes.
 //!
 //! Every way of running a campaign goes through one discipline, following
 //! the single-declarative-experiment-description approach of gem5-class
@@ -17,14 +17,19 @@
 //!   a **structured** [`SpecError`] (unknown workload, mode × platform
 //!   incompatibility, sampling knobs without sampling mode, …) instead of
 //!   panics or ad-hoc CLI strings.
-//! * [`CampaignEngine`] — the trait the three execution engines implement;
-//!   [`engine_for`] maps a mode to its engine, and [`Campaign::run`] is
-//!   the one dispatch point.  Each engine advertises [`EngineCaps`], which
-//!   is what validation checks modes and platforms against.
+//! * [`Campaign::run`] — the one dispatch point: it matches on the
+//!   [`ExecutionMode`] and runs a full or trace-backed grid through the one
+//!   grid executor, or a sampled campaign through the sampler.  Both run
+//!   every cell through the same pair of cell functions
+//!   ([`crate::runner`]), so the engines differ only in whether a faulty
+//!   cell replays a recording.
 //!
-//! The platform axis, not the mode, decides the core count: the full
-//! engine runs `smpN` cells on an N-core system and every other platform on
-//! the uniprocessor, and both are the one `laec_mem::MemorySystem`.
+//! The platform axis, not the mode, decides the core count: full simulation
+//! runs `smpN` cells on an N-core system and every other platform on the
+//! uniprocessor, and both are the one `laec_mem::MemorySystem`.  Only full
+//! simulation drives `smpN` platforms (a recording captures one core's
+//! access stream), and only sampled campaigns reject the fixed fault-seed
+//! axis and forensics — each rule is one check on the mode.
 //!
 //! # Example
 //!
@@ -55,7 +60,7 @@ use serde_json::Value;
 use crate::campaign::{self, CampaignReport, PlatformVariant, WorkloadSet};
 use crate::forensics::ForensicsReport;
 use crate::sampling::{self, SampleExecution, SampledReport, SamplingPlan};
-use crate::trace_backed::{self, TraceBackedStats};
+use crate::trace_backed::TraceBackedStats;
 
 /// The campaign-spec wire-format version this build writes and reads.
 ///
@@ -150,7 +155,7 @@ pub enum SpecError {
     /// The execution mode cannot drive one of the spec's platforms (e.g.
     /// trace-backed or sampled execution on a multi-core `smpN` platform).
     ModeIncompatiblePlatform {
-        /// The engine's capability name ([`EngineCaps::name`]).
+        /// The mode's kind label ([`ExecutionMode::kind`]).
         mode: &'static str,
         /// The offending platform's label.
         platform: String,
@@ -287,7 +292,7 @@ impl CampaignSpec {
         }
     }
 
-    /// The grid axes as the legacy description the engines consume.
+    /// The grid axes as the legacy description the executors consume.
     #[must_use]
     pub fn grid(&self) -> campaign::CampaignSpec {
         campaign::CampaignSpec {
@@ -339,8 +344,8 @@ impl CampaignSpec {
     ///   workload axis,
     /// * [`SpecError::UnknownWorkload`] — a named workload in neither
     ///   suite,
-    /// * [`SpecError::ModeIncompatiblePlatform`] — the mode's engine
-    ///   cannot drive a platform in the grid (see [`EngineCaps`]),
+    /// * [`SpecError::ModeIncompatiblePlatform`] — a multi-core `smpN`
+    ///   platform under a mode other than [`ExecutionMode::Full`],
     /// * [`SpecError::ProtocolNeedsSmp`] — a non-MESI protocol with a
     ///   single-core platform in the grid,
     /// * [`SpecError::FaultSeedsWithSampling`] — fixed fault seeds under
@@ -363,11 +368,12 @@ impl CampaignSpec {
                 return Err(SpecError::UnknownWorkload(missing.clone()));
             }
         }
-        let caps = engine_for(&self.mode).capabilities();
-        if !caps.multi_core {
+        // A recording captures one core's access stream, so only full
+        // simulation drives multi-core platforms.
+        if self.mode != ExecutionMode::Full {
             if let Some(platform) = self.platforms.iter().find(|p| p.cores() > 1) {
                 return Err(SpecError::ModeIncompatiblePlatform {
-                    mode: caps.name,
+                    mode: self.mode.kind(),
                     platform: platform.to_string(),
                 });
             }
@@ -380,10 +386,10 @@ impl CampaignSpec {
                 });
             }
         }
-        if !caps.fault_seed_axis && !self.fault_seeds.is_empty() {
-            return Err(SpecError::FaultSeedsWithSampling);
-        }
         if let ExecutionMode::Sampled { plan, .. } = &self.mode {
+            if !self.fault_seeds.is_empty() {
+                return Err(SpecError::FaultSeedsWithSampling);
+            }
             plan.check().map_err(SpecError::InvalidPlan)?;
         }
         Ok(ValidatedSpec { spec: self })
@@ -710,8 +716,8 @@ mod decode {
 // ---------------------------------------------------------------------------
 
 /// A [`CampaignSpec`] that passed [`CampaignSpec::validate`] — the only
-/// thing [`Campaign::run`] (and the engines) accept, so an executing
-/// campaign is valid *by construction*.
+/// thing [`Campaign::run`] accepts, so an executing campaign is valid *by
+/// construction*.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidatedSpec {
     spec: CampaignSpec,
@@ -747,7 +753,7 @@ impl ValidatedSpec {
         &self.spec.mode
     }
 
-    /// The grid axes as the legacy description the engines consume.
+    /// The grid axes as the legacy description the executors consume.
     #[must_use]
     pub fn grid(&self) -> campaign::CampaignSpec {
         self.spec.grid()
@@ -1041,215 +1047,12 @@ impl CampaignBuilder {
 }
 
 // ---------------------------------------------------------------------------
-// Engines
-// ---------------------------------------------------------------------------
-
-/// What an execution engine can drive — the data validation checks a
-/// spec's mode and platforms against, replacing scattered string checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// The engine's stable name (matches [`ExecutionMode::kind`]).
-    pub name: &'static str,
-    /// `true` if the engine can drive multi-core (`smpN`) platforms.
-    pub multi_core: bool,
-    /// `true` if the engine consumes the fixed fault-seed axis.
-    pub fault_seed_axis: bool,
-    /// `true` if the engine produces a statistical ([`SampledReport`])
-    /// rather than an exhaustive grid report.
-    pub statistical: bool,
-    /// `true` if the engine can trace per-fault lifecycles
-    /// ([`CampaignEngine::execute_forensic`] returns record sets rather
-    /// than `None`).
-    pub forensics: bool,
-}
-
-/// One campaign execution engine.
-///
-/// There are three implementations ([`FullSimEngine`],
-/// [`TraceBackedEngine`] and [`SampledEngine`]).  [`Campaign::run`]
-/// dispatches to the engine matching
-/// the spec's [`ExecutionMode`]; validation consults
-/// [`CampaignEngine::capabilities`] so an engine is never handed a spec it
-/// cannot drive.
-///
-/// ```
-/// use laec_core::spec::{engine_for, ExecutionMode};
-///
-/// let caps = engine_for(&ExecutionMode::Full).capabilities();
-/// assert_eq!(caps.name, "full");
-/// assert!(caps.multi_core && caps.fault_seed_axis && !caps.statistical);
-/// ```
-pub trait CampaignEngine {
-    /// What this engine can drive.
-    fn capabilities(&self) -> EngineCaps;
-
-    /// Executes a validated spec on `threads` workers (`0` = all cores),
-    /// observing through `obs` — pass [`Obs::disabled`] for the
-    /// uninstrumented path (the engines pay one branch per site).
-    fn execute(&self, spec: &ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome;
-
-    /// [`CampaignEngine::execute`] with per-fault lifecycle forensics: the
-    /// second element carries one [`CellForensics`] per grid cell, in the
-    /// report's cell order.  The outcome — and therefore the report bytes —
-    /// is identical to [`CampaignEngine::execute`]; the forensics hooks
-    /// only observe.
-    ///
-    /// The default implementation runs the plain path and returns `None` —
-    /// engines advertise support through [`EngineCaps::forensics`].
-    fn execute_forensic(
-        &self,
-        spec: &ValidatedSpec,
-        threads: usize,
-        obs: &Obs,
-    ) -> (CampaignOutcome, Option<Vec<CellForensics>>) {
-        (self.execute(spec, threads, obs), None)
-    }
-}
-
-/// The reference engine: every cell is fully simulated
-/// ([`ExecutionMode::Full`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FullSimEngine;
-
-impl CampaignEngine for FullSimEngine {
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            name: "full",
-            multi_core: true,
-            fault_seed_axis: true,
-            statistical: false,
-            forensics: true,
-        }
-    }
-
-    fn execute(&self, spec: &ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome {
-        CampaignOutcome::Grid {
-            report: campaign::execute_full(&spec.grid(), threads, obs),
-            trace_stats: None,
-        }
-    }
-
-    fn execute_forensic(
-        &self,
-        spec: &ValidatedSpec,
-        threads: usize,
-        obs: &Obs,
-    ) -> (CampaignOutcome, Option<Vec<CellForensics>>) {
-        let (report, forensics) = campaign::execute_full_forensic(&spec.grid(), threads, obs);
-        (
-            CampaignOutcome::Grid {
-                report,
-                trace_stats: None,
-            },
-            Some(forensics),
-        )
-    }
-}
-
-/// The record-once/replay-per-seed engine
-/// ([`ExecutionMode::TraceBacked`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceBackedEngine;
-
-impl CampaignEngine for TraceBackedEngine {
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            name: "trace-backed",
-            multi_core: false,
-            fault_seed_axis: true,
-            statistical: false,
-            forensics: true,
-        }
-    }
-
-    fn execute(&self, spec: &ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome {
-        let cache_dir = match spec.mode() {
-            ExecutionMode::TraceBacked { cache_dir } => cache_dir.as_deref(),
-            _ => None,
-        };
-        let traced = trace_backed::execute_trace_backed(&spec.grid(), threads, cache_dir, obs);
-        CampaignOutcome::Grid {
-            report: traced.report,
-            trace_stats: Some(traced.stats),
-        }
-    }
-
-    fn execute_forensic(
-        &self,
-        spec: &ValidatedSpec,
-        threads: usize,
-        obs: &Obs,
-    ) -> (CampaignOutcome, Option<Vec<CellForensics>>) {
-        let cache_dir = match spec.mode() {
-            ExecutionMode::TraceBacked { cache_dir } => cache_dir.as_deref(),
-            _ => None,
-        };
-        let (traced, forensics) =
-            trace_backed::execute_trace_backed_forensic(&spec.grid(), threads, cache_dir, obs);
-        (
-            CampaignOutcome::Grid {
-                report: traced.report,
-                trace_stats: Some(traced.stats),
-            },
-            Some(forensics),
-        )
-    }
-}
-
-/// The stratified Monte-Carlo engine ([`ExecutionMode::Sampled`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SampledEngine;
-
-impl CampaignEngine for SampledEngine {
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            name: "sampled",
-            multi_core: false,
-            fault_seed_axis: false,
-            statistical: true,
-            forensics: false,
-        }
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the spec's mode is not [`ExecutionMode::Sampled`] (there
-    /// is no meaningful default budget); [`Campaign::run`] never routes
-    /// such a spec here.
-    fn execute(&self, spec: &ValidatedSpec, threads: usize, obs: &Obs) -> CampaignOutcome {
-        let ExecutionMode::Sampled { plan, execution } = spec.mode() else {
-            // laec-lint: allow(panic-in-library) -- documented panic: mode
-            // dispatch in `Campaign::run` routes only Sampled specs here, and
-            // there is no meaningful fallback budget for other modes.
-            panic!("SampledEngine needs ExecutionMode::Sampled");
-        };
-        let (report, stats) =
-            sampling::execute_sampled(&spec.grid(), plan, threads, execution, obs);
-        let trace_stats = matches!(execution, SampleExecution::TraceBacked { .. }).then_some(stats);
-        CampaignOutcome::Sampled {
-            report,
-            trace_stats,
-        }
-    }
-}
-
-/// The engine that executes a given mode.
-#[must_use]
-pub fn engine_for(mode: &ExecutionMode) -> &'static dyn CampaignEngine {
-    match mode {
-        ExecutionMode::Full => &FullSimEngine,
-        ExecutionMode::TraceBacked { .. } => &TraceBackedEngine,
-        ExecutionMode::Sampled { .. } => &SampledEngine,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Outcome + dispatch
 // ---------------------------------------------------------------------------
 
 /// What running a campaign produced: an exhaustive grid report or a
-/// statistical one, plus the trace record/replay counters when a
-/// trace-backed engine earned the result.
+/// statistical one, plus the trace record/replay counters when trace-backed
+/// execution earned the result.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignOutcome {
     /// An exhaustive grid ([`ExecutionMode::Full`] or
@@ -1306,7 +1109,7 @@ impl CampaignOutcome {
         }
     }
 
-    /// Record/replay counters, when a trace-backed engine produced the
+    /// Record/replay counters, when trace-backed execution produced the
     /// outcome.
     #[must_use]
     pub fn trace_stats(&self) -> Option<&TraceBackedStats> {
@@ -1346,13 +1149,13 @@ impl CampaignOutcome {
 }
 
 /// A validated campaign, ready to run — the single dispatch point over the
-/// three execution engines.
+/// execution modes.
 ///
 /// ```
 /// use laec_core::spec::{Campaign, CampaignBuilder};
 ///
 /// let campaign = Campaign::new(CampaignBuilder::smoke().validate().expect("valid"));
-/// assert_eq!(campaign.engine().capabilities().name, "full");
+/// assert_eq!(campaign.spec().mode().kind(), "full");
 /// let outcome = campaign.run(2);
 /// assert!(outcome.architecturally_equivalent());
 /// ```
@@ -1374,15 +1177,9 @@ impl Campaign {
         &self.spec
     }
 
-    /// The engine the spec's mode dispatches to.
-    #[must_use]
-    pub fn engine(&self) -> &'static dyn CampaignEngine {
-        engine_for(self.spec.mode())
-    }
-
     /// Runs the campaign on `threads` workers (`0` = all cores).
     ///
-    /// One dispatch, three engines: the report is byte-identical for any
+    /// One dispatch over every mode: the report is byte-identical for any
     /// thread count.
     #[must_use]
     pub fn run(&self, threads: usize) -> CampaignOutcome {
@@ -1390,8 +1187,8 @@ impl Campaign {
     }
 
     /// [`Campaign::run`] under instrumentation: stamps `obs` with the spec
-    /// fingerprint and engine name, streams progress events while the
-    /// engine executes, and projects the finished outcome into the
+    /// fingerprint and the mode's kind label, streams progress events while
+    /// the campaign executes, and projects the finished outcome into the
     /// deterministic metric sections (see
     /// [`crate::observe::record_outcome_metrics`]).
     ///
@@ -1399,11 +1196,7 @@ impl Campaign {
     /// [`Campaign::run`]: observation never touches results.
     #[must_use]
     pub fn run_observed(&self, threads: usize, obs: &Obs) -> CampaignOutcome {
-        let engine = self.engine();
-        obs.set_context(&self.spec.fingerprint_hex(), engine.capabilities().name);
-        let outcome = engine.execute(&self.spec, threads, obs);
-        crate::observe::record_outcome_metrics(&outcome, obs);
-        outcome
+        self.execute(threads, obs, false).0
     }
 
     /// [`Campaign::run_observed`] with per-fault lifecycle forensics: also
@@ -1415,21 +1208,17 @@ impl Campaign {
     /// The outcome — and therefore the campaign report bytes — is
     /// identical to [`Campaign::run_observed`]: the forensics hooks only
     /// observe.  The forensics report inherits the determinism contract
-    /// (same bytes for any `threads` and for the full-simulation and
-    /// trace-backed engines).
+    /// (same bytes for any `threads` and for full simulation and
+    /// trace-backed execution).
     ///
-    /// Engines that cannot trace lifecycles
-    /// ([`EngineCaps::forensics`] `== false`) return `None`.
+    /// Sampled campaigns cannot trace lifecycles and return `None`.
     pub fn run_forensic(
         &self,
         threads: usize,
         obs: &Obs,
     ) -> (CampaignOutcome, Option<ForensicsReport>) {
-        let engine = self.engine();
-        obs.set_context(&self.spec.fingerprint_hex(), engine.capabilities().name);
-        let (outcome, forensics) = engine.execute_forensic(&self.spec, threads, obs);
-        crate::observe::record_outcome_metrics(&outcome, obs);
-        let report = match (&outcome, forensics) {
+        let (outcome, cells) = self.execute(threads, obs, true);
+        let report = match (&outcome, cells) {
             (CampaignOutcome::Grid { report, .. }, Some(cells)) => {
                 let forensics = ForensicsReport::build(self.spec.spec(), report, &cells);
                 crate::observe::record_forensics_metrics(&forensics, obs);
@@ -1438,6 +1227,47 @@ impl Campaign {
             _ => None,
         };
         (outcome, report)
+    }
+
+    /// Runs the spec's mode — a grid through the one grid executor, a
+    /// sampled campaign through the sampler — and projects the outcome
+    /// into `obs`.  With `forensic`, a grid also returns one
+    /// [`CellForensics`] per cell, in the report's cell order.
+    fn execute(
+        &self,
+        threads: usize,
+        obs: &Obs,
+        forensic: bool,
+    ) -> (CampaignOutcome, Option<Vec<CellForensics>>) {
+        let mode = self.spec.mode();
+        obs.set_context(&self.spec.fingerprint_hex(), mode.kind());
+        let grid = self.spec.grid();
+        let run_grid = |execution: SampleExecution| {
+            let (report, trace_stats, cells) =
+                campaign::execute_grid(&grid, threads, &execution, forensic, obs);
+            let outcome = CampaignOutcome::Grid {
+                report,
+                trace_stats,
+            };
+            (outcome, forensic.then_some(cells))
+        };
+        let (outcome, forensics) = match mode {
+            ExecutionMode::Full => run_grid(SampleExecution::FullSim),
+            ExecutionMode::TraceBacked { cache_dir } => run_grid(SampleExecution::TraceBacked {
+                cache_dir: cache_dir.clone(),
+            }),
+            ExecutionMode::Sampled { plan, execution } => {
+                let (report, trace_stats) =
+                    sampling::execute_sampled(&grid, plan, threads, execution, obs);
+                let outcome = CampaignOutcome::Sampled {
+                    report,
+                    trace_stats,
+                };
+                (outcome, None)
+            }
+        };
+        crate::observe::record_outcome_metrics(&outcome, obs);
+        (outcome, forensics)
     }
 }
 
@@ -1672,34 +1502,45 @@ mod tests {
         }
     }
 
+    /// What each mode's engine can drive: its kind label, `smpN`
+    /// platforms, the fixed fault-seed axis, and lifecycle records from
+    /// [`Campaign::run_forensic`].
     #[test]
     fn engine_capabilities_match_their_modes() {
-        for (mode, multi_core, fault_axis, statistical, forensics) in [
-            (ExecutionMode::Full, true, true, false, true),
+        let mut plan = SamplingPlan::new(4);
+        plan.min_samples = 4;
+        plan.batch = 4;
+        let sampled = ExecutionMode::Sampled {
+            plan,
+            execution: SampleExecution::FullSim,
+        };
+        for (mode, kind, multi_core, fault_axis, forensics) in [
+            (ExecutionMode::Full, "full", true, true, true),
             (
                 ExecutionMode::TraceBacked { cache_dir: None },
+                "trace-backed",
                 false,
                 true,
-                false,
                 true,
             ),
-            (
-                ExecutionMode::Sampled {
-                    plan: SamplingPlan::new(8),
-                    execution: SampleExecution::FullSim,
-                },
-                false,
-                false,
-                true,
-                false,
-            ),
+            (sampled, "sampled", false, false, false),
         ] {
-            let caps = engine_for(&mode).capabilities();
-            assert_eq!(caps.name, mode.kind());
-            assert_eq!(caps.multi_core, multi_core, "{}", caps.name);
-            assert_eq!(caps.fault_seed_axis, fault_axis, "{}", caps.name);
-            assert_eq!(caps.statistical, statistical, "{}", caps.name);
-            assert_eq!(caps.forensics, forensics, "{}", caps.name);
+            assert_eq!(mode.kind(), kind);
+            let mut grid = campaign::CampaignSpec::smoke();
+            grid.workloads = WorkloadSet::Named(vec!["vector_sum".into()]);
+            grid.schemes = vec![EccScheme::Laec];
+            let validate = |grid: &campaign::CampaignSpec| {
+                CampaignSpec::from_grid(grid, mode.clone()).validate()
+            };
+            let mut smp = grid.clone();
+            smp.platforms = vec![PlatformVariant::smp(2)];
+            assert_eq!(validate(&smp).is_ok(), multi_core, "{kind}");
+            let mut faulty = grid.clone();
+            faulty.fault_seeds = vec![1];
+            assert_eq!(validate(&faulty).is_ok(), fault_axis, "{kind}");
+            let campaign = Campaign::new(validate(&grid).expect("a valid spec"));
+            let (_, records) = campaign.run_forensic(1, &Obs::disabled());
+            assert_eq!(records.is_some(), forensics, "{kind}");
         }
     }
 

@@ -1,20 +1,25 @@
 //! Trace-backed campaign execution: record once, replay per fault seed.
 //!
-//! The full-simulation engine simulates every grid cell from scratch,
-//! although all faulty runs of one workload × platform × scheme
-//! cell share the fault-free run's access stream — only the injected
-//! faults differ.  This module exploits that: the fault-free run of each
-//! cell (which the grid contains anyway) is executed once under a
-//! `laec_trace` recorder, and every faulty cell is then *replayed* from
-//! the recording — the memory hierarchy and the fault injector are driven
-//! through exactly the recorded calls while the pipeline model is skipped
-//! entirely.  With `--trace-cache`, recordings persist on disk and later
-//! invocations skip even the fault-free simulations.
+//! Full simulation simulates every grid cell from scratch, although all
+//! faulty runs of one workload × platform × scheme triple share the
+//! fault-free run's access stream — only the injected faults differ.
+//! Trace-backed execution exploits that: the fault-free run of each triple
+//! (which the grid contains anyway) is executed once under a `laec_trace`
+//! recorder, and every faulty cell is then *replayed* from the recording —
+//! the memory hierarchy and the fault injector are driven through exactly
+//! the recorded calls while the pipeline model is skipped entirely.  With
+//! `--trace-cache`, recordings persist on disk and later invocations skip
+//! even the fault-free simulations.
+//!
+//! This module holds the recording and replay primitives; the grid
+//! executor ([`crate::campaign`]) and the sampler ([`crate::sampling`])
+//! drive them through the one pair of cell functions in
+//! [`crate::runner`].
 //!
 //! # The byte-identical guarantee
 //!
-//! The trace-backed engine produces a [`CampaignReport`] that serialises
-//! *byte-identically* to the full-simulation engine's for the same spec
+//! A trace-backed grid produces a [`crate::campaign::CampaignReport`] that
+//! serialises *byte-identically* to full simulation of the same spec
 //! (asserted end-to-end by `tests/trace_replay.rs`):
 //!
 //! * pipeline-side cell fields (cycles, CPI, hit rates, look-ahead rate)
@@ -36,7 +41,11 @@
 //! `grid_replay` ÷ `grid_full` ratio measures it; see EXPERIMENTS.md).
 //!
 //! A recording stays one owner's decoded [`Trace`] from its first event to
-//! its last replay: the hierarchy of the recording run owns the recorder,
+//! its last replay, and lives for its triple: the grid executor runs a
+//! triple's fault-free cell and then its faulty cells as one job and drops
+//! the recording when the job ends, so each worker holds one recording at
+//! a time.  (The sampler keeps its strata's recordings for as long as it
+//! samples them.)  The hierarchy of the recording run owns the recorder,
 //! and the binary container is written only when a trace is persisted
 //! (`--trace-cache`, `laec-cli trace record`).
 
@@ -45,8 +54,8 @@ use std::fs;
 use std::path::Path;
 
 use laec_mem::{CellForensics, FaultCampaignConfig, ReplayMemory};
-use laec_obs::{Obs, Phase, ProgressEvent};
-use laec_pipeline::{EccScheme, PipelineConfig};
+use laec_obs::{Obs, Phase};
+use laec_pipeline::EccScheme;
 use laec_trace::{
     replay_events, Divergence, Trace, TraceContext, TraceDetail, TraceError, TraceEvent,
     TraceRecorder,
@@ -54,11 +63,9 @@ use laec_trace::{
 use laec_workloads::Workload;
 
 use crate::campaign::{
-    assemble_report, cell_from_result, default_threads, fnv1a, job_injection_seed,
-    registers_fingerprint, run_job, run_pool, CampaignCell, CampaignReport, CampaignSpec, Job,
-    PlatformVariant,
+    cell_from_result, fnv1a, registers_fingerprint, CampaignCell, CampaignSpec, PlatformVariant,
 };
-use crate::runner::{run_cell, Hooks};
+use crate::runner::{cell_config, run_cell, Hooks, Origin, Served};
 
 /// Execution counters of one trace-backed campaign.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -84,9 +91,37 @@ pub struct TraceBackedStats {
 }
 
 impl TraceBackedStats {
-    /// Counts one faulty cell of `scheme` that fell back to full
-    /// simulation after `divergence` in a recording of `events` events.
-    pub(crate) fn count_fallback(&mut self, scheme: &str, divergence: &Divergence, events: usize) {
+    /// Counts where a fault-free cell came from: recorded, or loaded from
+    /// the trace cache (a simulated cell counts nothing).
+    pub(crate) fn count_fault_free(&mut self, origin: Origin) {
+        match origin {
+            Origin::Simulated => {}
+            Origin::Recorded { cache_write_failed } => {
+                self.recorded += 1;
+                self.cache_write_failures += u64::from(cache_write_failed);
+            }
+            Origin::CacheHit => self.cache_loads += 1,
+        }
+    }
+
+    /// Counts how a faulty cell of `scheme` was served from a recording of
+    /// `events` events: replayed, or fallen back to full simulation after
+    /// its divergence (a cell simulated without a recording counts
+    /// nothing).
+    pub(crate) fn count_faulty(
+        &mut self,
+        scheme: impl std::fmt::Display,
+        served: &Served,
+        events: usize,
+    ) {
+        let divergence = match served {
+            Served::Simulated => return,
+            Served::Replayed => {
+                self.replayed += 1;
+                return;
+            }
+            Served::FellBack(divergence) => divergence,
+        };
         self.fallbacks += 1;
         let (kind, event) = match *divergence {
             Divergence::LoadValue { event, .. } => ("load_value", Some(event)),
@@ -115,21 +150,12 @@ impl std::fmt::Display for TraceBackedStats {
     }
 }
 
-/// A campaign report plus how the trace engine earned it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracedCampaign {
-    /// The report — byte-identical to full simulation of the same spec.
-    pub report: CampaignReport,
-    /// Record/replay/fallback counters.
-    pub stats: TraceBackedStats,
-}
-
 /// Fingerprint of everything that shapes one cell's access stream: the
 /// spec seed, the workload generator shape and the platform-applied
 /// pipeline configuration (which embeds the scheme and hierarchy).
 #[must_use]
 pub fn cell_fingerprint(spec: &CampaignSpec, scheme: EccScheme, platform: PlatformVariant) -> u64 {
-    let config = platform_config(scheme, platform);
+    let config = cell_config(scheme, platform);
     let description = format!("v1|{:?}|{:?}|{:?}", spec.seed, spec.generator, config);
     fnv1a(description.bytes())
 }
@@ -138,10 +164,6 @@ pub fn cell_fingerprint(spec: &CampaignSpec, scheme: EccScheme, platform: Platfo
 #[must_use]
 pub fn trace_file_name(workload: &str, scheme: &str, platform: &str, fingerprint: u64) -> String {
     format!("{workload}__{scheme}__{platform}__{fingerprint:016x}.laectrace")
-}
-
-fn platform_config(scheme: EccScheme, platform: PlatformVariant) -> PipelineConfig {
-    platform.apply_config(PipelineConfig::for_scheme(scheme))
 }
 
 /// Runs one fault-free cell in full simulation while recording its access
@@ -154,7 +176,7 @@ pub fn record_cell(
     platform: PlatformVariant,
     detail: TraceDetail,
 ) -> (CampaignCell, Trace) {
-    let config = platform_config(scheme, platform);
+    let config = cell_config(scheme, platform);
     let context = TraceContext::new(
         workload.name.clone(),
         scheme.to_string(),
@@ -216,7 +238,7 @@ pub fn replay_cell_events(
     fault: Option<FaultCampaignConfig>,
     fault_axis_seed: Option<u64>,
 ) -> Result<CampaignCell, Divergence> {
-    replay_cell_events_impl(spec, trace, events, workload, fault, fault_axis_seed, false)
+    replay_cell_forensic(spec, trace, events, workload, fault, fault_axis_seed, false)
         .map(|(cell, _)| cell)
 }
 
@@ -226,7 +248,7 @@ pub fn replay_cell_events(
 /// the same grid coordinates (the replay re-issues the recorded
 /// (event, cycle) stream).
 #[allow(clippy::too_many_lines)]
-fn replay_cell_events_impl(
+pub(crate) fn replay_cell_forensic(
     spec: &CampaignSpec,
     trace: &Trace,
     events: &[TraceEvent],
@@ -254,7 +276,7 @@ fn replay_cell_events_impl(
         ));
     }
 
-    let config = platform_config(scheme, platform);
+    let config = cell_config(scheme, platform);
     let mut target = ReplayMemory::new(config.hierarchy)
         .with_flush_on_error(matches!(scheme, EccScheme::SpeculateFlush { .. }))
         .with_forensics(forensic);
@@ -338,17 +360,11 @@ fn replay_cell_events_impl(
     Ok((cell, forensics))
 }
 
-/// How one fault-free cell was obtained.
-pub(crate) enum Origin {
-    Recorded { cache_write_failed: bool },
-    CacheHit,
-}
-
 /// Obtains one stratum's fault-free cell plus its recording: from
 /// `cache_dir` when a valid, matching trace is present, otherwise by
 /// recording a fresh full simulation (persisting it back to `cache_dir`
-/// best-effort).  Shared by the trace-backed campaign's phase 1 and the
-/// sampler's baseline phase.
+/// best-effort).  [`crate::runner::Cells::fault_free`] calls it for the
+/// grid executor and the sampler alike.
 pub(crate) fn obtain_recording(
     spec: &CampaignSpec,
     workload: &Workload,
@@ -386,212 +402,6 @@ pub(crate) fn obtain_recording(
             .is_err()
     });
     (cell, trace, Origin::Recorded { cache_write_failed })
-}
-
-/// The record-once/replay-per-seed engine behind
-/// [`crate::spec::TraceBackedEngine`]: fault-free cells are simulated (or
-/// loaded from `cache_dir`) once per workload × platform × scheme and
-/// recorded; faulty cells replay the recording per fault seed, falling
-/// back to full simulation on divergence.  The report is byte-identical to
-/// the full-simulation engine with the same spec.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-#[must_use]
-pub(crate) fn execute_trace_backed(
-    spec: &CampaignSpec,
-    threads: usize,
-    cache_dir: Option<&Path>,
-    obs: &Obs,
-) -> TracedCampaign {
-    execute_trace_backed_impl(spec, threads, cache_dir, obs, false).0
-}
-
-/// [`execute_trace_backed`] with per-fault lifecycle forensics: also
-/// returns one [`CellForensics`] per grid cell, in the report's cell order.
-/// Fault-free cells carry no faults, so their record sets are empty; faulty
-/// cells' records are byte-identical to the full-simulation engine's (the
-/// determinism tests `cmp` the two).
-#[must_use]
-pub(crate) fn execute_trace_backed_forensic(
-    spec: &CampaignSpec,
-    threads: usize,
-    cache_dir: Option<&Path>,
-    obs: &Obs,
-) -> (TracedCampaign, Vec<CellForensics>) {
-    execute_trace_backed_impl(spec, threads, cache_dir, obs, true)
-}
-
-#[allow(clippy::too_many_lines)]
-fn execute_trace_backed_impl(
-    spec: &CampaignSpec,
-    threads: usize,
-    cache_dir: Option<&Path>,
-    obs: &Obs,
-    forensic: bool,
-) -> (TracedCampaign, Vec<CellForensics>) {
-    assert!(
-        spec.platforms.iter().all(|p| p.cores() == 1),
-        "trace-backed campaigns do not support multi-core (smpN) platforms \
-         yet: a recording captures one core's access stream"
-    );
-    let workloads = spec.materialize_workloads();
-    let threads = if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    };
-
-    // Phase 1: one fault-free (recording) cell per triple, in grid order.
-    let mut triples = Vec::new();
-    for workload in 0..workloads.len() {
-        for platform in 0..spec.platforms.len() {
-            for scheme in 0..spec.schemes.len() {
-                triples.push((workload, platform, scheme));
-            }
-        }
-    }
-    let fault_count = spec.fault_seeds.len();
-    let total = (triples.len() * (1 + fault_count)) as u64;
-    obs.emit(&ProgressEvent::CampaignStart {
-        engine: "trace-backed",
-        jobs: total,
-    });
-    let phase1: Vec<(CampaignCell, Trace, Origin)> = run_pool(triples.len(), threads, |index| {
-        let (workload, platform, scheme) = triples[index];
-        let recorded = obtain_recording(
-            spec,
-            &workloads[workload],
-            spec.schemes[scheme],
-            spec.platforms[platform],
-            cache_dir,
-            obs,
-        );
-        let phase = match recorded.2 {
-            Origin::CacheHit => Phase::TraceDecode,
-            Origin::Recorded { .. } => Phase::TraceRecord,
-        };
-        // Fault-free cells inject nothing: their forensic tallies are all
-        // zero by construction.
-        let tallies = forensic.then(|| CellForensics::default().outcome_tallies());
-        obs.emit(&ProgressEvent::Cell {
-            // The cell's position in the canonical grid order: fault-free
-            // cells lead their triple's block of 1 + fault_count cells.
-            index: (index * (1 + fault_count)) as u64,
-            total,
-            workload: &recorded.0.workload,
-            scheme: &recorded.0.scheme,
-            platform: &recorded.0.platform,
-            fault_seed: None,
-            cycles: recorded.0.cycles,
-            phase: phase.label(),
-            outcomes: tallies.as_ref().map(|t| &t[..]),
-        });
-        recorded
-    });
-
-    // Phase 2: replay every faulty cell from its triple's trace.
-    let phase2: Vec<(CampaignCell, Option<Divergence>, CellForensics)> =
-        run_pool(triples.len() * fault_count, threads, |index| {
-            let triple = index / fault_count;
-            let fault = index % fault_count;
-            let (workload, platform, scheme) = triples[triple];
-            let job = Job {
-                workload,
-                scheme,
-                platform,
-                fault: Some(fault),
-            };
-            let axis_seed = spec.fault_seeds[fault];
-            let campaign = FaultCampaignConfig::single_bit(
-                job_injection_seed(spec, job, axis_seed),
-                spec.fault_interval,
-            )
-            .with_target(spec.fault_target);
-            let workload = &workloads[workload];
-            let (_, trace, _) = &phase1[triple];
-            let replayed = {
-                let _span = obs.span(Phase::Replay);
-                replay_cell_events_impl(
-                    spec,
-                    trace,
-                    trace.events(),
-                    workload,
-                    Some(campaign),
-                    Some(axis_seed),
-                    forensic,
-                )
-            };
-            let (cell, divergence, forensics) = match replayed {
-                Ok((cell, forensics)) => (cell, None, forensics),
-                Err(divergence) => {
-                    let _span = obs.span(Phase::FullSimFallback);
-                    let (cell, forensics) = run_job(spec, &workloads, job, forensic);
-                    (cell, Some(divergence), forensics)
-                }
-            };
-            let phase = if divergence.is_none() {
-                Phase::Replay
-            } else {
-                Phase::FullSimFallback
-            };
-            let tallies = forensic.then(|| forensics.outcome_tallies());
-            obs.emit(&ProgressEvent::Cell {
-                index: (triple * (1 + fault_count) + 1 + fault) as u64,
-                total,
-                workload: &cell.workload,
-                scheme: &cell.scheme,
-                platform: &cell.platform,
-                fault_seed: cell.fault_seed,
-                cycles: cell.cycles,
-                phase: phase.label(),
-                outcomes: tallies.as_ref().map(|t| &t[..]),
-            });
-            (cell, divergence, forensics)
-        });
-    obs.emit(&ProgressEvent::CampaignEnd {
-        engine: "trace-backed",
-        executed: total,
-    });
-
-    // Interleave back into the canonical grid order and aggregate counters.
-    let mut stats = TraceBackedStats::default();
-    let mut cells = Vec::with_capacity(triples.len() * (1 + fault_count));
-    let mut forensics = Vec::with_capacity(cells.capacity());
-    let mut faulty = phase2.into_iter();
-    for (cell, trace, origin) in phase1 {
-        match origin {
-            Origin::Recorded { cache_write_failed } => {
-                stats.recorded += 1;
-                stats.cache_write_failures += u64::from(cache_write_failed);
-            }
-            Origin::CacheHit => stats.cache_loads += 1,
-        }
-        cells.push(cell);
-        forensics.push(CellForensics::default());
-        for _ in 0..fault_count {
-            // laec-lint: allow(panic-in-library) -- phase 2 produced exactly
-            // `fault_count` faulty cells per group (same grid expansion as
-            // this loop), so the iterator cannot run dry.
-            let next = faulty.next().expect("phase-2 grid is complete");
-            let (cell, divergence, cell_forensics) = next;
-            match divergence {
-                None => stats.replayed += 1,
-                Some(divergence) => {
-                    stats.count_fallback(&cell.scheme, &divergence, trace.events().len());
-                }
-            }
-            cells.push(cell);
-            forensics.push(cell_forensics);
-        }
-    }
-
-    let traced = TracedCampaign {
-        report: assemble_report(spec, &workloads, cells),
-        stats,
-    };
-    (traced, forensics)
 }
 
 #[cfg(test)]

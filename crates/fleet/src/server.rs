@@ -355,8 +355,8 @@ impl Server {
     ) -> Result<Collected, FleetError> {
         let grid = validated.grid();
         match validated.mode() {
-            ExecutionMode::Sampled { plan, execution } => {
-                self.collect_sampled(job, key, &grid, plan, execution, shards)
+            ExecutionMode::Sampled { plan, .. } => {
+                self.collect_sampled(job, key, &grid, plan, shards)
             }
             _ => self.collect_whole(job, key),
         }
@@ -368,7 +368,6 @@ impl Server {
         key: &str,
         grid: &campaign::CampaignSpec,
         plan: &SamplingPlan,
-        execution: &SampleExecution,
         shards: usize,
     ) -> Result<Collected, FleetError> {
         let mut merged =
@@ -397,13 +396,18 @@ impl Server {
                 self.wait_step()?;
             }
         }
-        let sampler = Sampler::restore(grid, plan, execution, self.config.threads, &merged)?;
-        let report = sampler.report();
-        let trace_stats =
-            matches!(execution, SampleExecution::TraceBacked { .. }).then(|| sampler.trace_stats());
+        // The report reads only the strata's baseline cycles, which full
+        // simulation gives without recording anything.
+        let sampler = Sampler::restore(
+            grid,
+            plan,
+            &SampleExecution::FullSim,
+            self.config.threads,
+            &merged,
+        )?;
         let outcome = CampaignOutcome::Sampled {
-            report,
-            trace_stats,
+            report: sampler.report(),
+            trace_stats: None,
         };
         let mut json = outcome.to_json();
         json.push('\n');

@@ -27,15 +27,17 @@ fn scratch_root(tag: &str) -> FleetPaths {
 
 /// A small sampled campaign: 2 workloads x 2 schemes x 1 platform =
 /// 4 strata, budget 8, batch 4.
-fn sampled_validated() -> ValidatedSpec {
+fn sampled_builder() -> CampaignBuilder {
     CampaignBuilder::smoke()
         .named_workloads(["vector_sum", "fir_filter"])
         .schemes([EccScheme::NoEcc, EccScheme::Laec])
         .sampled(8)
         .batch(4)
         .min_samples(4)
-        .validate()
-        .expect("a valid sampled spec")
+}
+
+fn sampled_validated() -> ValidatedSpec {
+    sampled_builder().validate().expect("a valid sampled spec")
 }
 
 /// A small grid campaign (one Whole task through the fleet).
@@ -82,11 +84,14 @@ fn event_lines(paths: &FleetPaths) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn sharded_thread_workers_reproduce_the_single_process_bytes() {
-    let paths = scratch_root("shards");
-    let validated = sampled_validated();
-    let submission = submit(&paths, &validated.spec().to_json(), DEFAULT_PRIORITY).expect("submit");
+/// Submits `validated` and serves it with two thread workers racing the
+/// task pool over `shards` shards; returns the submission's store key.
+fn serve_with_thread_workers(
+    paths: &FleetPaths,
+    validated: &ValidatedSpec,
+    shards: usize,
+) -> String {
+    let submission = submit(paths, &validated.spec().to_json(), DEFAULT_PRIORITY).expect("submit");
     assert!(!submission.cached);
 
     // Two workers race the task pool while the server drains the queue.
@@ -106,7 +111,7 @@ fn sharded_thread_workers_reproduce_the_single_process_bytes() {
         })
         .collect();
 
-    let mut server = Server::new(paths.clone(), drain_config(2, 4)).expect("server");
+    let mut server = Server::new(paths.clone(), drain_config(2, shards)).expect("server");
     let summary = server.run().expect("serve");
     assert_eq!(summary.jobs_run, 1);
 
@@ -118,9 +123,17 @@ fn sharded_thread_workers_reproduce_the_single_process_bytes() {
             .expect("worker thread")
             .expect("worker ran clean");
     }
+    submission.store_key
+}
+
+#[test]
+fn sharded_thread_workers_reproduce_the_single_process_bytes() {
+    let paths = scratch_root("shards");
+    let validated = sampled_validated();
+    let store_key = serve_with_thread_workers(&paths, &validated, 4);
 
     assert_eq!(
-        published_report(&paths, &submission.store_key),
+        published_report(&paths, &store_key),
         reference_json(&validated),
         "sharded execution must be byte-identical to the single-process run"
     );
@@ -141,10 +154,28 @@ fn sharded_thread_workers_reproduce_the_single_process_bytes() {
             "seq must be monotone at line {index}: {line}"
         );
         assert!(
-            line.contains(&format!("\"spec\":\"0x{}\"", submission.store_key)),
+            line.contains(&format!("\"spec\":\"0x{store_key}\"")),
             "every job event carries the store key: {line}"
         );
     }
+    let _ = fs::remove_dir_all(paths.root());
+}
+
+/// The workers replay their strata; the server's merge restores the
+/// checkpoint in full simulation, which gives the same baselines.
+#[test]
+fn sharded_trace_backed_sampling_reproduces_the_single_process_bytes() {
+    let paths = scratch_root("traced-shards");
+    let validated = sampled_builder()
+        .trace_backed()
+        .validate()
+        .expect("a valid trace-backed sampled spec");
+    let store_key = serve_with_thread_workers(&paths, &validated, 4);
+    assert_eq!(
+        published_report(&paths, &store_key),
+        reference_json(&validated),
+        "trace-backed sharded sampling must be byte-identical to the single-process run"
+    );
     let _ = fs::remove_dir_all(paths.root());
 }
 

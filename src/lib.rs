@@ -65,8 +65,8 @@ pub mod prelude {
         render_sampled, SampleExecution, SampledReport, Sampler, SamplingPlan,
     };
     pub use laec_core::spec::{
-        engine_for, Campaign, CampaignBuilder, CampaignEngine, CampaignOutcome, CampaignSpec,
-        EngineCaps, ExecutionMode, SpecError, ValidatedSpec,
+        Campaign, CampaignBuilder, CampaignOutcome, CampaignSpec, ExecutionMode, SpecError,
+        ValidatedSpec,
     };
     pub use laec_core::trace_backed::TraceBackedStats;
     pub use laec_mem::FaultTarget;

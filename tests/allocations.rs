@@ -1,10 +1,10 @@
 //! Heap-allocation gate for the simulation loop.
 //!
 //! A counting global allocator sees every allocation this test binary
-//! makes, so the binary holds exactly one `#[test]`: no other test runs
-//! beside it and adds to the count.  Allocation counts do not depend on
-//! the host, so the gate holds them exactly, which it could not do for
-//! wall time.  It checks two things:
+//! makes, and the bytes it holds live, so the binary holds exactly one
+//! `#[test]`: no other test runs beside it and adds to the counts.
+//! Allocation counts do not depend on the host, so the gate holds them
+//! exactly, which it could not do for wall time.  It checks three things:
 //!
 //! 1. **Steady state.**  A DL1-resident load/store loop runs for `N` and
 //!    for `4N` iterations under each Figure 8 scheme on `wb` and `wt`,
@@ -21,12 +21,16 @@
 //!    event.  What remains at those rates is per-cell set-up (hierarchies,
 //!    the lazily allocated codeword buffer of each cache line slot) and,
 //!    trace-backed, the recordings.
+//! 3. **Heap peak.**  A trace-backed grid holds one recording per worker:
+//!    on one thread, one workload's grid under the four Figure 8 schemes
+//!    peaks within one recording's bytes of the same grid under one scheme.
 //!
 //! An allocation is one `alloc`, `alloc_zeroed` or `realloc` call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use laec::core::campaign::{CampaignSpec as GridSpec, WorkloadSet};
 use laec::core::record_cell;
 use laec::isa::Program;
 use laec::mem::{FaultCampaignConfig, ProtocolKind, ReplayMemory};
@@ -46,27 +50,43 @@ const FULL_PER_INSTRUCTION: f64 = 0.0115;
 /// allocations over 30360 replayed events (0.0699); the ceiling leaves 5 %.
 const TRACE_BACKED_PER_REPLAYED_EVENT: f64 = 0.0735;
 
-/// [`System`], counting allocation calls.
+/// [`System`], counting allocation calls and the bytes held live.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// The most `LIVE` has been since [`peak_heap_during`] last reset it.
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter only observes the calls.
+// upholds the `GlobalAlloc` contract; the counters only observe the calls.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: the caller's `layout` obligations pass through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         // SAFETY: `ptr` was allocated by `System` (through this wrapper)
         // with `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
@@ -74,6 +94,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if new_size >= layout.size() {
+            grow(new_size - layout.size());
+        } else {
+            shrink(layout.size() - new_size);
+        }
         // SAFETY: the caller's obligations for `ptr`, `layout` and
         // `new_size` pass through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -88,6 +113,15 @@ fn allocations_during<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let value = work();
     (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// Runs `work` and returns its value and the most heap it held live at
+/// once, above what was live when it started.
+fn peak_heap_during<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let value = work();
+    (value, PEAK.load(Ordering::Relaxed) - base)
 }
 
 /// A loop over two DL1-resident lines: three loads and two stores per
@@ -254,8 +288,40 @@ fn check_ceilings() {
     );
 }
 
+fn check_heap_peak() {
+    let mut grid = GridSpec::paper_grid();
+    grid.workloads = WorkloadSet::Named(vec!["a2time".into()]);
+    grid.fault_seeds = vec![1, 2];
+    grid.fault_interval = 200;
+    let workload = &grid.materialize_workloads()[0];
+    let (_, trace) = record_cell(
+        &grid,
+        workload,
+        EccScheme::Laec,
+        PlatformVariant::WriteBack,
+        TraceDetail::Replay,
+    );
+    let recording = std::mem::size_of_val(trace.events()) as u64;
+    drop(trace);
+    let peak = |schemes: &[EccScheme]| {
+        let mut grid = grid.clone();
+        grid.schemes = schemes.to_vec();
+        let traced = CampaignSpec::from_grid(&grid, ExecutionMode::TraceBacked { cache_dir: None });
+        let traced = Campaign::new(traced.validate().expect("the traced spec validates"));
+        peak_heap_during(|| traced.run(1)).1
+    };
+    let one = peak(&[EccScheme::Laec]);
+    let four = peak(&EccScheme::figure8_set());
+    assert!(
+        four.abs_diff(one) < recording,
+        "a trace-backed grid peaks at {four} B under four schemes and {one} B under one: \
+         it keeps more than one {recording}-B recording alive at a time"
+    );
+}
+
 #[test]
 fn simulation_loop_allocates_only_while_warming_up() {
     check_steady_state();
     check_ceilings();
+    check_heap_peak();
 }

@@ -1,14 +1,18 @@
 //! End-to-end guarantees of the trace capture & replay subsystem: a
 //! trace-backed campaign must serialize *byte-identically* to the full-
 //! simulation campaign for the same spec — fault axis included — and the
-//! persisted trace cache must round-trip.
+//! persisted trace cache must round-trip, for grids, sampled campaigns and
+//! forensics alike.
 
 use std::path::PathBuf;
 
 use laec::core::campaign::{CampaignSpec, PlatformVariant, WorkloadSet};
+use laec::core::sampling::{stratum_count, SampleExecution, SamplingPlan};
+use laec::core::spec::{self, Campaign, ExecutionMode};
+use laec::obs::Obs;
 use laec::pipeline::EccScheme;
 
-use laec_bench::{run_full, run_trace_backed};
+use laec_bench::{run_full, run_full_forensic, run_sampled, run_trace_backed};
 
 /// Two workloads × two ECC schemes × fault seeds on the paper platform:
 /// the acceptance grid of the subsystem.
@@ -109,4 +113,55 @@ fn thread_count_does_not_change_trace_backed_reports() {
     let eight = run_trace_backed(&spec, 8, None);
     assert_eq!(one.report.to_json(), eight.report.to_json());
     assert_eq!(one.stats, eight.stats);
+}
+
+#[test]
+fn one_trace_cache_serves_grids_samplers_and_forensics() {
+    let spec = secded_spec();
+    let cache = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-cache-engines");
+    let _ = std::fs::remove_dir_all(&cache);
+    let warmed = run_trace_backed(&spec, 2, Some(&cache));
+    assert_eq!(warmed.stats.recorded, 4);
+    let run = |spec: &CampaignSpec, mode: ExecutionMode| {
+        let validated = spec::CampaignSpec::from_grid(spec, mode)
+            .validate()
+            .expect("a valid spec");
+        Campaign::new(validated).run_forensic(2, &Obs::disabled())
+    };
+
+    // A sampled campaign over the same axes loads every stratum from the
+    // grid's recordings and prints the bytes of a cold run.
+    let mut axes = spec.clone();
+    axes.fault_seeds.clear();
+    let mut plan = SamplingPlan::new(8);
+    plan.min_samples = 4;
+    plan.batch = 4;
+    let cold = SampleExecution::TraceBacked { cache_dir: None };
+    let cold = run_sampled(&axes, &plan, 2, &cold);
+    let execution = SampleExecution::TraceBacked {
+        cache_dir: Some(cache.clone()),
+    };
+    let (warm, _) = run(&axes, ExecutionMode::Sampled { plan, execution });
+    let stats = warm.trace_stats().expect("trace-backed counters");
+    assert_eq!(stats.cache_loads, stratum_count(&axes) as u64);
+    assert_eq!(stats.recorded, 0, "every stratum came from the cache");
+    assert_eq!(warm.to_json(), cold.to_json());
+
+    // Forensics on the warm cache: the full-simulation document.
+    let (_, full) = run_full_forensic(&spec, 2);
+    let full = full.expect("full simulation traces lifecycles");
+    let mode = ExecutionMode::TraceBacked {
+        cache_dir: Some(cache.clone()),
+    };
+    let (outcome, traced) = run(&spec, mode);
+    let stats = outcome.trace_stats().expect("trace-backed counters");
+    assert_eq!((stats.cache_loads, stats.recorded), (4, 0));
+    let traced = traced.expect("trace-backed grids trace lifecycles");
+    assert!(
+        full.cells.iter().any(|cell| !cell.records.is_empty()),
+        "the faulty cells carry lifecycle records"
+    );
+    assert_eq!(traced.to_json(), full.to_json());
+
+    let _ = std::fs::remove_dir_all(&cache);
 }
