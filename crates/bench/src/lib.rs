@@ -72,6 +72,7 @@ pub fn run_trace_backed(
         CampaignOutcome::Grid {
             report,
             trace_stats,
+            ..
         } => TracedCampaign {
             report,
             stats: trace_stats.expect("trace-backed counters"),

@@ -130,7 +130,11 @@ campaign FLAGS:
                       their lost-writeback / stale-read outcomes are
                       classified separately in the report
     --trace-backed    Record each cell's fault-free run once and replay it
-                      per fault seed (byte-identical report, much faster)
+                      per fault seed (byte-identical report).  On a cold
+                      faulty grid full simulation is the faster engine: it
+                      evaluates every seed of a cell in the one fault-free
+                      run and re-simulates only the seeds that change it.
+                      Replay pays off on --trace-cache hits
     --trace-cache <DIR>
                       Persist/reuse recordings under DIR (implies
                       --trace-backed)

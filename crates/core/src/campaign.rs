@@ -43,13 +43,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use laec_mem::{CellForensics, FaultTarget, HierarchyConfig, Interference, ProtocolKind};
+use laec_mem::{
+    CellForensics, FaultTarget, HierarchyConfig, Interference, OverlayReport, ProtocolKind,
+};
 use laec_obs::{Obs, Phase, ProgressEvent};
 use laec_pipeline::{EccScheme, PipelineConfig};
 use laec_workloads::{eembc_suite, kernel_suite, GeneratorConfig, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{grid_triples, Cells, Faulty, Triple};
+use crate::runner::{grid_triples, Cells, Faulty, Followers, Served, Triple};
 use crate::sampling::SampleExecution;
 use crate::trace_backed::TraceBackedStats;
 
@@ -556,11 +558,12 @@ pub fn default_threads() -> usize {
 /// [`SampleExecution::TraceBacked`] the fault-free cell is recorded (or
 /// loaded from the trace cache) and the faulty cells replay the recording,
 /// which is dropped when its triple ends, so a worker holds one recording
-/// at a time; under [`SampleExecution::FullSim`] every cell is simulated.
-/// The report is byte-identical either way.  Cells, the record/replay
-/// counters (`Some` when trace-backed) and one [`CellForensics`] per cell
-/// (empty record sets unless `forensic`) come back in grid order for any
-/// thread count.
+/// at a time.  Under [`SampleExecution::FullSim`] the fault-free
+/// simulation carries the fault axis as seed overlays where they apply,
+/// and only the seeds that escape their overlays are simulated again.
+/// The report is byte-identical either way.  Cells, the engine's counters
+/// and one [`CellForensics`] per cell (empty record sets unless
+/// `forensic`) come back in grid order for any thread count.
 ///
 /// # Panics
 ///
@@ -572,7 +575,7 @@ pub(crate) fn execute_grid(
     execution: &SampleExecution,
     forensic: bool,
     obs: &Obs,
-) -> (CampaignReport, Option<TraceBackedStats>, Vec<CellForensics>) {
+) -> GridRun {
     let workloads = spec.materialize_workloads();
     let triples = grid_triples(spec, workloads.len());
     let cells = Cells {
@@ -606,7 +609,7 @@ pub(crate) fn execute_grid(
     let blocks = run_pool(triples.len(), threads, |index| {
         let triple = triples[index];
         let first = index * per_triple;
-        let fault_free = cells.fault_free(triple, execution);
+        let fault_free = cells.fault_free(triple, execution, Followers::Grid(&spec.fault_seeds));
         emit(
             first,
             &fault_free.cell,
@@ -614,13 +617,13 @@ pub(crate) fn execute_grid(
             &CellForensics::default(),
         );
         let recording = fault_free.recording.as_ref();
+        let mut overlaid = fault_free.overlaid.into_iter();
         let faulty: Vec<Faulty> = spec
             .fault_seeds
             .iter()
             .enumerate()
             .map(|(fault, &axis_seed)| {
-                let seed = grid_injection_seed(spec, triple, axis_seed);
-                let faulty = cells.faulty(triple, seed, Some(axis_seed), recording);
+                let faulty = cells.grid_faulty(triple, axis_seed, overlaid.next(), recording);
                 emit(
                     first + 1 + fault,
                     &faulty.cell,
@@ -640,6 +643,7 @@ pub(crate) fn execute_grid(
     });
 
     let mut stats = TraceBackedStats::default();
+    let mut overlay_stats = OverlayStats::default();
     let mut grid_cells = Vec::with_capacity(total as usize);
     let mut forensics = Vec::with_capacity(total as usize);
     for (cell, origin, faulty, events) in blocks {
@@ -649,12 +653,59 @@ pub(crate) fn execute_grid(
         forensics.push(CellForensics::default());
         for faulty in faulty {
             stats.count_faulty(&faulty.cell.scheme, &faulty.served, events);
+            overlay_stats.count(&faulty.cell.scheme, &faulty.served);
             grid_cells.push(faulty.cell);
             forensics.push(faulty.forensics);
         }
     }
-    let report = assemble_report(spec, &workloads, grid_cells);
-    (report, trace_backed.then_some(stats), forensics)
+    GridRun {
+        report: assemble_report(spec, &workloads, grid_cells),
+        trace_stats: trace_backed.then_some(stats),
+        overlay_stats: (!trace_backed).then_some(overlay_stats),
+        forensics,
+    }
+}
+
+/// What [`execute_grid`] produced.
+pub(crate) struct GridRun {
+    pub report: CampaignReport,
+    /// Record/replay counters (trace-backed grids).
+    pub trace_stats: Option<TraceBackedStats>,
+    /// Seed-overlay counters (full-simulation grids).
+    pub overlay_stats: Option<OverlayStats>,
+    /// One record set per cell, in grid order (empty sets unless
+    /// forensic).
+    pub forensics: Vec<CellForensics>,
+}
+
+/// How a full-simulation grid served its faulty cells: from seed
+/// overlays, or on their own after escaping.  Cells of triples that carry
+/// no overlays (`smpN` platforms, metadata targets, forensic runs) are
+/// simulated per seed and counted in neither.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OverlayStats {
+    /// Faulty cells built from their triple's fault-free run.
+    pub served: u64,
+    /// Escaped seeds by scheme label × reason
+    /// ([`laec_mem::EscapeReason::label`]); each was simulated on its own.
+    pub escaped: BTreeMap<(String, &'static str), u64>,
+}
+
+impl OverlayStats {
+    /// Counts how a faulty cell of `scheme` was served (cells served
+    /// without an overlay count nothing).
+    fn count(&mut self, scheme: &str, served: &Served) {
+        match served {
+            Served::Overlay => self.served += 1,
+            Served::Escaped(reason) => {
+                *self
+                    .escaped
+                    .entry((scheme.to_string(), reason.label()))
+                    .or_default() += 1;
+            }
+            Served::Simulated | Served::Replayed | Served::FellBack(_) => {}
+        }
+    }
 }
 
 /// Executes `count` jobs on a scoped worker pool of `threads` workers
@@ -722,6 +773,27 @@ pub(crate) fn assemble_report(
         slowdowns,
         equivalence,
         degenerate_baselines,
+    }
+}
+
+/// Builds the faulty cell of fault-axis seed `fault_seed` from the
+/// fault-free run `result` it rode as an overlay, and the overlay's
+/// `report`: the seed kept the run's timing, traffic and registers, and
+/// differs only in its fault counters and its final memory checksum.
+pub(crate) fn overlay_cell(
+    workload: &Workload,
+    scheme: EccScheme,
+    platform: PlatformVariant,
+    fault_seed: u64,
+    result: &laec_pipeline::SimResult,
+    report: &OverlayReport,
+) -> CampaignCell {
+    CampaignCell {
+        faults_injected: report.faults_injected,
+        faults_corrected: report.corrected,
+        faults_detected_uncorrectable: report.uncorrectable,
+        memory_checksum: result.memory_checksum.wrapping_add(report.checksum_delta),
+        ..cell_from_result(workload, scheme, platform, Some(fault_seed), result)
     }
 }
 
@@ -1022,7 +1094,8 @@ mod tests {
         let mut spec = CampaignSpec::smoke();
         spec.workloads = WorkloadSet::Named(vec!["vector_sum".into(), "fir_filter".into()]);
         spec.fault_seeds = vec![1, 2];
-        let report = execute_grid(&spec, 2, &SampleExecution::FullSim, false, &Obs::disabled()).0;
+        let report =
+            execute_grid(&spec, 2, &SampleExecution::FullSim, false, &Obs::disabled()).report;
         // 2 workloads x 1 platform x 4 schemes x (1 fault-free + 2 faulty).
         assert_eq!(report.total_jobs, 2 * 4 * 3);
         assert_eq!(report.cells.len(), 24);
@@ -1034,7 +1107,8 @@ mod tests {
     fn slowdowns_are_normalised_to_no_ecc() {
         let mut spec = CampaignSpec::smoke();
         spec.workloads = WorkloadSet::Named(vec!["vector_sum".into()]);
-        let report = execute_grid(&spec, 1, &SampleExecution::FullSim, false, &Obs::disabled()).0;
+        let report =
+            execute_grid(&spec, 1, &SampleExecution::FullSim, false, &Obs::disabled()).report;
         let no_ecc = report
             .cells
             .iter()
@@ -1052,7 +1126,8 @@ mod tests {
         let mut spec = CampaignSpec::smoke();
         spec.workloads = WorkloadSet::Named(vec!["vector_sum".into()]);
         spec.schemes = vec![EccScheme::Laec, EccScheme::ExtraStage];
-        let report = execute_grid(&spec, 1, &SampleExecution::FullSim, false, &Obs::disabled()).0;
+        let report =
+            execute_grid(&spec, 1, &SampleExecution::FullSim, false, &Obs::disabled()).report;
         assert!(report.cells.iter().all(|c| c.slowdown.is_none()));
         assert!(report.slowdowns.averages.iter().all(Option::is_none));
     }
@@ -1064,7 +1139,8 @@ mod tests {
         spec.schemes = vec![EccScheme::Laec];
         spec.fault_seeds = vec![0xBEEF];
         spec.fault_interval = 50;
-        let report = execute_grid(&spec, 2, &SampleExecution::FullSim, false, &Obs::disabled()).0;
+        let report =
+            execute_grid(&spec, 2, &SampleExecution::FullSim, false, &Obs::disabled()).report;
         let faulty = report
             .cells
             .iter()

@@ -67,7 +67,7 @@ pub mod spec;
 pub mod trace_backed;
 
 pub use campaign::{
-    render_campaign, CampaignCell, CampaignReport, CampaignSpec, EquivalenceCheck,
+    render_campaign, CampaignCell, CampaignReport, CampaignSpec, EquivalenceCheck, OverlayStats,
     ParsePlatformError, PlatformVariant, SlowdownMatrix, SlowdownRow, WorkloadSet,
 };
 pub use fingerprint::hash128;

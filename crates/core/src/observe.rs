@@ -15,7 +15,7 @@
 
 use laec_obs::Obs;
 
-use crate::campaign::CampaignReport;
+use crate::campaign::{CampaignReport, OverlayStats};
 use crate::forensics::{decade_bucket, ForensicsReport};
 use crate::sampling::SampledReport;
 use crate::spec::CampaignOutcome;
@@ -37,10 +37,14 @@ pub fn record_outcome_metrics(outcome: &CampaignOutcome, obs: &Obs) {
         CampaignOutcome::Grid {
             report,
             trace_stats,
+            overlay_stats,
         } => {
             record_grid_metrics(report, obs);
             if let Some(stats) = trace_stats {
                 record_trace_counters(stats, obs);
+            }
+            if let Some(stats) = overlay_stats {
+                record_overlay_counters(stats, obs);
             }
         }
         CampaignOutcome::Sampled {
@@ -251,6 +255,20 @@ fn record_trace_counters(stats: &TraceBackedStats, obs: &Obs) {
         if count > 0 {
             obs.engine_counter_set(&format!("trace.div_decile.{decile}"), count);
         }
+    }
+}
+
+/// Seed-overlay counters of a full-simulation grid, each written only
+/// where it is non-zero: `overlay.served` and
+/// `overlay.escaped.<scheme>.<reason>`.  On a grid whose every triple
+/// carries overlays (uniprocessor platforms, data strikes, no forensics)
+/// they sum to the grid's faulty cells.
+fn record_overlay_counters(stats: &OverlayStats, obs: &Obs) {
+    if stats.served > 0 {
+        obs.engine_counter_set("overlay.served", stats.served);
+    }
+    for ((scheme, reason), &count) in &stats.escaped {
+        obs.engine_counter_set(&format!("overlay.escaped.{scheme}.{reason}"), count);
     }
 }
 

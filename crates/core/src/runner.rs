@@ -14,20 +14,30 @@
 //!
 //! A grid is a list of workload × platform × scheme triples (`grid_triples`,
 //! in grid order); the grid executor and the sampler both run a triple
-//! through the same two cell functions (`Cells::fault_free` and
-//! `Cells::faulty`): one fault-free cell (simulated, or recorded or loaded
-//! from the trace cache), then faulty cells that replay that recording,
-//! fall back to full simulation when the replay diverges, or are simulated
-//! when there is no recording.
+//! through the same cell functions.  `Cells::fault_free` runs the triple's
+//! fault-free cell: simulated, or recorded or loaded from the trace cache
+//! when faulty cells will replay the recording or the cache keeps it.  In
+//! a full-simulation grid the simulation carries the triple's whole fault
+//! axis as seed overlays (`laec_mem::overlay`), and every seed that stayed
+//! neutral is served from that one run (`Cells::grid_faulty`).  Every
+//! other faulty cell goes through `Cells::faulty`, the per-seed path: it
+//! replays the triple's recording and falls back to full simulation when
+//! the replay diverges, or is simulated when there is no recording.
 
-use laec_mem::{CellForensics, FaultCampaignConfig, ProtocolKind};
+use laec_mem::{
+    CellForensics, EscapeReason, FaultCampaignConfig, FaultTarget, OverlayOutcome, ProtocolKind,
+    SeedOverlays,
+};
 use laec_obs::{Obs, Phase};
 use laec_pipeline::{EccScheme, PipelineConfig, SimResult, Simulator};
 use laec_smp::{SmpSystem, StopPolicy};
 use laec_trace::{Divergence, Trace, TraceRecorder};
 use laec_workloads::{background_traffic, Workload};
 
-use crate::campaign::{cell_from_result, CampaignCell, CampaignSpec, PlatformVariant};
+use crate::campaign::{
+    cell_from_result, grid_injection_seed, overlay_cell, CampaignCell, CampaignSpec,
+    PlatformVariant,
+};
 use crate::sampling::SampleExecution;
 use crate::trace_backed::{obtain_recording, replay_cell_forensic};
 
@@ -41,17 +51,21 @@ const BACKGROUND_STRIDE: u32 = 0x0010_0000;
 /// keeps the shared bus and L2 busy.
 const BACKGROUND_LINES: u32 = 4096;
 
-/// What a cell run observes besides its result.
+/// What a cell run observes besides its result.  [`run_cell`] hands the
+/// hooks back after the end-of-run drain, with the recorder and the
+/// overlays it was given.
 #[derive(Debug, Default)]
 pub(crate) struct Hooks {
     /// Turns on per-fault lifecycle forensics in the hierarchy; the records,
     /// taken once after every core drained, come back in
     /// [`SimResult::forensics`].
     pub forensics: bool,
-    /// Records the run into this recorder, which [`run_cell`] hands back
-    /// after the end-of-run drain.  Uniprocessor cells only: a recording
-    /// captures one core's access stream.
+    /// Records the run into this recorder.  Uniprocessor cells only: a
+    /// recording captures one core's access stream.
     pub recorder: Option<TraceRecorder>,
+    /// Fault seeds the (fault-free) run carries as overlays; their outcomes
+    /// are settled by the drain.  Uniprocessor cells only.
+    pub overlays: Option<SeedOverlays>,
 }
 
 /// Runs one campaign cell: `workload` under `config`, which already
@@ -64,28 +78,34 @@ pub(crate) struct Hooks {
 ///
 /// # Panics
 ///
-/// Panics if an N-core cell is handed a recorder.
+/// Panics if an N-core cell is handed a recorder or overlays.
 pub(crate) fn run_cell(
     workload: &Workload,
     config: PipelineConfig,
     platform: PlatformVariant,
     protocol: ProtocolKind,
-    hooks: Hooks,
-) -> (SimResult, Option<TraceRecorder>) {
+    mut hooks: Hooks,
+) -> (SimResult, Hooks) {
     let PlatformVariant::Smp(cores) = platform else {
         let mut simulator = Simulator::new(workload.program.clone(), config);
         if hooks.forensics {
             simulator.enable_forensics();
         }
-        if let Some(recorder) = hooks.recorder {
+        if let Some(recorder) = hooks.recorder.take() {
             simulator.attach_recorder(recorder);
         }
+        if let Some(overlays) = hooks.overlays.take() {
+            simulator.attach_overlays(overlays);
+        }
         let result = simulator.execute();
-        return (result, simulator.take_recorder());
+        hooks.recorder = simulator.take_recorder();
+        hooks.overlays = simulator.take_overlays();
+        return (result, hooks);
     };
     assert!(
-        hooks.recorder.is_none(),
-        "a recording captures one core's access stream; {platform} cells cannot be recorded"
+        hooks.recorder.is_none() && hooks.overlays.is_none(),
+        "recordings and overlays follow one core's access stream; \
+         {platform} cells carry neither"
     );
     let mut programs = vec![workload.program.clone()];
     let mut configs = vec![config.clone()];
@@ -116,7 +136,7 @@ pub(crate) fn run_cell(
     // are read-only, so the two agree — this keeps it true by construction.
     result.memory_checksum = run.final_checksum;
     result.forensics = run.forensics;
-    (result, None)
+    (result, hooks)
 }
 
 // ---------------------------------------------------------------------------
@@ -181,13 +201,33 @@ impl Origin {
     }
 }
 
+/// The faulty cells that follow a triple's fault-free cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Followers<'a> {
+    /// A grid's fault axis, one cell per seed (none when it is empty).
+    Grid(&'a [u64]),
+    /// A sampler stratum's samples, drawn round by round.
+    Stratum,
+}
+
 /// A triple's fault-free cell.
 pub(crate) struct FaultFree {
     pub cell: CampaignCell,
     pub origin: Origin,
-    /// The recording the triple's faulty cells replay; `None` under full
-    /// simulation.
+    /// The recording the triple's faulty cells replay; `None` when the
+    /// cell was simulated.
     pub recording: Option<Trace>,
+    /// What became of each fault-axis seed the simulation carried as an
+    /// overlay, in fault-axis order; empty when it carried none.
+    pub overlaid: Vec<Overlaid>,
+}
+
+/// What became of one fault seed that rode its triple's fault-free run.
+pub(crate) enum Overlaid {
+    /// It stayed neutral: its cell, built from the fault-free run.
+    Served(Box<CampaignCell>),
+    /// It left its overlay and is simulated on its own.
+    Escaped(EscapeReason),
 }
 
 /// How a faulty cell was served.
@@ -198,15 +238,21 @@ pub(crate) enum Served {
     Replayed,
     /// Simulated in full after its replay diverged.
     FellBack(Divergence),
+    /// Built from its triple's fault-free run, which carried it as an
+    /// overlay.
+    Overlay,
+    /// Simulated in full after it escaped its overlay.
+    Escaped(EscapeReason),
 }
 
 impl Served {
     /// The phase that served the cell.
     pub(crate) fn phase(&self) -> Phase {
         match self {
-            Served::Simulated => Phase::Inject,
+            Served::Simulated | Served::Escaped(_) => Phase::Inject,
             Served::Replayed => Phase::Replay,
             Served::FellBack(_) => Phase::FullSimFallback,
+            Served::Overlay => Phase::Overlay,
         }
     }
 }
@@ -230,32 +276,143 @@ pub(crate) struct Cells<'a> {
 }
 
 impl Cells<'_> {
-    /// Runs `triple`'s fault-free cell: simulated under
-    /// [`SampleExecution::FullSim`]; otherwise rebuilt from the trace cache
-    /// or recorded (see [`obtain_recording`]), and the recording returned
-    /// for the triple's faulty cells.
-    pub(crate) fn fault_free(&self, triple: Triple, execution: &SampleExecution) -> FaultFree {
-        let SampleExecution::TraceBacked { cache_dir } = execution else {
-            let _span = self.obs.span(Phase::FullSim);
-            return FaultFree {
-                cell: self.simulate(triple, None, None).0,
-                origin: Origin::Simulated,
-                recording: None,
-            };
+    /// Runs `triple`'s fault-free cell.  Trace-backed, it is rebuilt from
+    /// the trace cache or recorded (see [`obtain_recording`]) when faulty
+    /// cells will replay the recording or a cache keeps it, and the
+    /// recording is returned for them; otherwise it is simulated.  In a
+    /// full-simulation grid the simulation carries the fault axis as
+    /// overlays wherever they apply (see [`Cells::carries_overlays`]).
+    pub(crate) fn fault_free(
+        &self,
+        triple: Triple,
+        execution: &SampleExecution,
+        followers: Followers<'_>,
+    ) -> FaultFree {
+        let axis = match followers {
+            Followers::Grid(axis) => axis,
+            Followers::Stratum => &[],
         };
-        let (cell, trace, origin) = obtain_recording(
-            self.spec,
-            &self.workloads[triple.workload],
-            self.spec.schemes[triple.scheme],
-            self.spec.platforms[triple.platform],
-            cache_dir.as_deref(),
-            self.obs,
-        );
+        let replays = matches!(followers, Followers::Stratum) || !axis.is_empty();
+        if let SampleExecution::TraceBacked { cache_dir } = execution {
+            if replays || cache_dir.is_some() {
+                let (cell, trace, origin) = obtain_recording(
+                    self.spec,
+                    &self.workloads[triple.workload],
+                    self.spec.schemes[triple.scheme],
+                    self.spec.platforms[triple.platform],
+                    cache_dir.as_deref(),
+                    self.obs,
+                );
+                return FaultFree {
+                    cell,
+                    origin,
+                    recording: Some(trace),
+                    overlaid: Vec::new(),
+                };
+            }
+        }
+        let _span = self.obs.span(Phase::FullSim);
+        let carried =
+            if matches!(execution, SampleExecution::FullSim) && self.carries_overlays(triple) {
+                axis
+            } else {
+                &[]
+            };
+        let (cell, overlaid) = self.simulate_overlaid(triple, carried);
         FaultFree {
             cell,
-            origin,
-            recording: Some(trace),
+            origin: Origin::Simulated,
+            recording: None,
+            overlaid,
         }
+    }
+
+    /// Whether `triple`'s fault-free simulation can carry its seeds as
+    /// overlays: a uniprocessor cell striking the data array, without
+    /// forensics (whose records follow each seed's own run).
+    fn carries_overlays(&self, triple: Triple) -> bool {
+        !self.forensic
+            && self.spec.fault_target == FaultTarget::Data
+            && !matches!(
+                self.spec.platforms[triple.platform],
+                PlatformVariant::Smp(_)
+            )
+    }
+
+    /// Simulates `triple`'s fault-free cell carrying one overlay per seed
+    /// of `axis` (fault-axis labels), and builds each neutral seed's cell
+    /// from the run.
+    fn simulate_overlaid(&self, triple: Triple, axis: &[u64]) -> (CampaignCell, Vec<Overlaid>) {
+        if axis.is_empty() {
+            return (self.simulate(triple, None, None).0, Vec::new());
+        }
+        let workload = &self.workloads[triple.workload];
+        let scheme = self.spec.schemes[triple.scheme];
+        let platform = self.spec.platforms[triple.platform];
+        let campaigns: Vec<FaultCampaignConfig> = axis
+            .iter()
+            .map(|&axis_seed| self.campaign(grid_injection_seed(self.spec, triple, axis_seed)))
+            .collect();
+        let flush_on_error = matches!(scheme, EccScheme::SpeculateFlush { .. });
+        let hooks = Hooks {
+            overlays: Some(SeedOverlays::new(&campaigns, flush_on_error)),
+            ..Hooks::default()
+        };
+        let config = cell_config(scheme, platform);
+        let (result, hooks) = run_cell(workload, config, platform, self.spec.protocol, hooks);
+        let cell = cell_from_result(workload, scheme, platform, None, &result);
+        let overlaid = hooks
+            .overlays
+            .iter()
+            .flat_map(SeedOverlays::outcomes)
+            .zip(axis)
+            .map(|(outcome, &axis_seed)| match outcome {
+                OverlayOutcome::Served(report) => Overlaid::Served(Box::new(overlay_cell(
+                    workload, scheme, platform, axis_seed, &result, &report,
+                ))),
+                OverlayOutcome::Escaped(reason) => Overlaid::Escaped(reason),
+            })
+            .collect();
+        (cell, overlaid)
+    }
+
+    /// Serves the fault-axis cell `axis_seed` of `triple`: from `overlaid`
+    /// when its seed stayed neutral in the fault-free run, otherwise on the
+    /// per-seed path ([`Cells::faulty`]).
+    pub(crate) fn grid_faulty(
+        &self,
+        triple: Triple,
+        axis_seed: u64,
+        overlaid: Option<Overlaid>,
+        recording: Option<&Trace>,
+    ) -> Faulty {
+        let escaped = match overlaid {
+            Some(Overlaid::Served(cell)) => {
+                return Faulty {
+                    cell: *cell,
+                    forensics: CellForensics::default(),
+                    served: Served::Overlay,
+                }
+            }
+            Some(Overlaid::Escaped(reason)) => Some(reason),
+            None => None,
+        };
+        let seed = grid_injection_seed(self.spec, triple, axis_seed);
+        let faulty = self.faulty(triple, seed, Some(axis_seed), recording);
+        match escaped {
+            Some(reason) => Faulty {
+                served: Served::Escaped(reason),
+                ..faulty
+            },
+            None => faulty,
+        }
+    }
+
+    /// The fault campaign of a faulty cell seeded by `injection_seed`:
+    /// single-bit upsets at the spec's interval and target.
+    fn campaign(&self, injection_seed: u64) -> FaultCampaignConfig {
+        FaultCampaignConfig::single_bit(injection_seed, self.spec.fault_interval)
+            .with_target(self.spec.fault_target)
     }
 
     /// Runs one faulty cell of `triple`: single-bit upsets seeded by
@@ -270,8 +427,7 @@ impl Cells<'_> {
         fault_seed: Option<u64>,
         recording: Option<&Trace>,
     ) -> Faulty {
-        let fault = FaultCampaignConfig::single_bit(injection_seed, self.spec.fault_interval)
-            .with_target(self.spec.fault_target);
+        let fault = self.campaign(injection_seed);
         let mut served = Served::Simulated;
         if let Some(trace) = recording {
             let replayed = {
@@ -323,7 +479,7 @@ impl Cells<'_> {
         // A fault-free cell injects nothing: it has no lifecycles to trace.
         let hooks = Hooks {
             forensics: self.forensic && fault.is_some(),
-            recorder: None,
+            ..Hooks::default()
         };
         let (mut result, _) = run_cell(workload, config, platform, self.spec.protocol, hooks);
         let forensics = result.forensics.take().unwrap_or_default();
@@ -482,8 +638,8 @@ mod tests {
         spec.fault_seeds = vec![7];
         spec.fault_interval = 500;
         let full = SampleExecution::FullSim;
-        let one = execute_grid(&spec, 1, &full, false, &Obs::disabled()).0;
-        let four = execute_grid(&spec, 4, &full, false, &Obs::disabled()).0;
+        let one = execute_grid(&spec, 1, &full, false, &Obs::disabled()).report;
+        let four = execute_grid(&spec, 4, &full, false, &Obs::disabled()).report;
         assert_eq!(one.to_json(), four.to_json());
         assert!(one.architecturally_equivalent());
         assert_eq!(one.platforms, vec!["smp2"]);

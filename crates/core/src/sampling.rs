@@ -67,7 +67,7 @@ use laec_workloads::Workload;
 use serde::Serialize;
 
 use crate::campaign::{mix64, run_pool, CampaignCell, CampaignSpec};
-use crate::runner::{grid_triples, Cells, Faulty, Served, Triple};
+use crate::runner::{grid_triples, Cells, Faulty, Followers, Served, Triple};
 use crate::trace_backed::TraceBackedStats;
 
 // ---------------------------------------------------------------------------
@@ -1021,7 +1021,7 @@ impl Sampler {
             obs: &obs,
         };
         let fault_free = run_pool(strata.len(), threads, |index| {
-            cells.fault_free(strata[index], execution)
+            cells.fault_free(strata[index], execution, Followers::Stratum)
         });
         let mut trace_stats = TraceBackedStats::default();
         let mut baselines = Vec::with_capacity(strata.len());

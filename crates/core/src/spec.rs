@@ -57,7 +57,7 @@ use laec_workloads::GeneratorConfig;
 use serde::{Serialize, Serializer};
 use serde_json::Value;
 
-use crate::campaign::{self, CampaignReport, PlatformVariant, WorkloadSet};
+use crate::campaign::{self, CampaignReport, OverlayStats, PlatformVariant, WorkloadSet};
 use crate::forensics::ForensicsReport;
 use crate::sampling::{self, SampleExecution, SampledReport, SamplingPlan};
 use crate::trace_backed::TraceBackedStats;
@@ -1062,6 +1062,8 @@ pub enum CampaignOutcome {
         report: CampaignReport,
         /// Record/replay counters (trace-backed mode only).
         trace_stats: Option<TraceBackedStats>,
+        /// Seed-overlay counters (full-simulation mode only).
+        overlay_stats: Option<OverlayStats>,
     },
     /// A sampled campaign ([`ExecutionMode::Sampled`]).
     Sampled {
@@ -1243,13 +1245,13 @@ impl Campaign {
         obs.set_context(&self.spec.fingerprint_hex(), mode.kind());
         let grid = self.spec.grid();
         let run_grid = |execution: SampleExecution| {
-            let (report, trace_stats, cells) =
-                campaign::execute_grid(&grid, threads, &execution, forensic, obs);
+            let run = campaign::execute_grid(&grid, threads, &execution, forensic, obs);
             let outcome = CampaignOutcome::Grid {
-                report,
-                trace_stats,
+                report: run.report,
+                trace_stats: run.trace_stats,
+                overlay_stats: run.overlay_stats,
             };
-            (outcome, forensic.then_some(cells))
+            (outcome, forensic.then_some(run.forensics))
         };
         let (outcome, forensics) = match mode {
             ExecutionMode::Full => run_grid(SampleExecution::FullSim),

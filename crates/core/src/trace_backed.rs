@@ -1,7 +1,6 @@
 //! Trace-backed campaign execution: record once, replay per fault seed.
 //!
-//! Full simulation simulates every grid cell from scratch, although all
-//! faulty runs of one workload × platform × scheme triple share the
+//! All faulty runs of one workload × platform × scheme triple share the
 //! fault-free run's access stream — only the injected faults differ.
 //! Trace-backed execution exploits that: the fault-free run of each triple
 //! (which the grid contains anyway) is executed once under a `laec_trace`
@@ -9,7 +8,9 @@
 //! the memory hierarchy and the fault injector are driven through exactly
 //! the recorded calls while the pipeline model is skipped entirely.  With
 //! `--trace-cache`, recordings persist on disk and later invocations skip
-//! even the fault-free simulations.
+//! even the fault-free simulations.  A grid without a fault axis and
+//! without a cache records nothing: no faulty cell would replay the
+//! recording, so its fault-free cells are simulated.
 //!
 //! This module holds the recording and replay primitives; the grid
 //! executor ([`crate::campaign`]) and the sampler ([`crate::sampling`])
@@ -35,10 +36,13 @@
 //!   speculate-and-flush penalties, …) transparently falls back to full
 //!   simulation for that one cell.
 //!
-//! The win is throughput: replay touches only the memory hierarchy, so a
-//! campaign with *N* fault seeds per cell costs ~1 full simulation plus
-//! *N* cheap replays instead of *N* + 1 full simulations (perfbench's
-//! `grid_replay` ÷ `grid_full` ratio measures it; see EXPERIMENTS.md).
+//! Replay touches only the memory hierarchy, but it still walks the whole
+//! hierarchy once per fault seed.  Full simulation no longer does: its
+//! fault-free run carries every seed of the triple as a seed overlay
+//! (`laec_mem::overlay`) and re-simulates only the seeds that escape, so on
+//! a cold faulty grid it is the faster engine (perfbench's `grid_replay` ÷
+//! `grid_full` ratio; see EXPERIMENTS.md).  Replay pays off on
+//! `--trace-cache` hits, until recordings drive overlays too.
 //!
 //! A recording stays one owner's decoded [`Trace`] from its first event to
 //! its last replay, and lives for its triple: the grid executor runs a
@@ -115,7 +119,7 @@ impl TraceBackedStats {
         events: usize,
     ) {
         let divergence = match served {
-            Served::Simulated => return,
+            Served::Simulated | Served::Overlay | Served::Escaped(_) => return,
             Served::Replayed => {
                 self.replayed += 1;
                 return;
@@ -184,13 +188,13 @@ pub fn record_cell(
         cell_fingerprint(spec, scheme, platform),
     );
     let hooks = Hooks {
-        forensics: false,
         recorder: Some(TraceRecorder::with_detail(context, detail)),
+        ..Hooks::default()
     };
-    let (result, recorder) = run_cell(workload, config, platform, spec.protocol, hooks);
+    let (result, hooks) = run_cell(workload, config, platform, spec.protocol, hooks);
     // laec-lint: allow(panic-in-library) -- `run_cell` hands back the
     // recorder it was given.
-    let recorder = recorder.expect("the recorder comes back");
+    let recorder = hooks.recorder.expect("the recorder comes back");
     let mut summary = result.trace_summary();
     summary.registers_fingerprint = registers_fingerprint(&result.registers);
     let cell = cell_from_result(workload, scheme, platform, None, &result);

@@ -56,16 +56,7 @@ impl Line {
 
     /// Decodes word `word`, taking the pristine fast path when possible.
     fn decode_word(&self, word: usize, code: &(dyn EccCode + Send + Sync)) -> Decoded {
-        if self.pristine & (1u64 << word) != 0 {
-            let decoded = Decoded {
-                data: self.words[word].data() & code.data_mask(),
-                outcome: Outcome::Clean,
-            };
-            debug_assert_eq!(decoded, self.words[word].decode(code));
-            decoded
-        } else {
-            self.words[word].decode(code)
-        }
+        decode_stored(self.words[word], self.pristine & (1u64 << word) != 0, code)
     }
 
     /// Decodes every word of the line, also reporting whether any of them
@@ -79,6 +70,28 @@ impl Line {
             words.push(decoded.data as u32);
         }
         (words, uncorrectable)
+    }
+}
+
+/// Decodes one stored word: a `pristine` codeword (encoded and not struck
+/// since) provably decodes to `(data, Clean)`, so it skips the syndrome
+/// computation; any other runs the decoder.  The cache and the seed
+/// overlays ([`crate::overlay`]) decode every stored word through this one
+/// function.
+pub(crate) fn decode_stored(
+    codeword: Codeword,
+    pristine: bool,
+    code: &(dyn EccCode + Send + Sync),
+) -> Decoded {
+    if pristine {
+        let decoded = Decoded {
+            data: codeword.data() & code.data_mask(),
+            outcome: Outcome::Clean,
+        };
+        debug_assert_eq!(decoded, codeword.decode(code));
+        decoded
+    } else {
+        codeword.decode(code)
     }
 }
 
@@ -315,6 +328,11 @@ impl Cache {
     #[must_use]
     pub fn config(&self) -> &CacheConfig {
         &self.config
+    }
+
+    /// The code protecting every stored word.
+    pub(crate) fn code(&self) -> &(dyn EccCode + Send + Sync) {
+        self.code.as_ref()
     }
 
     /// Accumulated statistics.
@@ -1110,7 +1128,7 @@ fn pristine_mask(words: usize) -> u64 {
 }
 
 /// Expands a 4-bit byte mask into a 32-bit bit mask.
-fn expand_byte_mask(byte_mask: u8) -> u32 {
+pub(crate) fn expand_byte_mask(byte_mask: u8) -> u32 {
     let mut mask = 0u32;
     for byte in 0..4 {
         if byte_mask & (1 << byte) != 0 {

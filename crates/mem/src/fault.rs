@@ -8,9 +8,10 @@
 //! exactly the safety argument of the paper's §I–II: a WB DL1 *needs*
 //! correction, a WT DL1 can live with detection.
 
-use laec_ecc::ErrorInjector;
+use laec_ecc::{ErrorInjector, FlipPlan};
 
-use crate::hierarchy::MemorySystem;
+use crate::cache::Cache;
+use crate::hierarchy::{draw_data_strike, MemorySystem};
 
 /// The spatial shape of each injected strike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -245,15 +246,57 @@ impl FaultCampaign {
     /// committed instruction); injects into `core`'s DL1 when the interval
     /// elapses.  Returns the struck address when an injection happened.
     pub fn maybe_inject(&mut self, system: &mut MemorySystem, core: usize) -> Option<u32> {
-        if self.config.interval == 0 {
+        if !self.due() {
             return None;
         }
-        self.until_next -= 1;
-        if self.until_next > 0 {
+        self.inject_now(system, core)
+    }
+
+    /// [`FaultCampaign::maybe_inject`] over `opportunities` injection
+    /// opportunities, of which the caller knows only the last can be due
+    /// (at most [`FaultCampaign::until_due`]), and without the apply: when
+    /// a data strike is due, it is drawn against `dl1` with the same random
+    /// draws and the struck word's address and flips are returned instead
+    /// of flipping the stored codeword.  The seed overlays
+    /// ([`crate::overlay`]) strike through it.
+    pub(crate) fn maybe_draw(
+        &mut self,
+        opportunities: u64,
+        dl1: &Cache,
+    ) -> Option<(u32, FlipPlan)> {
+        if !self.advance(opportunities) {
             return None;
+        }
+        let strike = draw_data_strike(dl1, &mut self.injector, &self.config);
+        self.count(strike.is_some());
+        strike
+    }
+
+    /// Injection opportunities until the next strike is due, or `None`
+    /// when the campaign never strikes.
+    pub(crate) fn until_due(&self) -> Option<u64> {
+        (self.config.interval != 0).then_some(self.until_next)
+    }
+
+    /// Counts one injection opportunity: `true` when the interval elapsed
+    /// and a strike is due.
+    fn due(&mut self) -> bool {
+        self.advance(1)
+    }
+
+    /// Counts `opportunities` injection opportunities, none of them due
+    /// but perhaps the last: `true` when it is.
+    fn advance(&mut self, opportunities: u64) -> bool {
+        if self.config.interval == 0 {
+            return false;
+        }
+        debug_assert!(opportunities <= self.until_next, "a strike was skipped");
+        self.until_next -= opportunities;
+        if self.until_next > 0 {
+            return false;
         }
         self.until_next = self.config.interval;
-        self.inject_now(system, core)
+        true
     }
 
     /// Advances `opportunities` injection opportunities at once, injecting
@@ -286,15 +329,17 @@ impl FaultCampaign {
     }
 
     fn inject_now(&mut self, system: &mut MemorySystem, core: usize) -> Option<u32> {
-        match system.inject_random_dl1_fault(core, &mut self.injector, &self.config) {
-            Some(address) => {
-                self.report.injected += 1;
-                Some(address)
-            }
-            None => {
-                self.report.skipped_empty += 1;
-                None
-            }
+        let struck = system.inject_random_dl1_fault(core, &mut self.injector, &self.config);
+        self.count(struck.is_some());
+        struck
+    }
+
+    /// Counts one strike, or one opportunity that found the DL1 empty.
+    fn count(&mut self, struck: bool) {
+        if struck {
+            self.report.injected += 1;
+        } else {
+            self.report.skipped_empty += 1;
         }
     }
 

@@ -38,7 +38,9 @@
 //! the uniprocessor never issues.
 //!
 //! The trace recorder and the forensics log observe the hierarchy as a
-//! whole; the campaign engines attach them to one-core systems only.
+//! whole; the campaign engines attach them to one-core systems only.  So
+//! do the seed overlays ([`crate::overlay`]), which evaluate a set of fault
+//! seeds against a fault-free uniprocessor run.
 
 use laec_ecc::{ErrorInjector, FlipPlan, Outcome};
 use laec_trace::{MemLevel, TraceRecorder};
@@ -50,6 +52,7 @@ use crate::config::{AllocatePolicy, HierarchyConfig, WritePolicy};
 use crate::fault::{FaultCampaignConfig, FaultPattern, FaultTarget};
 use crate::forensics::{ActivationKind, CellForensics, DataObservation, ForensicsLog};
 use crate::memory::MainMemory;
+use crate::overlay::SeedOverlays;
 use crate::stats::{CoherenceStats, MemStats};
 
 /// Result of a load.
@@ -109,6 +112,10 @@ pub struct MemorySystem {
     /// Optional per-fault lifecycle log (see [`crate::forensics`]).  `None`
     /// by default: every hook is a single branch on the disabled path.
     forensics: Option<Box<ForensicsLog>>,
+    /// The fault seeds riding this fault-free run, if any (see
+    /// [`crate::overlay`]).  `None` by default: every access and commit
+    /// pays a single branch.
+    overlays: Option<Box<SeedOverlays>>,
 }
 
 impl MemorySystem {
@@ -151,6 +158,7 @@ impl MemorySystem {
             coherence: CoherenceStats::default(),
             recorder: None,
             forensics: None,
+            overlays: None,
             config,
         }
     }
@@ -324,6 +332,35 @@ impl MemorySystem {
         }
     }
 
+    /// Attaches a set of seed overlays, which this hierarchy then carries
+    /// for the run: every access, fill, drain and commit of core 0 updates
+    /// them (see [`crate::overlay`]).  The hierarchy itself stays
+    /// fault-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an N-core hierarchy: overlays model the uniprocessor.
+    pub fn attach_overlays(&mut self, mut overlays: SeedOverlays) {
+        assert_eq!(self.cores.len(), 1, "seed overlays ride a uniprocessor");
+        overlays.fit_lines(self.config.dl1.line_bytes);
+        self.overlays = Some(Box::new(overlays));
+    }
+
+    /// Detaches and returns the seed overlays, if any were attached.  Take
+    /// them after [`MemorySystem::drain`], which settles their outcomes.
+    pub fn take_overlays(&mut self) -> Option<SeedOverlays> {
+        self.overlays.take().map(|overlays| *overlays)
+    }
+
+    /// Offers every seed overlay the injection opportunity of one
+    /// instruction `core` committed.  A no-op without overlays.
+    #[inline]
+    pub fn commit_overlays(&mut self, core: usize) {
+        if let Some(overlays) = self.overlays.as_deref_mut() {
+            overlays.commit(&self.cores[core].dl1);
+        }
+    }
+
     /// Attaches a trace recorder, which this hierarchy then owns for the
     /// run: it emits line fills and writebacks into it (kept at full
     /// detail), and its pipelines emit through [`MemorySystem::recorder`].
@@ -401,6 +438,9 @@ impl MemorySystem {
         let response = self.load_inner(core, address, now);
         if self.forensics.is_some() {
             self.forensics_drain_journal();
+        }
+        if let Some(overlays) = self.overlays.as_deref_mut() {
+            overlays.load(&self.cores[core].dl1, address, response.value);
         }
         response
     }
@@ -481,6 +521,9 @@ impl MemorySystem {
         if self.forensics.is_some() {
             self.forensics_tick(now);
             self.forensics_store_probe(core, address, byte_mask);
+        }
+        if let Some(overlays) = self.overlays.as_deref_mut() {
+            overlays.store(&self.cores[core].dl1, address, byte_mask);
         }
         let response = self.store_inner(core, address, value, byte_mask, now);
         if self.forensics.is_some() {
@@ -758,6 +801,9 @@ impl MemorySystem {
         if self.forensics.is_some() {
             self.forensics_evict_probe(core, address);
         }
+        if let Some(overlays) = self.overlays.as_deref_mut() {
+            overlays.evict(&self.cores[core].dl1, address);
+        }
         if let Some(recorder) = &mut self.recorder {
             recorder.record_line_fill(MemLevel::Dl1, self.cores[core].dl1.line_base(address));
         }
@@ -841,6 +887,9 @@ impl MemorySystem {
         if self.forensics.is_some() {
             self.forensics_flush_probe(core);
         }
+        if let Some(overlays) = self.overlays.as_deref_mut() {
+            overlays.drain(&self.cores[core].dl1);
+        }
         // Line by line: the DL1 and the L2 flush independently of each
         // other's state, so interleaving the writebacks changes nothing.
         let mut cursor = 0;
@@ -856,6 +905,9 @@ impl MemorySystem {
         }
         if self.forensics.is_some() {
             self.forensics_drain_journal();
+        }
+        if let Some(overlays) = self.overlays.as_deref_mut() {
+            overlays.settle(&self.memory);
         }
         self.memory.checksum()
     }
@@ -885,23 +937,11 @@ impl MemorySystem {
         let dl1 = &mut self.cores[core].dl1;
         let struck = match config.target {
             FaultTarget::Data => {
-                let resident = dl1.resident_words();
-                let address = (resident > 0)
-                    .then(|| injector.next_below(resident))
-                    .and_then(|k| dl1.resident_word_address(k));
-                if let Some(address) = address {
-                    let check_bits = dl1.config().protection.check_bits();
-                    let plan = match config.pattern {
-                        FaultPattern::SingleBit => {
-                            injector.random_event(32, check_bits.max(1), config.double_fraction)
-                        }
-                        FaultPattern::Adjacent2 | FaultPattern::Adjacent4 => {
-                            injector.random_adjacent(32, config.pattern.cluster_bits())
-                        }
-                    };
+                let strike = draw_data_strike(dl1, injector, config);
+                strike.map(|(address, plan)| {
                     dl1.inject_fault(address, &plan);
-                }
-                address
+                    address
+                })
             }
             FaultTarget::State | FaultTarget::Tag => dl1.inject_meta_fault(injector, config.target),
         };
@@ -966,6 +1006,32 @@ impl MemorySystem {
     pub fn memory_checksum(&self) -> u64 {
         self.memory.checksum()
     }
+}
+
+/// Draws a data strike against `dl1` without applying it: a random
+/// resident word and the flips the campaign's strike pattern lands on it,
+/// or `None` when the DL1 holds nothing to strike.  Injection into the
+/// cache ([`MemorySystem::inject_random_dl1_fault`]) and the seed overlays
+/// both draw through it, so they make the same random draws.
+pub(crate) fn draw_data_strike(
+    dl1: &Cache,
+    injector: &mut ErrorInjector,
+    config: &FaultCampaignConfig,
+) -> Option<(u32, FlipPlan)> {
+    let resident = dl1.resident_words();
+    let address = (resident > 0)
+        .then(|| injector.next_below(resident))
+        .and_then(|k| dl1.resident_word_address(k))?;
+    let check_bits = dl1.config().protection.check_bits();
+    let plan = match config.pattern {
+        FaultPattern::SingleBit => {
+            injector.random_event(32, check_bits.max(1), config.double_fraction)
+        }
+        FaultPattern::Adjacent2 | FaultPattern::Adjacent4 => {
+            injector.random_adjacent(32, config.pattern.cluster_bits())
+        }
+    };
+    Some((address, plan))
 }
 
 #[cfg(test)]

@@ -27,6 +27,9 @@
 //! * [`forensics`] — per-fault lifecycle records (strike → latent residency →
 //!   first activation → classified outcome), `Option`-gated and
 //!   simulation-cycle-stamped,
+//! * [`overlay`] — seed overlays ([`SeedOverlays`]): the fault seeds of a
+//!   cell evaluated against its one fault-free run, each escaping to a run
+//!   of its own when it cannot prove itself neutral,
 //! * [`replay`] — the trace-replay adapter ([`ReplayMemory`]) that re-drives
 //!   the hierarchy from a recorded `laec_trace` stream,
 //! * [`stats`] — hit/miss/traffic counters.
@@ -57,6 +60,7 @@ pub mod fault;
 pub mod forensics;
 pub mod hierarchy;
 pub mod memory;
+pub mod overlay;
 pub mod replay;
 pub mod stats;
 pub mod write_buffer;
@@ -75,6 +79,7 @@ pub use fault::{
 pub use forensics::{ActivationKind, CellForensics, FaultOutcome, FaultRecord};
 pub use hierarchy::{LoadResponse, MemorySystem, StoreResponse};
 pub use memory::MainMemory;
+pub use overlay::{EscapeReason, OverlayOutcome, OverlayReport, SeedOverlays};
 pub use replay::ReplayMemory;
 pub use stats::{CacheStats, CoherenceStats, MemStats};
 pub use write_buffer::{PendingStore, WriteBuffer};

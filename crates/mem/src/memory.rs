@@ -149,18 +149,24 @@ impl MainMemory {
     /// campaign cell at drain time.
     #[must_use]
     pub fn checksum(&self) -> u64 {
-        self.words
-            .iter()
-            // Zero-valued words are equivalent to absent words.
-            .filter(|(_, &value)| value != 0)
-            .fold(0u64, |hash, (&address, &value)| {
-                let mut x = (u64::from(address) << 32 | u64::from(value))
-                    .wrapping_add(0x9E37_79B9_7F4A_7C15);
-                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                hash.wrapping_add(x ^ (x >> 31))
-            })
+        self.words.iter().fold(0u64, |hash, (&address, &value)| {
+            hash.wrapping_add(word_hash(address, value))
+        })
     }
+}
+
+/// One word's term of [`MainMemory::checksum`].  A zero-valued word is
+/// equivalent to an absent one and contributes nothing, so a changed word
+/// moves the checksum by the difference of its two terms (the seed
+/// overlays' checksum deltas).
+pub(crate) fn word_hash(address: u32, value: u32) -> u64 {
+    if value == 0 {
+        return 0;
+    }
+    let mut x = (u64::from(address) << 32 | u64::from(value)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 #[cfg(test)]

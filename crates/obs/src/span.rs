@@ -22,6 +22,10 @@ pub enum Phase {
     FullSim,
     /// Full re-simulation of a cell whose replay diverged.
     FullSimFallback,
+    /// A faulty cell served from the seed overlay its triple's fault-free
+    /// simulation carried (progress events only: the cell costs no run of
+    /// its own, so its time is inside that `FullSim` span).
+    Overlay,
     /// One round of the stratified sampler (schedule, execute, fold).
     SamplerRound,
     /// Writing a sampler checkpoint to disk.
@@ -41,6 +45,7 @@ impl Phase {
             Phase::Inject => "inject",
             Phase::FullSim => "full_sim",
             Phase::FullSimFallback => "full_sim_fallback",
+            Phase::Overlay => "overlay",
             Phase::SamplerRound => "sampler_round",
             Phase::CheckpointWrite => "checkpoint_write",
             Phase::ReportRender => "report_render",
@@ -90,6 +95,7 @@ mod tests {
             Phase::Inject,
             Phase::FullSim,
             Phase::FullSimFallback,
+            Phase::Overlay,
             Phase::SamplerRound,
             Phase::CheckpointWrite,
             Phase::ReportRender,

@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 
 use laec_isa::{semantics, Instruction, Program, Reg, RegisterFile, NUM_REGS};
-use laec_mem::{FaultCampaign, MemorySystem};
+use laec_mem::{FaultCampaign, MemorySystem, SeedOverlays};
 use laec_trace::{StallKind, TraceRecorder, TraceSummary};
 
 use crate::chronogram::{Chronogram, TraceEntry};
@@ -204,6 +204,18 @@ impl Simulator {
     /// after [`Simulator::execute`], so the end-of-run drain is recorded.
     pub fn take_recorder(&mut self) -> Option<TraceRecorder> {
         self.mem.take_recorder()
+    }
+
+    /// Carries `overlays` through the run: each seed is evaluated against
+    /// this (fault-free) run's hierarchy (see `laec_mem::overlay`).
+    pub fn attach_overlays(&mut self, overlays: SeedOverlays) {
+        self.mem.attach_overlays(overlays);
+    }
+
+    /// Detaches the seed overlays after the run, if any were attached.
+    /// Call after [`Simulator::execute`], whose drain settles them.
+    pub fn take_overlays(&mut self) -> Option<SeedOverlays> {
+        self.mem.take_overlays()
     }
 
     /// Convenience: build, run and return the result in one call.
@@ -600,6 +612,7 @@ impl Core {
                 self.stats.faults_injected += 1;
             }
         }
+        mem.commit_overlays(self.index);
         self.push_recent(&instruction);
         self.prev = Some(PrevTiming {
             entry,

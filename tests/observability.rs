@@ -127,7 +127,19 @@ fn campaign_section_is_engine_invariant_between_full_and_trace_backed() {
     let traced_dump = traced.dump();
     assert_eq!(full_dump.engine, "full");
     assert_eq!(traced_dump.engine, "trace-backed");
-    assert!(full_dump.engine_counters.is_empty());
+    // The full engine explains every faulty cell by its seed overlay:
+    // served, or escaped for a reason.
+    let faulty_cells = full_dump.counters["campaign.cells"] - 2;
+    assert!(full_dump
+        .engine_counters
+        .keys()
+        .all(|name| name == "overlay.served" || name.starts_with("overlay.escaped.")));
+    assert_eq!(
+        full_dump.engine_counters.values().sum::<u64>(),
+        faulty_cells,
+        "{:?}",
+        full_dump.engine_counters
+    );
     assert!(traced_dump.engine_counters.contains_key("trace.recorded"));
 }
 

@@ -107,6 +107,18 @@ fn fault_free_grids_replay_from_the_trace_cache() {
 }
 
 #[test]
+fn trace_backed_grids_without_faults_or_cache_record_nothing() {
+    // No faulty cell would replay a recording and no cache would keep it,
+    // so every fault-free cell is simulated without a recorder.
+    let mut spec = secded_spec();
+    spec.fault_seeds.clear();
+    let traced = run_trace_backed(&spec, 2, None);
+    assert_eq!(traced.stats.recorded, 0, "{}", traced.stats);
+    assert_eq!(traced.stats.cache_loads, 0);
+    assert_eq!(traced.report.to_json(), run_full(&spec, 2).to_json());
+}
+
+#[test]
 fn thread_count_does_not_change_trace_backed_reports() {
     let spec = secded_spec();
     let one = run_trace_backed(&spec, 1, None);
