@@ -54,7 +54,7 @@ pub fn run_full(spec: &CampaignSpec, threads: usize) -> CampaignReport {
 pub struct TracedCampaign {
     /// The report — byte-identical to full simulation of the same spec.
     pub report: CampaignReport,
-    /// Record/replay/fallback counters.
+    /// Record and replay counters, with the overlay split of its seeds.
     pub stats: TraceBackedStats,
 }
 

@@ -9,7 +9,7 @@
 //!   claims,
 //! * `campaign` — a parallel workload × scheme × platform × fault grid (see
 //!   `laec_core::campaign`), optionally trace-backed (`--trace-backed`,
-//!   `--trace-cache DIR`) for order-of-magnitude faster fault sweeps, and
+//!   `--trace-cache DIR`: fault-free runs replayed from recordings), and
 //!   optionally *sampled* (`--sample N --confidence 0.95 --max-rel-error
 //!   0.05 --checkpoint FILE --resume`, see `laec_core::sampling`): a
 //!   stratified Monte-Carlo estimator with per-stratum confidence
@@ -129,12 +129,14 @@ campaign FLAGS:
                       (address tags).  state/tag are unprotected metadata:
                       their lost-writeback / stale-read outcomes are
                       classified separately in the report
-    --trace-backed    Record each cell's fault-free run once and replay it
-                      per fault seed (byte-identical report).  On a cold
-                      faulty grid full simulation is the faster engine: it
-                      evaluates every seed of a cell in the one fault-free
-                      run and re-simulates only the seeds that change it.
-                      Replay pays off on --trace-cache hits
+    --trace-backed    Drive each cell's fault-free run, which carries the
+                      cell's fault seeds, by replaying its recording instead
+                      of simulating it (byte-identical report).  A grid
+                      replays recordings from --trace-cache and, without
+                      one, records nothing and simulates; a sampled
+                      campaign records each stratum once and replays it
+                      every round.  Seeds that change the run are
+                      simulated alone either way
     --trace-cache <DIR>
                       Persist/reuse recordings under DIR (implies
                       --trace-backed)

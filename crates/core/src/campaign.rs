@@ -51,7 +51,7 @@ use laec_pipeline::{EccScheme, PipelineConfig};
 use laec_workloads::{eembc_suite, kernel_suite, GeneratorConfig, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{grid_triples, Cells, Faulty, Followers, Served, Triple};
+use crate::runner::{grid_triples, Cells, Faulty, Served, Triple};
 use crate::sampling::SampleExecution;
 use crate::trace_backed::TraceBackedStats;
 
@@ -554,16 +554,15 @@ pub fn default_threads() -> usize {
 /// Runs `spec`'s grid on `threads` workers (`0` = [`default_threads`]).
 ///
 /// A worker-pool job is one workload × platform × scheme triple: its
-/// fault-free cell, then its faulty cells in fault-axis order.  Under
-/// [`SampleExecution::TraceBacked`] the fault-free cell is recorded (or
-/// loaded from the trace cache) and the faulty cells replay the recording,
-/// which is dropped when its triple ends, so a worker holds one recording
-/// at a time.  Under [`SampleExecution::FullSim`] the fault-free
-/// simulation carries the fault axis as seed overlays where they apply,
-/// and only the seeds that escape their overlays are simulated again.
-/// The report is byte-identical either way.  Cells, the engine's counters
-/// and one [`CellForensics`] per cell (empty record sets unless
-/// `forensic`) come back in grid order for any thread count.
+/// fault-free cell, then its faulty cells in fault-axis order.  The
+/// fault-free run carries the fault axis as seed overlays where they apply,
+/// and only the seeds that escape their overlays, or that no overlay
+/// carried, are simulated on their own.  Under
+/// [`SampleExecution::TraceBacked`] with a trace cache, the fault-free run
+/// is replayed from the cache (or recorded into it); without one it is
+/// simulated.  The report is byte-identical either way.  Cells, the
+/// engine's counters and one [`CellForensics`] per cell (empty record sets
+/// unless `forensic`) come back in grid order for any thread count.
 ///
 /// # Panics
 ///
@@ -609,21 +608,26 @@ pub(crate) fn execute_grid(
     let blocks = run_pool(triples.len(), threads, |index| {
         let triple = triples[index];
         let first = index * per_triple;
-        let fault_free = cells.fault_free(triple, execution, Followers::Grid(&spec.fault_seeds));
+        let seeds: Vec<u64> = spec
+            .fault_seeds
+            .iter()
+            .map(|&axis_seed| grid_injection_seed(spec, triple, axis_seed))
+            .collect();
+        let fault_free = cells.fault_free(triple, execution, &seeds, false);
         emit(
             first,
             &fault_free.cell,
             fault_free.origin.phase(),
             &CellForensics::default(),
         );
-        let recording = fault_free.recording.as_ref();
-        let mut overlaid = fault_free.overlaid.into_iter();
         let faulty: Vec<Faulty> = spec
             .fault_seeds
             .iter()
+            .zip(seeds)
             .enumerate()
-            .map(|(fault, &axis_seed)| {
-                let faulty = cells.grid_faulty(triple, axis_seed, overlaid.next(), recording);
+            .map(|(fault, (&axis_seed, seed))| {
+                let overlay = fault_free.overlay(fault);
+                let faulty = cells.serve(triple, seed, Some(axis_seed), overlay);
                 emit(
                     first + 1 + fault,
                     &faulty.cell,
@@ -633,9 +637,7 @@ pub(crate) fn execute_grid(
                 faulty
             })
             .collect();
-        let events = recording.map_or(0, |trace| trace.events().len());
-        // The recording is dropped here, as its triple ends.
-        (fault_free.cell, fault_free.origin, faulty, events)
+        (fault_free.cell, fault_free.origin, faulty)
     });
     obs.emit(&ProgressEvent::CampaignEnd {
         engine,
@@ -643,25 +645,23 @@ pub(crate) fn execute_grid(
     });
 
     let mut stats = TraceBackedStats::default();
-    let mut overlay_stats = OverlayStats::default();
     let mut grid_cells = Vec::with_capacity(total as usize);
     let mut forensics = Vec::with_capacity(total as usize);
-    for (cell, origin, faulty, events) in blocks {
+    for (cell, origin, faulty) in blocks {
         stats.count_fault_free(origin);
         grid_cells.push(cell);
         // A fault-free cell injects nothing: its record set is empty.
         forensics.push(CellForensics::default());
         for faulty in faulty {
-            stats.count_faulty(&faulty.cell.scheme, &faulty.served, events);
-            overlay_stats.count(&faulty.cell.scheme, &faulty.served);
+            stats.count_faulty(&faulty.cell.scheme, origin, &faulty.served);
             grid_cells.push(faulty.cell);
             forensics.push(faulty.forensics);
         }
     }
     GridRun {
         report: assemble_report(spec, &workloads, grid_cells),
+        overlay_stats: (!trace_backed).then(|| stats.overlays.clone()),
         trace_stats: trace_backed.then_some(stats),
-        overlay_stats: (!trace_backed).then_some(overlay_stats),
         forensics,
     }
 }
@@ -669,7 +669,8 @@ pub(crate) fn execute_grid(
 /// What [`execute_grid`] produced.
 pub(crate) struct GridRun {
     pub report: CampaignReport,
-    /// Record/replay counters (trace-backed grids).
+    /// Record/replay counters, the overlay split among them (trace-backed
+    /// grids).
     pub trace_stats: Option<TraceBackedStats>,
     /// Seed-overlay counters (full-simulation grids).
     pub overlay_stats: Option<OverlayStats>,
@@ -678,10 +679,11 @@ pub(crate) struct GridRun {
     pub forensics: Vec<CellForensics>,
 }
 
-/// How a full-simulation grid served its faulty cells: from seed
-/// overlays, or on their own after escaping.  Cells of triples that carry
-/// no overlays (`smpN` platforms, metadata targets, forensic runs) are
-/// simulated per seed and counted in neither.
+/// How a campaign served its faulty cells, or its samples: from the seed
+/// overlays their fault-free run carried, simulated or replayed, or on
+/// their own after escaping.  Cells of triples that carry no overlays
+/// (`smpN` platforms, metadata targets, forensic runs) are simulated per
+/// seed and counted in neither.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OverlayStats {
     /// Faulty cells built from their triple's fault-free run.
@@ -694,7 +696,7 @@ pub struct OverlayStats {
 impl OverlayStats {
     /// Counts how a faulty cell of `scheme` was served (cells served
     /// without an overlay count nothing).
-    fn count(&mut self, scheme: &str, served: &Served) {
+    pub(crate) fn count(&mut self, scheme: impl std::fmt::Display, served: &Served) {
         match served {
             Served::Overlay => self.served += 1,
             Served::Escaped(reason) => {
@@ -703,7 +705,7 @@ impl OverlayStats {
                     .entry((scheme.to_string(), reason.label()))
                     .or_default() += 1;
             }
-            Served::Simulated | Served::Replayed | Served::FellBack(_) => {}
+            Served::Simulated => {}
         }
     }
 }
@@ -776,24 +778,24 @@ pub(crate) fn assemble_report(
     }
 }
 
-/// Builds the faulty cell of fault-axis seed `fault_seed` from the
-/// fault-free run `result` it rode as an overlay, and the overlay's
-/// `report`: the seed kept the run's timing, traffic and registers, and
-/// differs only in its fault counters and its final memory checksum.
+/// Builds the faulty cell labelled `fault_seed` from the fault-free cell
+/// it rode as an overlay, and the overlay's `report`: the seed kept the
+/// run's timing, traffic and registers, and differs only in its fault
+/// counters and its final memory checksum.
 pub(crate) fn overlay_cell(
-    workload: &Workload,
-    scheme: EccScheme,
-    platform: PlatformVariant,
-    fault_seed: u64,
-    result: &laec_pipeline::SimResult,
+    fault_free: &CampaignCell,
+    fault_seed: Option<u64>,
     report: &OverlayReport,
 ) -> CampaignCell {
     CampaignCell {
+        fault_seed,
         faults_injected: report.faults_injected,
         faults_corrected: report.corrected,
         faults_detected_uncorrectable: report.uncorrectable,
-        memory_checksum: result.memory_checksum.wrapping_add(report.checksum_delta),
-        ..cell_from_result(workload, scheme, platform, Some(fault_seed), result)
+        memory_checksum: fault_free
+            .memory_checksum
+            .wrapping_add(report.checksum_delta),
+        ..fault_free.clone()
     }
 }
 

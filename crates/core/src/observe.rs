@@ -236,33 +236,23 @@ pub fn record_forensics_metrics(report: &ForensicsReport, obs: &Obs) {
 
 /// Trace-engine counters: deterministic for a given engine and spec, but
 /// engine-specific — they live in the `engine_counters` section, outside
-/// the cross-engine comparison surface.
-///
-/// Fallbacks are explained by two splits, each written only where it is
-/// non-zero: `trace.fallbacks.<scheme>.<kind>` (summing to
-/// `trace.fallbacks`) and `trace.div_decile.<d>`, the divergences whose
-/// event index ÷ recorded events falls in `[d/10, (d+1)/10)`.
+/// the cross-engine comparison surface.  `trace.replayed` and
+/// `trace.fallbacks` count the seeds served from, or escaped from, an
+/// overlay that rode a replay; the overlay counters explain every seed.
 fn record_trace_counters(stats: &TraceBackedStats, obs: &Obs) {
     obs.engine_counter_set("trace.recorded", stats.recorded);
     obs.engine_counter_set("trace.cache_loads", stats.cache_loads);
     obs.engine_counter_set("trace.replayed", stats.replayed);
     obs.engine_counter_set("trace.fallbacks", stats.fallbacks);
     obs.engine_counter_set("trace.cache_write_failures", stats.cache_write_failures);
-    for ((scheme, kind), &count) in &stats.fallbacks_by {
-        obs.engine_counter_set(&format!("trace.fallbacks.{scheme}.{kind}"), count);
-    }
-    for (decile, &count) in stats.divergence_deciles.iter().enumerate() {
-        if count > 0 {
-            obs.engine_counter_set(&format!("trace.div_decile.{decile}"), count);
-        }
-    }
+    record_overlay_counters(&stats.overlays, obs);
 }
 
-/// Seed-overlay counters of a full-simulation grid, each written only
-/// where it is non-zero: `overlay.served` and
-/// `overlay.escaped.<scheme>.<reason>`.  On a grid whose every triple
-/// carries overlays (uniprocessor platforms, data strikes, no forensics)
-/// they sum to the grid's faulty cells.
+/// Seed-overlay counters, each written only where it is non-zero:
+/// `overlay.served` and `overlay.escaped.<scheme>.<reason>`.  On a grid
+/// whose every triple carries overlays (uniprocessor platforms, data
+/// strikes, no forensics) they sum to the grid's faulty cells, and on such
+/// a sampled campaign to its samples.
 fn record_overlay_counters(stats: &OverlayStats, obs: &Obs) {
     if stats.served > 0 {
         obs.engine_counter_set("overlay.served", stats.served);

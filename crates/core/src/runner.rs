@@ -14,15 +14,17 @@
 //!
 //! A grid is a list of workload × platform × scheme triples (`grid_triples`,
 //! in grid order); the grid executor and the sampler both run a triple
-//! through the same cell functions.  `Cells::fault_free` runs the triple's
-//! fault-free cell: simulated, or recorded or loaded from the trace cache
-//! when faulty cells will replay the recording or the cache keeps it.  In
-//! a full-simulation grid the simulation carries the triple's whole fault
-//! axis as seed overlays (`laec_mem::overlay`), and every seed that stayed
-//! neutral is served from that one run (`Cells::grid_faulty`).  Every
-//! other faulty cell goes through `Cells::faulty`, the per-seed path: it
-//! replays the triple's recording and falls back to full simulation when
-//! the replay diverges, or is simulated when there is no recording.
+//! through the same cell functions.  A triple's fault-free run carries its
+//! fault seeds (a grid's fault axis, a sampler round's batch) as seed
+//! overlays (`laec_mem::overlay`), whichever driver runs it:
+//! `Cells::fault_free` simulates it, or replays it from the trace cache, or
+//! records it when the cache or the sampler keeps the recording;
+//! `Cells::overlay_run` replays a recording the sampler holds.  Every seed
+//! that stayed neutral is served from that one run (`Cells::serve`).  A
+//! seed that escaped, and every seed of a triple that carries no overlays
+//! (`smpN` platforms, metadata targets, forensic runs), goes through
+//! `Cells::faulty`, the one per-seed path: a simulation of that seed
+//! alone.
 
 use laec_mem::{
     CellForensics, EscapeReason, FaultCampaignConfig, FaultTarget, OverlayOutcome, ProtocolKind,
@@ -35,11 +37,10 @@ use laec_trace::{Divergence, Trace, TraceRecorder};
 use laec_workloads::{background_traffic, Workload};
 
 use crate::campaign::{
-    cell_from_result, grid_injection_seed, overlay_cell, CampaignCell, CampaignSpec,
-    PlatformVariant,
+    cell_from_result, overlay_cell, CampaignCell, CampaignSpec, PlatformVariant,
 };
 use crate::sampling::SampleExecution;
-use crate::trace_backed::{obtain_recording, replay_cell_forensic};
+use crate::trace_backed::{obtain_recording, replay};
 
 /// Base address of the first background core's private streaming region —
 /// far above every workload data region (inputs/outputs live below 1 MiB).
@@ -144,9 +145,8 @@ pub(crate) fn run_cell(
 // ---------------------------------------------------------------------------
 
 /// One workload × platform × scheme triple of a campaign grid, as indices
-/// into the spec's axes: the cells that share one fault-free run (and, in
-/// trace-backed execution, one recording), and one stratum of a sampled
-/// campaign.
+/// into the spec's axes: the cells that share one fault-free run, and one
+/// stratum of a sampled campaign.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Triple {
     pub workload: usize,
@@ -186,8 +186,10 @@ pub(crate) enum Origin {
     /// Simulated in full under a recorder, and written to the trace cache
     /// when there is one.
     Recorded { cache_write_failed: bool },
-    /// Rebuilt from a recording in the trace cache.
+    /// Replayed from a recording in the trace cache.
     CacheHit,
+    /// Replayed from a recording the caller holds (a sampler stratum's).
+    Replayed,
 }
 
 impl Origin {
@@ -197,51 +199,61 @@ impl Origin {
             Origin::Simulated => Phase::FullSim,
             Origin::Recorded { .. } => Phase::TraceRecord,
             Origin::CacheHit => Phase::TraceDecode,
+            Origin::Replayed => Phase::Replay,
         }
+    }
+
+    /// Whether the run was a replay rather than a simulation.
+    pub(crate) fn replayed(self) -> bool {
+        matches!(self, Origin::CacheHit | Origin::Replayed)
     }
 }
 
-/// The faulty cells that follow a triple's fault-free cell.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Followers<'a> {
-    /// A grid's fault axis, one cell per seed (none when it is empty).
-    Grid(&'a [u64]),
-    /// A sampler stratum's samples, drawn round by round.
-    Stratum,
-}
-
-/// A triple's fault-free cell.
+/// A triple's fault-free run.
 pub(crate) struct FaultFree {
     pub cell: CampaignCell,
     pub origin: Origin,
-    /// The recording the triple's faulty cells replay; `None` when the
-    /// cell was simulated.
+    /// The run's recording, when the caller asked to keep it.
     pub recording: Option<Trace>,
-    /// What became of each fault-axis seed the simulation carried as an
-    /// overlay, in fault-axis order; empty when it carried none.
-    pub overlaid: Vec<Overlaid>,
+    /// What became of each seed the run carried as an overlay, in the
+    /// order given; empty when it carried none.
+    pub overlaid: Vec<OverlayOutcome>,
 }
 
-/// What became of one fault seed that rode its triple's fault-free run.
-pub(crate) enum Overlaid {
-    /// It stayed neutral: its cell, built from the fault-free run.
-    Served(Box<CampaignCell>),
-    /// It left its overlay and is simulated on its own.
-    Escaped(EscapeReason),
+impl FaultFree {
+    /// Settles the overlays a finished run hands back.
+    pub(crate) fn new(
+        cell: CampaignCell,
+        origin: Origin,
+        recording: Option<Trace>,
+        overlays: Option<SeedOverlays>,
+    ) -> Self {
+        FaultFree {
+            cell,
+            origin,
+            recording,
+            overlaid: overlays.iter().flat_map(SeedOverlays::outcomes).collect(),
+        }
+    }
+
+    /// The overlay of the `index`-th seed the run carried, with the cell it
+    /// rode; `None` when the run carried no overlays.
+    pub(crate) fn overlay(&self, index: usize) -> Option<(&CampaignCell, OverlayOutcome)> {
+        self.overlaid
+            .get(index)
+            .map(|&outcome| (&self.cell, outcome))
+    }
 }
 
 /// How a faulty cell was served.
 pub(crate) enum Served {
-    /// Simulated in full: there was no recording to replay.
+    /// Simulated on its own: its triple's fault-free run carried no
+    /// overlays.
     Simulated,
-    /// Replayed from its triple's recording.
-    Replayed,
-    /// Simulated in full after its replay diverged.
-    FellBack(Divergence),
     /// Built from its triple's fault-free run, which carried it as an
     /// overlay.
     Overlay,
-    /// Simulated in full after it escaped its overlay.
+    /// Simulated on its own after it escaped its overlay.
     Escaped(EscapeReason),
 }
 
@@ -250,8 +262,6 @@ impl Served {
     pub(crate) fn phase(&self) -> Phase {
         match self {
             Served::Simulated | Served::Escaped(_) => Phase::Inject,
-            Served::Replayed => Phase::Replay,
-            Served::FellBack(_) => Phase::FullSimFallback,
             Served::Overlay => Phase::Overlay,
         }
     }
@@ -276,61 +286,87 @@ pub(crate) struct Cells<'a> {
 }
 
 impl Cells<'_> {
-    /// Runs `triple`'s fault-free cell.  Trace-backed, it is rebuilt from
-    /// the trace cache or recorded (see [`obtain_recording`]) when faulty
-    /// cells will replay the recording or a cache keeps it, and the
-    /// recording is returned for them; otherwise it is simulated.  In a
-    /// full-simulation grid the simulation carries the fault axis as
-    /// overlays wherever they apply (see [`Cells::carries_overlays`]).
+    /// `triple`'s workload, scheme and platform.
+    pub(crate) fn coordinates(&self, triple: Triple) -> (&Workload, EccScheme, PlatformVariant) {
+        (
+            &self.workloads[triple.workload],
+            self.spec.schemes[triple.scheme],
+            self.spec.platforms[triple.platform],
+        )
+    }
+
+    /// Runs `triple`'s fault-free cell carrying the faulty cells injected
+    /// with `seeds` as overlays, where the triple carries overlays at all
+    /// (see [`Cells::carries_overlays`]).  Trace-backed, with a trace cache
+    /// or when `keep_recording`, the run is replayed from the cache or
+    /// recorded (see [`obtain_recording`]), and the recording is kept when
+    /// asked for; otherwise it is simulated.
     pub(crate) fn fault_free(
         &self,
         triple: Triple,
         execution: &SampleExecution,
-        followers: Followers<'_>,
+        seeds: &[u64],
+        keep_recording: bool,
     ) -> FaultFree {
-        let axis = match followers {
-            Followers::Grid(axis) => axis,
-            Followers::Stratum => &[],
+        let seeds = if self.carries_overlays(triple) {
+            seeds
+        } else {
+            &[]
         };
-        let replays = matches!(followers, Followers::Stratum) || !axis.is_empty();
         if let SampleExecution::TraceBacked { cache_dir } = execution {
-            if replays || cache_dir.is_some() {
-                let (cell, trace, origin) = obtain_recording(
-                    self.spec,
-                    &self.workloads[triple.workload],
-                    self.spec.schemes[triple.scheme],
-                    self.spec.platforms[triple.platform],
-                    cache_dir.as_deref(),
-                    self.obs,
-                );
-                return FaultFree {
-                    cell,
-                    origin,
-                    recording: Some(trace),
-                    overlaid: Vec::new(),
-                };
+            if keep_recording || cache_dir.is_some() {
+                let cache_dir = cache_dir.as_deref();
+                return obtain_recording(self, triple, seeds, cache_dir, keep_recording);
             }
         }
         let _span = self.obs.span(Phase::FullSim);
-        let carried =
-            if matches!(execution, SampleExecution::FullSim) && self.carries_overlays(triple) {
-                axis
-            } else {
-                &[]
-            };
-        let (cell, overlaid) = self.simulate_overlaid(triple, carried);
-        FaultFree {
-            cell,
-            origin: Origin::Simulated,
-            recording: None,
-            overlaid,
-        }
+        let (workload, scheme, platform) = self.coordinates(triple);
+        let hooks = Hooks {
+            overlays: self.overlays(triple, seeds),
+            ..Hooks::default()
+        };
+        let config = cell_config(scheme, platform);
+        let (result, hooks) = run_cell(workload, config, platform, self.spec.protocol, hooks);
+        let cell = cell_from_result(workload, scheme, platform, None, &result);
+        FaultFree::new(cell, Origin::Simulated, None, hooks.overlays)
     }
 
-    /// Whether `triple`'s fault-free simulation can carry its seeds as
-    /// overlays: a uniprocessor cell striking the data array, without
-    /// forensics (whose records follow each seed's own run).
-    fn carries_overlays(&self, triple: Triple) -> bool {
+    /// Runs `triple`'s fault-free cell carrying the faulty cells injected
+    /// with `seeds` as overlays: replays `recording`, the triple's, when
+    /// given, and simulates when there is none or its replay fails (with
+    /// the overlays rebuilt).
+    pub(crate) fn overlay_run(
+        &self,
+        triple: Triple,
+        recording: Option<&Trace>,
+        seeds: &[u64],
+    ) -> FaultFree {
+        if let Some(trace) = recording {
+            let _span = self.obs.span(Phase::Replay);
+            if let Ok((cell, overlays)) = self.replay_overlaid(triple, trace, seeds) {
+                return FaultFree::new(cell, Origin::Replayed, None, overlays);
+            }
+        }
+        self.fault_free(triple, &SampleExecution::FullSim, seeds, false)
+    }
+
+    /// Replays `trace`, `triple`'s fault-free recording, carrying the
+    /// faulty cells injected with `seeds` as overlays (see [`replay`]).
+    pub(crate) fn replay_overlaid(
+        &self,
+        triple: Triple,
+        trace: &Trace,
+        seeds: &[u64],
+    ) -> Result<(CampaignCell, Option<SeedOverlays>), Divergence> {
+        let (events, workload) = (trace.events(), &self.workloads[triple.workload]);
+        let overlays = self.overlays(triple, seeds);
+        replay(self.spec, trace, events, workload, None, overlays, None)
+    }
+
+    /// Whether `triple`'s fault-free run can carry its seeds as overlays: a
+    /// uniprocessor cell striking the data array, without forensics (whose
+    /// records follow each seed's own run).
+    pub(crate) fn carries_overlays(&self, triple: Triple) -> bool {
         !self.forensic
             && self.spec.fault_target == FaultTarget::Data
             && !matches!(
@@ -339,72 +375,43 @@ impl Cells<'_> {
             )
     }
 
-    /// Simulates `triple`'s fault-free cell carrying one overlay per seed
-    /// of `axis` (fault-axis labels), and builds each neutral seed's cell
-    /// from the run.
-    fn simulate_overlaid(&self, triple: Triple, axis: &[u64]) -> (CampaignCell, Vec<Overlaid>) {
-        if axis.is_empty() {
-            return (self.simulate(triple, None, None).0, Vec::new());
-        }
-        let workload = &self.workloads[triple.workload];
+    /// One overlay per seed of `seeds` for `triple`'s fault-free run, or
+    /// `None` when there are none.
+    pub(crate) fn overlays(&self, triple: Triple, seeds: &[u64]) -> Option<SeedOverlays> {
+        let campaigns: Vec<FaultCampaignConfig> =
+            seeds.iter().map(|&seed| self.campaign(seed)).collect();
         let scheme = self.spec.schemes[triple.scheme];
-        let platform = self.spec.platforms[triple.platform];
-        let campaigns: Vec<FaultCampaignConfig> = axis
-            .iter()
-            .map(|&axis_seed| self.campaign(grid_injection_seed(self.spec, triple, axis_seed)))
-            .collect();
         let flush_on_error = matches!(scheme, EccScheme::SpeculateFlush { .. });
-        let hooks = Hooks {
-            overlays: Some(SeedOverlays::new(&campaigns, flush_on_error)),
-            ..Hooks::default()
-        };
-        let config = cell_config(scheme, platform);
-        let (result, hooks) = run_cell(workload, config, platform, self.spec.protocol, hooks);
-        let cell = cell_from_result(workload, scheme, platform, None, &result);
-        let overlaid = hooks
-            .overlays
-            .iter()
-            .flat_map(SeedOverlays::outcomes)
-            .zip(axis)
-            .map(|(outcome, &axis_seed)| match outcome {
-                OverlayOutcome::Served(report) => Overlaid::Served(Box::new(overlay_cell(
-                    workload, scheme, platform, axis_seed, &result, &report,
-                ))),
-                OverlayOutcome::Escaped(reason) => Overlaid::Escaped(reason),
-            })
-            .collect();
-        (cell, overlaid)
+        (!campaigns.is_empty()).then(|| SeedOverlays::new(&campaigns, flush_on_error))
     }
 
-    /// Serves the fault-axis cell `axis_seed` of `triple`: from `overlaid`
-    /// when its seed stayed neutral in the fault-free run, otherwise on the
-    /// per-seed path ([`Cells::faulty`]).
-    pub(crate) fn grid_faulty(
+    /// Serves the faulty cell of `triple` injected with `injection_seed`
+    /// (`fault_seed` is its fault-axis label): built from the fault-free
+    /// cell its `overlay` rode when the seed stayed in it, otherwise
+    /// simulated on its own.
+    pub(crate) fn serve(
         &self,
         triple: Triple,
-        axis_seed: u64,
-        overlaid: Option<Overlaid>,
-        recording: Option<&Trace>,
+        injection_seed: u64,
+        fault_seed: Option<u64>,
+        overlay: Option<(&CampaignCell, OverlayOutcome)>,
     ) -> Faulty {
-        let escaped = match overlaid {
-            Some(Overlaid::Served(cell)) => {
+        let served = match overlay {
+            Some((fault_free, OverlayOutcome::Served(report))) => {
                 return Faulty {
-                    cell: *cell,
+                    cell: overlay_cell(fault_free, fault_seed, &report),
                     forensics: CellForensics::default(),
                     served: Served::Overlay,
                 }
             }
-            Some(Overlaid::Escaped(reason)) => Some(reason),
-            None => None,
+            Some((_, OverlayOutcome::Escaped(reason))) => Served::Escaped(reason),
+            None => Served::Simulated,
         };
-        let seed = grid_injection_seed(self.spec, triple, axis_seed);
-        let faulty = self.faulty(triple, seed, Some(axis_seed), recording);
-        match escaped {
-            Some(reason) => Faulty {
-                served: Served::Escaped(reason),
-                ..faulty
-            },
-            None => faulty,
+        let (cell, forensics) = self.faulty(triple, injection_seed, fault_seed);
+        Faulty {
+            cell,
+            forensics,
+            served,
         }
     }
 
@@ -415,70 +422,22 @@ impl Cells<'_> {
             .with_target(self.spec.fault_target)
     }
 
-    /// Runs one faulty cell of `triple`: single-bit upsets seeded by
-    /// `injection_seed` at the spec's interval and target.  It replays
-    /// `recording` when there is one and falls back to full simulation on a
-    /// [`Divergence`]; without a recording it is simulated.  `fault_seed`
-    /// is the cell's fault-axis label.
-    pub(crate) fn faulty(
+    /// Simulates one faulty cell of `triple` on its own, injected with
+    /// `injection_seed`; `fault_seed` is its fault-axis label.
+    fn faulty(
         &self,
         triple: Triple,
         injection_seed: u64,
         fault_seed: Option<u64>,
-        recording: Option<&Trace>,
-    ) -> Faulty {
-        let fault = self.campaign(injection_seed);
-        let mut served = Served::Simulated;
-        if let Some(trace) = recording {
-            let replayed = {
-                let _span = self.obs.span(Phase::Replay);
-                replay_cell_forensic(
-                    self.spec,
-                    trace,
-                    trace.events(),
-                    &self.workloads[triple.workload],
-                    Some(fault),
-                    fault_seed,
-                    self.forensic,
-                )
-            };
-            match replayed {
-                Ok((cell, forensics)) => {
-                    return Faulty {
-                        cell,
-                        forensics,
-                        served: Served::Replayed,
-                    }
-                }
-                Err(divergence) => served = Served::FellBack(divergence),
-            }
-        }
-        let _span = self.obs.span(served.phase());
-        let (cell, forensics) = self.simulate(triple, Some(fault), fault_seed);
-        Faulty {
-            cell,
-            forensics,
-            served,
-        }
-    }
-
-    /// Simulates one cell of `triple` in full, under `fault` if given.
-    fn simulate(
-        &self,
-        triple: Triple,
-        fault: Option<FaultCampaignConfig>,
-        fault_seed: Option<u64>,
     ) -> (CampaignCell, CellForensics) {
-        let workload = &self.workloads[triple.workload];
-        let scheme = self.spec.schemes[triple.scheme];
-        let platform = self.spec.platforms[triple.platform];
+        let _span = self.obs.span(Phase::Inject);
+        let (workload, scheme, platform) = self.coordinates(triple);
         let config = PipelineConfig {
-            fault_campaign: fault,
+            fault_campaign: Some(self.campaign(injection_seed)),
             ..cell_config(scheme, platform)
         };
-        // A fault-free cell injects nothing: it has no lifecycles to trace.
         let hooks = Hooks {
-            forensics: self.forensic && fault.is_some(),
+            forensics: self.forensic,
             ..Hooks::default()
         };
         let (mut result, _) = run_cell(workload, config, platform, self.spec.protocol, hooks);

@@ -16,10 +16,13 @@
 //! * a stratum stops early once its interval meets the requested
 //!   confidence / relative-error bound, or when its sample budget is
 //!   exhausted,
+//! * each round evaluates a stratum's samples as seed overlays
+//!   (`laec_mem::overlay`) that ride one fault-free run of the stratum, and
+//!   simulates on its own only a sample that escapes its overlay;
 //! * sampling composes with trace replay
 //!   ([`SampleExecution::TraceBacked`]): each stratum's fault-free access
-//!   stream is recorded once and every sample replays it, falling back to
-//!   full simulation on divergence — with *identical* outcomes either way.
+//!   stream is recorded once, and each round's fault-free run replays it
+//!   instead of simulating it — with *identical* outcomes either way.
 //!
 //! # Determinism
 //!
@@ -67,7 +70,7 @@ use laec_workloads::Workload;
 use serde::Serialize;
 
 use crate::campaign::{mix64, run_pool, CampaignCell, CampaignSpec};
-use crate::runner::{grid_triples, Cells, Faulty, Followers, Served, Triple};
+use crate::runner::{grid_triples, Cells, Faulty, Origin, Served, Triple};
 use crate::trace_backed::TraceBackedStats;
 
 // ---------------------------------------------------------------------------
@@ -349,18 +352,21 @@ impl SamplingPlan {
 // Execution mode
 // ---------------------------------------------------------------------------
 
-/// How each sample — and each cell of an exhaustive grid — is executed.
+/// How the fault-free runs that carry a campaign's samples (or, in an
+/// exhaustive grid, its fault axis) as seed overlays are driven.  Either
+/// way a seed that escapes its overlay is simulated on its own, and the
+/// report is byte-identical.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum SampleExecution {
-    /// Every sample runs the full pipeline + memory simulation.
+    /// Every fault-free run is a full pipeline + memory simulation.
     #[default]
     FullSim,
     /// Each stratum's fault-free run is recorded once (or loaded from
-    /// `cache_dir`) and every sample replays the recording with its own
-    /// fault campaign, falling back to full simulation on divergence.  The
-    /// produced report is byte-identical to [`SampleExecution::FullSim`].
-    /// An exhaustive grid runs its fault axis the same way under
-    /// [`crate::spec::ExecutionMode::TraceBacked`].
+    /// `cache_dir`), and each sampling round replays the recording,
+    /// carrying the round's samples.  An exhaustive grid under
+    /// [`crate::spec::ExecutionMode::TraceBacked`] replays a triple's
+    /// recording from `cache_dir`, carrying its fault axis, and simulates
+    /// when there is no cache.
     TraceBacked {
         /// Persist/reuse recordings under this directory.
         cache_dir: Option<PathBuf>,
@@ -455,24 +461,18 @@ impl StratumStats {
 /// accidentally re-draw the exhaustive grid's seeds).
 const SAMPLE_SALT: u64 = 0x51A7_1571_CA15_AB1E;
 
-/// The injection seed of sample `index` of one stratum: a pure function of
-/// the spec seed, the stratum's grid coordinates and the index — never of
-/// scheduling, thread count or checkpoint splits.
+/// The injection seed of sample `index` of `triple`'s stratum: a pure
+/// function of the spec seed, the stratum's grid coordinates and the index
+/// — never of scheduling, thread count or checkpoint splits.
 #[must_use]
-pub(crate) fn sample_injection_seed(
-    spec: &CampaignSpec,
-    workload: usize,
-    scheme: usize,
-    platform: usize,
-    index: u64,
-) -> u64 {
+pub(crate) fn sample_injection_seed(spec: &CampaignSpec, triple: Triple, index: u64) -> u64 {
     mix64(
         mix64(
             spec.seed
                 ^ SAMPLE_SALT
-                ^ ((workload as u64) << 40)
-                ^ ((scheme as u64) << 20)
-                ^ (platform as u64),
+                ^ ((triple.workload as u64) << 40)
+                ^ ((triple.scheme as u64) << 20)
+                ^ (triple.platform as u64),
         ) ^ index,
     )
 }
@@ -920,7 +920,8 @@ pub fn render_sampled(report: &SampledReport) -> String {
 /// A stratified Monte-Carlo fault campaign in progress.
 ///
 /// Owns the materialised grid, the fault-free references (and, in
-/// trace-backed mode, the recordings), and the per-stratum accumulators.
+/// trace-backed mode, the recordings its rounds replay), and the
+/// per-stratum accumulators.
 /// Drive it with [`Sampler::run_rounds`]; snapshot it with
 /// [`Sampler::checkpoint`]; read the result with [`Sampler::report`].
 #[derive(Debug)]
@@ -930,7 +931,8 @@ pub struct Sampler {
     workloads: Vec<Workload>,
     strata: Vec<Triple>,
     baselines: Vec<Baseline>,
-    /// Each stratum's recording, in trace-backed mode.
+    /// Each stratum's recording, in trace-backed mode, when its rounds
+    /// carry overlays.
     recordings: Vec<Option<Trace>>,
     states: Vec<StratumStats>,
     trace_stats: TraceBackedStats,
@@ -1020,8 +1022,11 @@ impl Sampler {
             forensic: false,
             obs: &obs,
         };
+        // Trace-backed, a stratum's recording is kept when its rounds will
+        // replay it, carrying their samples as overlays.
         let fault_free = run_pool(strata.len(), threads, |index| {
-            cells.fault_free(strata[index], execution, Followers::Stratum)
+            let triple = strata[index];
+            cells.fault_free(triple, execution, &[], cells.carries_overlays(triple))
         });
         let mut trace_stats = TraceBackedStats::default();
         let mut baselines = Vec::with_capacity(strata.len());
@@ -1110,7 +1115,8 @@ impl Sampler {
             .all(|s| s.converged || s.taken >= self.plan.max_samples)
     }
 
-    /// Record/replay/fallback counters (all zero in full-sim mode).
+    /// Record and replay counters, and the overlay split of every sample
+    /// (reported only in trace-backed mode).
     #[must_use]
     pub fn trace_stats(&self) -> TraceBackedStats {
         self.trace_stats.clone()
@@ -1121,10 +1127,12 @@ impl Sampler {
     /// comes first.  Returns [`Sampler::complete`].
     ///
     /// Each round draws up to [`SamplingPlan::batch`] samples from every
-    /// still-active stratum; jobs execute in parallel but fold into the
-    /// accumulators in sample-index order, and the stopping rule is
-    /// evaluated only after the whole round has folded — the source of the
-    /// any-thread-count / any-split byte-identity guarantee.
+    /// still-active stratum: one fault-free run carries them as seed
+    /// overlays, and a sample that escapes is simulated on its own.  Strata
+    /// run in parallel, but samples fold into the accumulators in
+    /// sample-index order, and the stopping rule is evaluated only after the
+    /// whole round has folded — the source of the any-thread-count /
+    /// any-split byte-identity guarantee.
     ///
     /// # Panics
     ///
@@ -1132,38 +1140,35 @@ impl Sampler {
     pub fn run_rounds(&mut self, threads: usize, max_rounds: Option<u64>) -> bool {
         let mut rounds = 0u64;
         loop {
-            let mut jobs: Vec<(usize, u64)> = Vec::new();
+            // Each active stratum with the first sample index and the
+            // number of samples it draws this round.
+            let mut draws: Vec<(usize, u64, u64)> = Vec::new();
             for (stratum, state) in self.states.iter().enumerate() {
                 if state.converged || state.taken >= self.plan.max_samples {
                     continue;
                 }
                 let draw = self.plan.batch.min(self.plan.max_samples - state.taken);
-                for offset in 0..draw {
-                    jobs.push((stratum, state.taken + offset));
-                }
+                draws.push((stratum, state.taken, draw));
             }
-            if jobs.is_empty() {
+            if draws.is_empty() {
                 return true;
             }
             if max_rounds.is_some_and(|max| rounds >= max) {
                 return false;
             }
             let round_span = self.obs.span(Phase::SamplerRound);
-            let samples = run_pool(jobs.len(), threads, |index| {
-                let (stratum, sample) = jobs[index];
-                self.run_sample(stratum, sample)
+            let drawn = run_pool(draws.len(), threads, |index| {
+                let (stratum, first, draw) = draws[index];
+                self.run_samples(stratum, first..first + draw)
             });
-            let mut touched: Vec<usize> = Vec::new();
-            for (&(stratum, _), (outcome, served)) in jobs.iter().zip(&samples) {
-                self.states[stratum].absorb(&self.baselines[stratum], outcome);
-                if touched.last() != Some(&stratum) {
-                    touched.push(stratum);
-                }
+            for (&(stratum, _, _), (origin, samples)) in draws.iter().zip(&drawn) {
                 let scheme = self.spec.schemes[self.strata[stratum].scheme];
-                let events = self.recordings[stratum]
-                    .as_ref()
-                    .map_or(0, |trace| trace.events().len());
-                self.trace_stats.count_faulty(scheme, served, events);
+                for (outcome, served) in samples {
+                    self.states[stratum].absorb(&self.baselines[stratum], outcome);
+                    if let Some(origin) = *origin {
+                        self.trace_stats.count_faulty(scheme, origin, served);
+                    }
+                }
             }
             for state in &mut self.states {
                 if !state.converged {
@@ -1172,7 +1177,7 @@ impl Sampler {
             }
             drop(round_span);
             if self.obs.is_enabled() {
-                self.emit_round_events(&touched);
+                self.emit_round_events(draws.iter().map(|&(stratum, _, _)| stratum));
             }
             rounds += 1;
         }
@@ -1182,9 +1187,9 @@ impl Sampler {
     /// round.  The round number is derived from the samples taken
     /// (`ceil(taken / batch)`), so it continues correctly across
     /// checkpoint/resume splits — rounds are not persisted.
-    fn emit_round_events(&self, touched: &[usize]) {
+    fn emit_round_events(&self, touched: impl Iterator<Item = usize>) {
         let z = self.plan.z();
-        for &stratum in touched {
+        for stratum in touched {
             let state = &self.states[stratum];
             let triple = self.strata[stratum];
             let (ci_low, ci_high) = wilson_interval(state.failures, state.taken, z);
@@ -1203,28 +1208,40 @@ impl Sampler {
         }
     }
 
-    /// Executes one sample: trace replay when the stratum has a recording
-    /// (falling back to full simulation on divergence), full simulation
-    /// otherwise.  Only what the fold reads is kept of the cell, so a
-    /// round holds a few words per sample.
-    fn run_sample(&self, stratum: usize, sample: u64) -> (SampleOutcome, Served) {
+    /// Draws the samples of `stratum` with indices `samples`: one
+    /// fault-free run carries them as seed overlays — a replay of the
+    /// stratum's recording in trace-backed mode, a simulation otherwise —
+    /// and every sample that escaped, or that no overlay carried, is
+    /// simulated on its own.  Returns the fault-free run's origin (`None`
+    /// when the stratum carries no overlays) and, in index order, what the
+    /// fold reads of each sample's cell and how it was served: a few words
+    /// per sample.
+    fn run_samples(
+        &self,
+        stratum: usize,
+        samples: std::ops::Range<u64>,
+    ) -> (Option<Origin>, Vec<(SampleOutcome, Served)>) {
         let triple = self.strata[stratum];
-        let seed = sample_injection_seed(
-            &self.spec,
-            triple.workload,
-            triple.scheme,
-            triple.platform,
-            sample,
-        );
         let cells = Cells {
             spec: &self.spec,
             workloads: &self.workloads,
             forensic: false,
             obs: &self.obs,
         };
-        let Faulty { cell, served, .. } =
-            cells.faulty(triple, seed, None, self.recordings[stratum].as_ref());
-        (SampleOutcome::from(&cell), served)
+        let seeds: Vec<u64> = samples
+            .map(|sample| sample_injection_seed(&self.spec, triple, sample))
+            .collect();
+        let recording = self.recordings[stratum].as_ref();
+        let fault_free = cells
+            .carries_overlays(triple)
+            .then(|| cells.overlay_run(triple, recording, &seeds));
+        let served = seeds.iter().enumerate().map(|(index, &seed)| {
+            let overlay = fault_free.as_ref().and_then(|run| run.overlay(index));
+            let Faulty { cell, served, .. } = cells.serve(triple, seed, None, overlay);
+            (SampleOutcome::from(&cell), served)
+        });
+        let served = served.collect();
+        (fault_free.map(|run| run.origin), served)
     }
 
     /// Builds the report from the current accumulators.  Valid at any
@@ -1438,9 +1455,14 @@ mod tests {
     #[test]
     fn sample_seeds_differ_from_the_exhaustive_axis_and_between_samples() {
         let spec = CampaignSpec::smoke();
-        let a = sample_injection_seed(&spec, 0, 0, 0, 0);
-        let b = sample_injection_seed(&spec, 0, 0, 0, 1);
-        let c = sample_injection_seed(&spec, 1, 0, 0, 0);
+        let stratum = |workload| Triple {
+            workload,
+            platform: 0,
+            scheme: 0,
+        };
+        let a = sample_injection_seed(&spec, stratum(0), 0);
+        let b = sample_injection_seed(&spec, stratum(0), 1);
+        let c = sample_injection_seed(&spec, stratum(1), 0);
         assert_ne!(a, b);
         assert_ne!(a, c);
     }

@@ -20,9 +20,9 @@
 //! * [`Campaign::run`] — the one dispatch point: it matches on the
 //!   [`ExecutionMode`] and runs a full or trace-backed grid through the one
 //!   grid executor, or a sampled campaign through the sampler.  Both run
-//!   every cell through the same pair of cell functions
-//!   ([`crate::runner`]), so the engines differ only in whether a faulty
-//!   cell replays a recording.
+//!   every cell through the same cell functions ([`crate::runner`]), so
+//!   the engines differ only in whether a fault-free run, which carries
+//!   its triple's fault seeds as overlays, is simulated or replayed.
 //!
 //! The platform axis, not the mode, decides the core count: full simulation
 //! runs `smpN` cells on an N-core system and every other platform on the
@@ -78,13 +78,14 @@ pub enum ExecutionMode {
     /// Every cell runs the full pipeline + memory simulation (the
     /// reference engine; supports every platform and the fault-seed axis).
     Full,
-    /// Each cell's fault-free run is recorded once and every faulty cell
-    /// replays the recording, falling back to full simulation on
-    /// divergence.  Byte-identical to [`ExecutionMode::Full`], much faster
-    /// on fault grids; single-core platforms only.
+    /// Each triple's fault-free run, which carries its fault axis as seed
+    /// overlays, is replayed from its recording in the trace cache (and
+    /// recorded into it when missing) instead of simulated.
+    /// Byte-identical to [`ExecutionMode::Full`]; single-core platforms
+    /// only.
     TraceBacked {
-        /// Persist/reuse recordings under this directory (`None` keeps
-        /// them in memory for the run only).
+        /// Persist/reuse recordings under this directory (`None`: the grid
+        /// records nothing and simulates, as [`ExecutionMode::Full`]).
         cache_dir: Option<PathBuf>,
     },
     /// The fixed fault-seed axis is replaced by stratified Monte-Carlo
@@ -94,7 +95,8 @@ pub enum ExecutionMode {
     Sampled {
         /// The statistical contract (budget, confidence, batch, …).
         plan: SamplingPlan,
-        /// How each sample executes (full simulation or trace replay).
+        /// How each round's fault-free runs are driven (full simulation
+        /// or trace replay).
         execution: SampleExecution,
     },
 }
@@ -926,8 +928,8 @@ impl CampaignBuilder {
         self
     }
 
-    /// Selects trace-backed execution (record once, replay per fault
-    /// seed).
+    /// Selects trace-backed execution (fault-free runs replayed from
+    /// recordings, carrying the fault seeds as overlays).
     #[must_use]
     pub fn trace_backed(mut self) -> Self {
         self.trace_backed = true;

@@ -1,64 +1,47 @@
-//! Trace-backed campaign execution: record once, replay per fault seed.
+//! Trace-backed campaign execution: record a triple's fault-free run once,
+//! and replay it carrying the triple's fault seeds as overlays.
 //!
-//! All faulty runs of one workload × platform × scheme triple share the
-//! fault-free run's access stream — only the injected faults differ.
-//! Trace-backed execution exploits that: the fault-free run of each triple
-//! (which the grid contains anyway) is executed once under a `laec_trace`
-//! recorder, and every faulty cell is then *replayed* from the recording —
-//! the memory hierarchy and the fault injector are driven through exactly
-//! the recorded calls while the pipeline model is skipped entirely.  With
-//! `--trace-cache`, recordings persist on disk and later invocations skip
-//! even the fault-free simulations.  A grid without a fault axis and
-//! without a cache records nothing: no faulty cell would replay the
-//! recording, so its fault-free cells are simulated.
+//! The campaign engines evaluate a workload × platform × scheme triple's
+//! fault seeds as seed overlays (`laec_mem::overlay`) that ride the
+//! triple's one fault-free run; a seed that escapes its overlay is
+//! simulated on its own.  That run has two drivers: a full simulation, or
+//! a *replay* of a recording of it, which drives the memory hierarchy
+//! through exactly the recorded calls and skips the pipeline model.
 //!
-//! This module holds the recording and replay primitives; the grid
-//! executor ([`crate::campaign`]) and the sampler ([`crate::sampling`])
-//! drive them through the one pair of cell functions in
-//! [`crate::runner`].
+//! * With `--trace-cache`, a grid replays each triple's cached recording,
+//!   carrying its fault axis, and records a trace that is missing or fails
+//!   its replay.  Without a cache a grid records nothing: no replay would
+//!   read the recording, so it takes the full-simulation path.
+//! * The sampler records each stratum's fault-free run once and replays it
+//!   once per round, carrying the round's samples.
+//!
+//! The grid executor ([`crate::campaign`]) and the sampler
+//! ([`crate::sampling`]) drive these primitives through the cell functions
+//! in [`crate::runner`].
 //!
 //! # The byte-identical guarantee
 //!
-//! A trace-backed grid produces a [`crate::campaign::CampaignReport`] that
-//! serialises *byte-identically* to full simulation of the same spec
-//! (asserted end-to-end by `tests/trace_replay.rs`):
+//! A trace-backed report serialises *byte-identically* to full simulation
+//! of the same spec (asserted end-to-end by `tests/trace_replay.rs`).  A
+//! replayed fault-free cell takes its pipeline-side fields (cycles, CPI,
+//! hit rates, look-ahead rate) from the recorded summary and its
+//! memory-side fields from the replayed hierarchy, which must reproduce
+//! the recorded checksum.  Overlays leave that hierarchy fault-free, so the
+//! replay cannot diverge, and they meet the same accesses, fills and
+//! drains against the same DL1 contents as in the simulation: every seed
+//! is served, or escapes, as the simulation would decide.
 //!
-//! * pipeline-side cell fields (cycles, CPI, hit rates, look-ahead rate)
-//!   are taken from the recorded summary — valid because the replay driver
-//!   verifies at every load that the injected faults did not perturb
-//!   values or timing (see `laec_trace::replay`),
-//! * memory-side fields (bus traffic, ECC outcomes, unrecoverable errors,
-//!   final memory checksum) are recomputed by the replayed hierarchy,
-//!   which by construction performs the same accesses in the same order at
-//!   the same cycle stamps with the same injected faults,
-//! * any cell whose replay reports a [`Divergence`] (a fault escaped into
-//!   values or timing — silent corruption under no-ECC, parity refetches,
-//!   speculate-and-flush penalties, …) transparently falls back to full
-//!   simulation for that one cell.
-//!
-//! Replay touches only the memory hierarchy, but it still walks the whole
-//! hierarchy once per fault seed.  Full simulation no longer does: its
-//! fault-free run carries every seed of the triple as a seed overlay
-//! (`laec_mem::overlay`) and re-simulates only the seeds that escape, so on
-//! a cold faulty grid it is the faster engine (perfbench's `grid_replay` ÷
-//! `grid_full` ratio; see EXPERIMENTS.md).  Replay pays off on
-//! `--trace-cache` hits, until recordings drive overlays too.
-//!
-//! A recording stays one owner's decoded [`Trace`] from its first event to
-//! its last replay, and lives for its triple: the grid executor runs a
-//! triple's fault-free cell and then its faulty cells as one job and drops
-//! the recording when the job ends, so each worker holds one recording at
-//! a time.  (The sampler keeps its strata's recordings for as long as it
-//! samples them.)  The hierarchy of the recording run owns the recorder,
-//! and the binary container is written only when a trace is persisted
-//! (`--trace-cache`, `laec-cli trace record`).
+//! [`replay_cell`] also replays a recording under a fault campaign
+//! (`laec-cli trace replay --fault-seed`); the replay driver then reports a
+//! [`Divergence`] when the faults perturbed a load's value or timing (see
+//! `laec_trace::replay`).  A recording is one owner's decoded [`Trace`],
+//! encoded only when persisted (`--trace-cache`, `laec-cli trace record`).
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use laec_mem::{CellForensics, FaultCampaignConfig, ReplayMemory};
-use laec_obs::{Obs, Phase};
+use laec_mem::{FaultCampaignConfig, ReplayMemory, SeedOverlays};
+use laec_obs::Phase;
 use laec_pipeline::EccScheme;
 use laec_trace::{
     replay_events, Divergence, Trace, TraceContext, TraceDetail, TraceError, TraceEvent,
@@ -67,39 +50,37 @@ use laec_trace::{
 use laec_workloads::Workload;
 
 use crate::campaign::{
-    cell_from_result, fnv1a, registers_fingerprint, CampaignCell, CampaignSpec, PlatformVariant,
+    cell_from_result, fnv1a, registers_fingerprint, CampaignCell, CampaignSpec, OverlayStats,
+    PlatformVariant,
 };
-use crate::runner::{cell_config, run_cell, Hooks, Origin, Served};
+use crate::runner::{cell_config, run_cell, Cells, FaultFree, Hooks, Origin, Served, Triple};
 
 /// Execution counters of one trace-backed campaign.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceBackedStats {
-    /// Fault-free cells simulated in full (and recorded).
+    /// Fault-free cells simulated in full under a recorder.
     pub recorded: u64,
-    /// Fault-free cells reconstructed from a cached trace.
+    /// Fault-free cells replayed from a cached trace.
     pub cache_loads: u64,
-    /// Faulty cells completed by replay.
+    /// Fault seeds served from an overlay that rode a replay: of a cached
+    /// trace, or of a sampler stratum's recording.
     pub replayed: u64,
-    /// Faulty cells that diverged and fell back to full simulation.
+    /// Fault seeds that escaped an overlay that rode a replay; each was
+    /// then simulated on its own.
     pub fallbacks: u64,
     /// Cache files that could not be written (best-effort persistence).
     pub cache_write_failures: u64,
-    /// `fallbacks` split by scheme label × divergence kind
-    /// (`load_value`, `load_timing`, `scheme_timing`, `trace`); the
-    /// entries sum to `fallbacks`.
-    pub fallbacks_by: BTreeMap<(String, &'static str), u64>,
-    /// Fallbacks per decile of where the replay diverged: bucket *d* counts
-    /// divergences at event index ÷ recorded events in `[d/10, (d+1)/10)`.
-    /// `trace` divergences have no position and are not bucketed.
-    pub divergence_deciles: [u64; 10],
+    /// How every fault seed that rode an overlay fared, whichever driver
+    /// ran the overlay's fault-free run.
+    pub overlays: OverlayStats,
 }
 
 impl TraceBackedStats {
-    /// Counts where a fault-free cell came from: recorded, or loaded from
-    /// the trace cache (a simulated cell counts nothing).
+    /// Counts where a fault-free cell came from: recorded, or replayed from
+    /// the trace cache (any other cell counts nothing).
     pub(crate) fn count_fault_free(&mut self, origin: Origin) {
         match origin {
-            Origin::Simulated => {}
+            Origin::Simulated | Origin::Replayed => {}
             Origin::Recorded { cache_write_failed } => {
                 self.recorded += 1;
                 self.cache_write_failures += u64::from(cache_write_failed);
@@ -108,39 +89,22 @@ impl TraceBackedStats {
         }
     }
 
-    /// Counts how a faulty cell of `scheme` was served from a recording of
-    /// `events` events: replayed, or fallen back to full simulation after
-    /// its divergence (a cell simulated without a recording counts
-    /// nothing).
+    /// Counts how a faulty cell of `scheme` was served, whose triple's
+    /// fault-free run came from `origin`.
     pub(crate) fn count_faulty(
         &mut self,
         scheme: impl std::fmt::Display,
+        origin: Origin,
         served: &Served,
-        events: usize,
     ) {
-        let divergence = match served {
-            Served::Simulated | Served::Overlay | Served::Escaped(_) => return,
-            Served::Replayed => {
-                self.replayed += 1;
-                return;
+        if origin.replayed() {
+            match served {
+                Served::Overlay => self.replayed += 1,
+                Served::Escaped(_) => self.fallbacks += 1,
+                Served::Simulated => {}
             }
-            Served::FellBack(divergence) => divergence,
-        };
-        self.fallbacks += 1;
-        let (kind, event) = match *divergence {
-            Divergence::LoadValue { event, .. } => ("load_value", Some(event)),
-            Divergence::LoadTiming { event, .. } => ("load_timing", Some(event)),
-            Divergence::SchemeTimingError { event, .. } => ("scheme_timing", Some(event)),
-            Divergence::Trace(_) => ("trace", None),
-        };
-        *self
-            .fallbacks_by
-            .entry((scheme.to_string(), kind))
-            .or_default() += 1;
-        if let Some(event) = event {
-            let decile = u128::from(event) * 10 / (events.max(1) as u128);
-            self.divergence_deciles[decile.min(9) as usize] += 1;
         }
+        self.overlays.count(scheme, served);
     }
 }
 
@@ -148,8 +112,14 @@ impl std::fmt::Display for TraceBackedStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "traces: {} recorded, {} from cache; faulty cells: {} replayed, {} fell back",
-            self.recorded, self.cache_loads, self.replayed, self.fallbacks
+            "traces: {} recorded, {} from cache; overlays: {} served, {} escaped; \
+             on replays: {} served, {} escaped",
+            self.recorded,
+            self.cache_loads,
+            self.overlays.served,
+            self.overlays.escaped.values().sum::<u64>(),
+            self.replayed,
+            self.fallbacks
         )
     }
 }
@@ -180,6 +150,19 @@ pub fn record_cell(
     platform: PlatformVariant,
     detail: TraceDetail,
 ) -> (CampaignCell, Trace) {
+    let (cell, trace, _) = record_overlaid(spec, workload, scheme, platform, detail, None);
+    (cell, trace)
+}
+
+/// [`record_cell`], with the run carrying `overlays`.
+fn record_overlaid(
+    spec: &CampaignSpec,
+    workload: &Workload,
+    scheme: EccScheme,
+    platform: PlatformVariant,
+    detail: TraceDetail,
+    overlays: Option<SeedOverlays>,
+) -> (CampaignCell, Trace, Option<SeedOverlays>) {
     let config = cell_config(scheme, platform);
     let context = TraceContext::new(
         workload.name.clone(),
@@ -189,6 +172,7 @@ pub fn record_cell(
     );
     let hooks = Hooks {
         recorder: Some(TraceRecorder::with_detail(context, detail)),
+        overlays,
         ..Hooks::default()
     };
     let (result, hooks) = run_cell(workload, config, platform, spec.protocol, hooks);
@@ -198,7 +182,7 @@ pub fn record_cell(
     let mut summary = result.trace_summary();
     summary.registers_fingerprint = registers_fingerprint(&result.registers);
     let cell = cell_from_result(workload, scheme, platform, None, &result);
-    (cell, recorder.finish(summary))
+    (cell, recorder.finish(summary), hooks.overlays)
 }
 
 /// Replays a recorded cell — fault-free (`fault: None`, reconstructing the
@@ -242,25 +226,24 @@ pub fn replay_cell_events(
     fault: Option<FaultCampaignConfig>,
     fault_axis_seed: Option<u64>,
 ) -> Result<CampaignCell, Divergence> {
-    replay_cell_forensic(spec, trace, events, workload, fault, fault_axis_seed, false)
-        .map(|(cell, _)| cell)
+    replay(spec, trace, events, workload, fault, None, fault_axis_seed).map(|(cell, _)| cell)
 }
 
-/// [`replay_cell_events`], optionally with per-fault lifecycle forensics
-/// enabled on the replayed hierarchy.  The cell is byte-identical either
-/// way; the forensics records are byte-identical to a full simulation of
-/// the same grid coordinates (the replay re-issues the recorded
-/// (event, cycle) stream).
+/// [`replay_cell_events`], carrying `overlays`, which it hands back
+/// settled.  The campaign engines replay fault-free recordings carrying
+/// overlays, and fail only on a trace that does not fit (a
+/// [`Divergence::Trace`]: a foreign or inconsistent trace, or a wrong
+/// memory checksum).
 #[allow(clippy::too_many_lines)]
-pub(crate) fn replay_cell_forensic(
+pub(crate) fn replay(
     spec: &CampaignSpec,
     trace: &Trace,
     events: &[TraceEvent],
     workload: &Workload,
     fault: Option<FaultCampaignConfig>,
+    overlays: Option<SeedOverlays>,
     fault_axis_seed: Option<u64>,
-    forensic: bool,
-) -> Result<(CampaignCell, CellForensics), Divergence> {
+) -> Result<(CampaignCell, Option<SeedOverlays>), Divergence> {
     let header = &trace.header;
     let corrupt = |what: &'static str| Divergence::Trace(TraceError::Corrupt(what));
     if header.workload != workload.name {
@@ -282,13 +265,15 @@ pub(crate) fn replay_cell_forensic(
 
     let config = cell_config(scheme, platform);
     let mut target = ReplayMemory::new(config.hierarchy)
-        .with_flush_on_error(matches!(scheme, EccScheme::SpeculateFlush { .. }))
-        .with_forensics(forensic);
+        .with_flush_on_error(matches!(scheme, EccScheme::SpeculateFlush { .. }));
     if let Some(interference) = config.bus_interference {
         target = target.with_bus_interference(interference);
     }
     if let Some(fault) = fault {
         target = target.with_fault_campaign(fault);
+    }
+    if let Some(overlays) = overlays {
+        target.attach_overlays(overlays);
     }
     target.reserve_memory(workload.program.data().len());
     for &(address, value) in workload.program.data() {
@@ -316,9 +301,6 @@ pub(crate) fn replay_cell_forensic(
     let meta_faults_injected = dl1.meta_faults_injected();
     let lost_writebacks = dl1.lost_writebacks();
     let stale_metadata_reads = dl1.stale_reads();
-    // Like `Simulator::execute`: the forensics set closes only after the
-    // drain has settled every pending lifecycle.
-    let forensics = target.take_forensics().unwrap_or_default();
     if fault.is_none() && memory_checksum != summary.memory_checksum {
         return Err(corrupt("fault-free replay did not reproduce the checksum"));
     }
@@ -361,22 +343,26 @@ pub(crate) fn replay_cell_forensic(
         memory_checksum,
         slowdown: None,
     };
-    Ok((cell, forensics))
+    Ok((cell, target.take_overlays()))
 }
 
-/// Obtains one stratum's fault-free cell plus its recording: from
-/// `cache_dir` when a valid, matching trace is present, otherwise by
-/// recording a fresh full simulation (persisting it back to `cache_dir`
-/// best-effort).  [`crate::runner::Cells::fault_free`] calls it for the
-/// grid executor and the sampler alike.
+/// Obtains `triple`'s fault-free cell carrying the faulty cells injected
+/// with `seeds` as overlays, and its recording when `keep`: replayed from
+/// `cache_dir` when it holds a valid, matching trace, otherwise recorded
+/// from a fresh simulation (persisted back to `cache_dir` best-effort).  A
+/// cached trace whose replay fails is recorded anew, and the overlays its
+/// replay consumed are rebuilt for the simulation.
+/// [`crate::runner::Cells::fault_free`] calls it for the grid executor and
+/// the sampler alike.
 pub(crate) fn obtain_recording(
-    spec: &CampaignSpec,
-    workload: &Workload,
-    scheme: EccScheme,
-    platform: PlatformVariant,
+    cells: &Cells<'_>,
+    triple: Triple,
+    seeds: &[u64],
     cache_dir: Option<&Path>,
-    obs: &Obs,
-) -> (CampaignCell, Trace, Origin) {
+    keep: bool,
+) -> FaultFree {
+    let spec = cells.spec;
+    let (workload, scheme, platform) = cells.coordinates(triple);
     let file_name = trace_file_name(
         &workload.name,
         &scheme.to_string(),
@@ -385,27 +371,38 @@ pub(crate) fn obtain_recording(
     );
     if let Some(dir) = cache_dir {
         if let Ok(bytes) = fs::read(dir.join(&file_name)) {
-            let _span = obs.span(Phase::TraceDecode);
+            let _span = cells.obs.span(Phase::TraceDecode);
             let decoded = Trace::decode(&bytes);
             // The file's bytes are not kept beside the decoded events.
             drop(bytes);
             if let Ok(trace) = decoded {
-                if let Ok(cell) = replay_cell(spec, &trace, workload, None, None) {
-                    return (cell, trace, Origin::CacheHit);
+                let replayed = cells.replay_overlaid(triple, &trace, seeds);
+                if let Ok((cell, overlays)) = replayed {
+                    let recording = keep.then_some(trace);
+                    return FaultFree::new(cell, Origin::CacheHit, recording, overlays);
                 }
             }
         }
     }
-    let (cell, trace) = {
-        let _span = obs.span(Phase::TraceRecord);
-        record_cell(spec, workload, scheme, platform, TraceDetail::Replay)
+    let (cell, trace, overlays) = {
+        let _span = cells.obs.span(Phase::TraceRecord);
+        let overlays = cells.overlays(triple, seeds);
+        record_overlaid(
+            spec,
+            workload,
+            scheme,
+            platform,
+            TraceDetail::Replay,
+            overlays,
+        )
     };
     let cache_write_failed = cache_dir.is_some_and(|dir| {
         fs::create_dir_all(dir)
             .and_then(|()| fs::write(dir.join(&file_name), trace.encode()))
             .is_err()
     });
-    (cell, trace, Origin::Recorded { cache_write_failed })
+    let origin = Origin::Recorded { cache_write_failed };
+    FaultFree::new(cell, origin, keep.then_some(trace), overlays)
 }
 
 #[cfg(test)]

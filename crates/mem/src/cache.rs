@@ -1030,22 +1030,18 @@ impl Cache {
         true
     }
 
-    /// Number of currently resident words: every word of every valid line.
-    #[must_use]
-    pub fn resident_words(&self) -> u64 {
-        self.valid_lines() as u64 * u64::from(self.config.words_per_line())
+    /// Snapshots the flat indices of the valid lines, in flat (set-major)
+    /// order, into `slots`: what a data strike draws its word from.  A
+    /// reused `slots` allocates only for the first snapshot.
+    pub(crate) fn valid_slots(&self, slots: &mut Vec<usize>) {
+        slots.clear();
+        slots.reserve(self.lines.len());
+        slots.extend((0..self.lines.len()).filter(|&slot| self.lines[slot].state.is_valid()));
     }
 
-    /// Address of resident word `k`, counting valid lines set by set and
-    /// way by way and the words of a line in address order, or `None` when
-    /// `k` is not below [`Cache::resident_words`].  Fault campaigns draw
-    /// `k` to pick a strike location among live data.
-    #[must_use]
-    pub fn resident_word_address(&self, k: u64) -> Option<u32> {
-        let words = u64::from(self.config.words_per_line());
-        let index = self.nth_valid_line(usize::try_from(k / words).ok()?)?;
-        let base = self.reconstruct_base(index / self.ways(), self.lines[index].tag);
-        Some(base + 4 * (k % words) as u32)
+    /// Address of word `word` of the line in flat slot `slot`.
+    pub(crate) fn slot_word_address(&self, slot: usize, word: u64) -> u32 {
+        self.reconstruct_base(slot / self.ways(), self.lines[slot].tag) + 4 * word as u32
     }
 
     /// Flat index of the `n`-th valid line in flat (set-major) order.
@@ -1287,8 +1283,10 @@ mod tests {
         let mut cache = Cache::new(small_config());
         assert!(!cache.inject_fault(0x100, &FlipPlan::single_data(0)));
         cache.fill(0x100, &line(0));
-        let resident: Vec<u32> = (0..cache.resident_words())
-            .filter_map(|k| cache.resident_word_address(k))
+        let mut slots = Vec::new();
+        cache.valid_slots(&mut slots);
+        let resident: Vec<u32> = (0..4)
+            .map(|k| cache.slot_word_address(slots[0], k))
             .collect();
         assert_eq!(resident, vec![0x100, 0x104, 0x108, 0x10C]);
     }

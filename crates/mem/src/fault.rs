@@ -255,19 +255,20 @@ impl FaultCampaign {
     /// [`FaultCampaign::maybe_inject`] over `opportunities` injection
     /// opportunities, of which the caller knows only the last can be due
     /// (at most [`FaultCampaign::until_due`]), and without the apply: when
-    /// a data strike is due, it is drawn against `dl1` with the same random
-    /// draws and the struck word's address and flips are returned instead
-    /// of flipping the stored codeword.  The seed overlays
-    /// ([`crate::overlay`]) strike through it.
+    /// a data strike is due, it is drawn against `dl1`, whose valid lines
+    /// `slots` holds, with the same random draws, and the struck word's
+    /// address and flips are returned instead of flipping the stored
+    /// codeword.  The seed overlays ([`crate::overlay`]) strike through it.
     pub(crate) fn maybe_draw(
         &mut self,
         opportunities: u64,
         dl1: &Cache,
+        slots: &[usize],
     ) -> Option<(u32, FlipPlan)> {
         if !self.advance(opportunities) {
             return None;
         }
-        let strike = draw_data_strike(dl1, &mut self.injector, &self.config);
+        let strike = draw_data_strike(dl1, slots, &mut self.injector, &self.config);
         self.count(strike.is_some());
         strike
     }

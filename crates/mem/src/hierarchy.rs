@@ -116,6 +116,8 @@ pub struct MemorySystem {
     /// [`crate::overlay`]).  `None` by default: every access and commit
     /// pays a single branch.
     overlays: Option<Box<SeedOverlays>>,
+    /// The valid DL1 lines a per-seed data strike draws against.
+    strike_slots: Vec<usize>,
 }
 
 impl MemorySystem {
@@ -159,6 +161,7 @@ impl MemorySystem {
             recorder: None,
             forensics: None,
             overlays: None,
+            strike_slots: Vec::new(),
             config,
         }
     }
@@ -352,12 +355,13 @@ impl MemorySystem {
         self.overlays.take().map(|overlays| *overlays)
     }
 
-    /// Offers every seed overlay the injection opportunity of one
-    /// instruction `core` committed.  A no-op without overlays.
+    /// Offers every seed overlay the injection opportunities of `count`
+    /// instructions `core` committed in a row, exactly as `count` single
+    /// commits would.  A no-op without overlays.
     #[inline]
-    pub fn commit_overlays(&mut self, core: usize) {
+    pub fn commit_overlays(&mut self, core: usize, count: u64) {
         if let Some(overlays) = self.overlays.as_deref_mut() {
-            overlays.commit(&self.cores[core].dl1);
+            overlays.commit(count, &self.cores[core].dl1);
         }
     }
 
@@ -937,7 +941,8 @@ impl MemorySystem {
         let dl1 = &mut self.cores[core].dl1;
         let struck = match config.target {
             FaultTarget::Data => {
-                let strike = draw_data_strike(dl1, injector, config);
+                dl1.valid_slots(&mut self.strike_slots);
+                let strike = draw_data_strike(dl1, &self.strike_slots, injector, config);
                 strike.map(|(address, plan)| {
                     dl1.inject_fault(address, &plan);
                     address
@@ -1008,20 +1013,23 @@ impl MemorySystem {
     }
 }
 
-/// Draws a data strike against `dl1` without applying it: a random
-/// resident word and the flips the campaign's strike pattern lands on it,
-/// or `None` when the DL1 holds nothing to strike.  Injection into the
-/// cache ([`MemorySystem::inject_random_dl1_fault`]) and the seed overlays
-/// both draw through it, so they make the same random draws.
+/// Draws a data strike against `dl1`, whose valid lines `slots` holds
+/// ([`Cache::valid_slots`]), without applying it: a random resident word
+/// — counting lines in slot order and the words of a line in address
+/// order — and the flips the campaign's strike pattern lands on it, or
+/// `None` when the DL1 holds nothing to strike.  Injection into the cache
+/// ([`MemorySystem::inject_random_dl1_fault`]) and the seed overlays both
+/// draw through it, so they make the same random draws.
 pub(crate) fn draw_data_strike(
     dl1: &Cache,
+    slots: &[usize],
     injector: &mut ErrorInjector,
     config: &FaultCampaignConfig,
 ) -> Option<(u32, FlipPlan)> {
-    let resident = dl1.resident_words();
-    let address = (resident > 0)
-        .then(|| injector.next_below(resident))
-        .and_then(|k| dl1.resident_word_address(k))?;
+    let words = u64::from(dl1.config().words_per_line());
+    let resident = slots.len() as u64 * words;
+    let k = (resident > 0).then(|| injector.next_below(resident))?;
+    let address = dl1.slot_word_address(slots[(k / words) as usize], k % words);
     let check_bits = dl1.config().protection.check_bits();
     let plan = match config.pattern {
         FaultPattern::SingleBit => {

@@ -6,13 +6,16 @@
 //! changes a loaded value, a load's timing or a line's residency, a seed's
 //! run performs exactly the fault-free run's accesses, and it differs from
 //! it only in a few words.  A [`SeedOverlays`] set rides a fault-free
-//! [`MemorySystem`](crate::MemorySystem) and keeps, per seed, just those
-//! words:
+//! [`MemorySystem`](crate::MemorySystem), driven by a simulation or by the
+//! replay of a recording ([`crate::ReplayMemory`]), and keeps, per seed,
+//! just those words:
 //!
 //! * **flips** — the codeword flips pending on a DL1-resident word
 //!   ([`FlipPlan`]), drawn at every injection opportunity against the
 //!   shared fault-free DL1 with the same random draws a per-seed campaign
-//!   makes, and recorded instead of applied;
+//!   makes, and recorded instead of applied.  A commit at which strikes are
+//!   due snapshots the DL1's valid lines once, and every due seed draws
+//!   against that snapshot;
 //! * **XORs** — how the seed's newest copy of a word differs from the
 //!   fault-free one, wherever the word lives (a DL1 line, the L2, memory).
 //!
@@ -239,6 +242,8 @@ pub struct SeedOverlays {
     /// (`u64::MAX`: none will be): the commits in between cost one
     /// comparison.
     next_due: u64,
+    /// The DL1's valid lines at the latest strike commit.
+    slots: Vec<usize>,
 }
 
 impl SeedOverlays {
@@ -283,6 +288,7 @@ impl SeedOverlays {
                 .map(|c| c.interval)
                 .min()
                 .unwrap_or(u64::MAX),
+            slots: Vec::new(),
         }
     }
 
@@ -305,27 +311,32 @@ impl SeedOverlays {
         })
     }
 
-    /// One committed instruction: an injection opportunity for every seed
-    /// still in its overlay, struck against the fault-free `dl1`.
+    /// `count` committed instructions in a row (a simulation commits one
+    /// at a time, a replay a recorded run at once): an injection
+    /// opportunity each for every seed still in its overlay, and a strike
+    /// at every due commit, against the fault-free `dl1` as it stands.
     #[inline]
-    pub(crate) fn commit(&mut self, dl1: &Cache) {
-        self.elapsed += 1;
-        if self.elapsed == self.next_due {
+    pub(crate) fn commit(&mut self, mut count: u64, dl1: &Cache) {
+        while self.next_due - self.elapsed <= count {
+            count -= self.next_due - self.elapsed;
+            self.elapsed = self.next_due;
             self.strike(dl1);
         }
+        self.elapsed += count;
     }
 
     /// The commit a campaign's strike is due at: every seed still in its
     /// overlay counts the opportunities since the last visit, and the due
-    /// ones strike.
+    /// ones strike, all against one snapshot of the DL1's valid lines.
     fn strike(&mut self, dl1: &Cache) {
         let elapsed = std::mem::take(&mut self.elapsed);
         self.next_due = u64::MAX;
+        dl1.valid_slots(&mut self.slots);
         for overlay in &mut self.overlays {
             if overlay.escaped.is_some() {
                 continue;
             }
-            let strike = overlay.campaign.maybe_draw(elapsed, dl1);
+            let strike = overlay.campaign.maybe_draw(elapsed, dl1, &self.slots);
             if let Some(until_due) = overlay.campaign.until_due() {
                 self.next_due = self.next_due.min(until_due);
             }

@@ -1,24 +1,27 @@
 //! The memory-hierarchy side of trace replay.
 //!
 //! [`ReplayMemory`] wires a fresh [`MemorySystem`] (plus an optional
-//! [`FaultCampaign`]) into `laec_trace`'s [`ReplayTarget`] so a recorded
-//! access/commit stream can be re-executed without the pipeline: loads and
-//! stores are issued at their recorded cycle stamps, and every recorded
-//! commit is offered to the fault campaign as an injection opportunity —
-//! exactly the interleaving the full simulator produces.  Commit runs use
-//! [`FaultCampaign::maybe_inject_many`], so access-free stretches of the
-//! program cost O(injections), not O(instructions).
+//! [`FaultCampaign`] or [`SeedOverlays`]) into `laec_trace`'s
+//! [`ReplayTarget`] so a recorded access/commit stream can be re-executed
+//! without the pipeline: loads and stores are issued at their recorded
+//! cycle stamps, and every recorded commit is offered to the fault campaign
+//! or the overlays as an injection opportunity — exactly the interleaving
+//! the full simulator produces.  A recorded commit run is offered at once
+//! ([`FaultCampaign::maybe_inject_many`], [`MemorySystem::commit_overlays`]),
+//! so access-free stretches of the program cost O(strikes), not
+//! O(instructions).
 
 use laec_trace::{ReplayLoad, ReplayTarget};
 
 use crate::bus::Interference;
 use crate::config::HierarchyConfig;
 use crate::fault::{FaultCampaign, FaultCampaignConfig, FaultCampaignReport};
-use crate::forensics::CellForensics;
 use crate::hierarchy::MemorySystem;
+use crate::overlay::SeedOverlays;
 use crate::stats::MemStats;
 
-/// A memory system (plus optional fault campaign) driven by a trace.
+/// A memory system (plus an optional fault campaign or seed overlays)
+/// driven by a trace.
 #[derive(Debug)]
 pub struct ReplayMemory {
     system: MemorySystem,
@@ -63,23 +66,17 @@ impl ReplayMemory {
         self
     }
 
-    /// Turns on per-fault lifecycle forensics on the replayed system
-    /// (builder style).  Replay re-issues the recorded (event, cycle)
-    /// stream, so an enabled replay produces byte-identical records to the
-    /// full simulation it was recorded from.
-    #[must_use]
-    pub fn with_forensics(mut self, enabled: bool) -> Self {
-        if enabled {
-            self.system.enable_forensics();
-        }
-        self
+    /// Carries `overlays` through the replay of a fault-free recording:
+    /// each seed is evaluated against the replayed hierarchy, as a
+    /// simulation would evaluate it (see [`MemorySystem::attach_overlays`]).
+    pub fn attach_overlays(&mut self, overlays: SeedOverlays) {
+        self.system.attach_overlays(overlays);
     }
 
-    /// Takes the closed forensics record set (see
-    /// [`MemorySystem::take_forensics`]); call after
-    /// [`ReplayMemory::drain_to_memory`].
-    pub fn take_forensics(&mut self) -> Option<CellForensics> {
-        self.system.take_forensics()
+    /// Detaches the seed overlays; take them after
+    /// [`ReplayMemory::drain_to_memory`], which settles their outcomes.
+    pub fn take_overlays(&mut self) -> Option<SeedOverlays> {
+        self.system.take_overlays()
     }
 
     /// Pre-sizes main memory for a data image of about `words` words.
@@ -138,6 +135,7 @@ impl ReplayTarget for ReplayMemory {
         if let Some(campaign) = &mut self.campaign {
             let _ = campaign.maybe_inject_many(count, &mut self.system, 0);
         }
+        self.system.commit_overlays(0, count);
     }
 }
 

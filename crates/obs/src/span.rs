@@ -10,7 +10,8 @@
 /// One instrumented stage of campaign execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Decoding a cached recording from disk.
+    /// Decoding a cached recording from disk, and replaying it as its
+    /// triple's fault-free run.
     TraceDecode,
     /// Recording a cell's fault-free run.
     TraceRecord,
@@ -20,11 +21,9 @@ pub enum Phase {
     Inject,
     /// A fault-free cell under full simulation.
     FullSim,
-    /// Full re-simulation of a cell whose replay diverged.
-    FullSimFallback,
     /// A faulty cell served from the seed overlay its triple's fault-free
-    /// simulation carried (progress events only: the cell costs no run of
-    /// its own, so its time is inside that `FullSim` span).
+    /// run carried (progress events only: the cell costs no run of its
+    /// own, so its time is inside that run's span).
     Overlay,
     /// One round of the stratified sampler (schedule, execute, fold).
     SamplerRound,
@@ -44,7 +43,6 @@ impl Phase {
             Phase::Replay => "replay",
             Phase::Inject => "inject",
             Phase::FullSim => "full_sim",
-            Phase::FullSimFallback => "full_sim_fallback",
             Phase::Overlay => "overlay",
             Phase::SamplerRound => "sampler_round",
             Phase::CheckpointWrite => "checkpoint_write",
@@ -94,7 +92,6 @@ mod tests {
             Phase::Replay,
             Phase::Inject,
             Phase::FullSim,
-            Phase::FullSimFallback,
             Phase::Overlay,
             Phase::SamplerRound,
             Phase::CheckpointWrite,
@@ -102,7 +99,7 @@ mod tests {
         ];
         let labels: std::collections::BTreeSet<&str> = phases.iter().map(|p| p.label()).collect();
         assert_eq!(labels.len(), phases.len());
-        assert!(labels.contains("full_sim_fallback"));
+        assert!(labels.contains("overlay"));
     }
 
     #[test]

@@ -612,7 +612,7 @@ impl Core {
                 self.stats.faults_injected += 1;
             }
         }
-        mem.commit_overlays(self.index);
+        mem.commit_overlays(self.index, 1);
         self.push_recent(&instruction);
         self.prev = Some(PrevTiming {
             entry,

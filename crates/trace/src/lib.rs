@@ -1,13 +1,14 @@
 //! Trace capture & replay for the LAEC campaign engine.
 //!
-//! Every campaign cell of `laec_core::campaign` re-executes the full
-//! pipeline + memory-hierarchy simulation even though the pipeline-level
-//! access stream is identical across fault seeds — only the injected faults
-//! differ.  This crate implements the standard trace-driven-simulation
-//! technique: record the access/commit stream of the fault-free run once per
-//! workload × platform × scheme, then *replay* it directly against the
-//! memory hierarchy and fault injector for every fault seed, skipping
-//! pipeline re-simulation entirely.
+//! The pipeline-level access stream of a campaign cell is identical across
+//! fault seeds — only the injected faults differ.  This crate implements
+//! the standard trace-driven-simulation technique: record the
+//! access/commit stream of the fault-free run once per workload × platform
+//! × scheme, then *replay* it directly against the memory hierarchy,
+//! skipping pipeline re-simulation entirely.  The campaign engines replay
+//! a fault-free recording carrying the cell's fault seeds as overlays
+//! (`laec_mem::overlay`); a replay can also carry one fault campaign
+//! (`laec-cli trace replay --fault-seed`).
 //!
 //! Modules:
 //!
@@ -36,9 +37,8 @@
 //! evolves identically.  The replay driver *checks* this invariant at every
 //! load: the moment a response's value, hit/miss status, stall cycles or
 //! timing-relevant ECC outcome differs from the recording, it reports a
-//! [`replay::Divergence`] and the caller falls back to full simulation for
-//! that one cell.  Either way the final report is byte-identical to full
-//! simulation.
+//! [`replay::Divergence`], and only a full simulation can tell that run's
+//! result.
 //!
 //! # Example
 //!

@@ -2,7 +2,8 @@
 //!
 //! [`replay_events`] walks a recorded stream and drives a [`ReplayTarget`]
 //! (in practice `laec_mem::ReplayMemory`: the memory hierarchy plus an
-//! optional fault campaign) through exactly the calls the full simulator
+//! optional fault campaign or seed overlays) through exactly the calls the
+//! full simulator
 //! would have made: same addresses, same cycle stamps, same store values,
 //! same injection-opportunity interleaving.  Pipeline re-simulation is
 //! skipped entirely — the pipeline-side statistics of the cell come from
@@ -27,10 +28,10 @@
 //!    the recorded total-cycle count — are then stale.
 //!
 //! The driver compares every load response against the recording and
-//! reports the first [`Divergence`]; the caller falls back to full
-//! simulation for that one cell.  Either way the resulting campaign report
-//! is byte-identical to full simulation — `tests/trace_replay.rs` asserts
-//! this end to end.
+//! reports the first [`Divergence`]; only a full simulation can then tell
+//! the run's result.  A fault-free replay, which the campaign engines run
+//! with the fault seeds as overlays, never diverges from its own
+//! recording.
 
 use crate::event::TraceEvent;
 use crate::format::TraceError;

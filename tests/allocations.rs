@@ -11,7 +11,8 @@
 //!    fault-free and with data strikes at interval 200, and so does the
 //!    replay of each run's recording.  So does the fault-free loop carrying
 //!    four seed overlays of single-bit strikes at interval 200, with and
-//!    without double-bit events.  So does a two-core system whose
+//!    without double-bit events, simulated and replayed from its
+//!    recording.  So does a two-core system whose
 //!    cores both run the loop on the same lines — every iteration
 //!    write-shares and snoops — under MESI, Dragon and MOESI, with and
 //!    without strikes on core 0.  The longer run must allocate exactly as
@@ -21,15 +22,17 @@
 //!    `Campaign::run(1)` in full simulation and trace-backed, stays under
 //!    the committed allocations per simulated instruction and per replayed
 //!    event.  What remains at those rates is per-cell set-up (hierarchies,
-//!    the lazily allocated codeword buffer of each cache line slot) and,
-//!    trace-backed, the recordings.
+//!    the lazily allocated codeword buffer of each cache line slot, seed
+//!    overlays).
 //! 3. **Heap peak.**  A trace-backed grid holds one recording per worker:
-//!    on one thread, one workload's grid under the four Figure 8 schemes
-//!    peaks within one recording's bytes of the same grid under one scheme.
+//!    on one thread, one workload's grid under the four Figure 8 schemes,
+//!    recorded into a fresh trace cache, peaks within one recording's bytes
+//!    of the same grid under one scheme.
 //!
 //! An allocation is one `alloc`, `alloc_zeroed` or `realloc` call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use laec::core::campaign::{CampaignSpec as GridSpec, WorkloadSet};
@@ -39,19 +42,23 @@ use laec::mem::{FaultCampaignConfig, ProtocolKind, ReplayMemory, SeedOverlays};
 use laec::prelude::{Campaign, CampaignSpec, EccScheme, ExecutionMode, PipelineConfig};
 use laec::prelude::{PlatformVariant, Simulator};
 use laec::smp::{SmpSystem, StopPolicy};
-use laec::trace::{replay_events, TraceContext, TraceDetail, TraceRecorder};
+use laec::trace::{replay_events, Trace, TraceContext, TraceDetail, TraceRecorder};
 
 /// Allocations per simulated instruction of the golden spec in full
 /// simulation, counting the instructions of every reported cell.
-/// Measured: 1090 allocations over 174078 instructions (0.0063), the same
+/// Measured: 1096 allocations over 174078 instructions (0.0063), the same
 /// in debug and release builds; 1903 (0.0109) when every faulty cell was
 /// simulated on its own, before seed overlays served most of them from
 /// their fault-free twin's run.  The ceiling leaves 5 % over the latter.
 const FULL_PER_INSTRUCTION: f64 = 0.0115;
 
-/// Allocations of the golden spec's trace-backed run per event its faulty
-/// cells replay, the recordings and fallbacks included.  Measured: 2121
-/// allocations over 30360 replayed events (0.0699); the ceiling leaves 5 %.
+/// Allocations of the golden spec's trace-backed run per event of its
+/// fault-free recordings times its fault seeds, what replaying each faulty
+/// cell on its own would replay.  Measured: 1094 allocations over 30360
+/// events (0.0360), the same in debug and release builds: without a trace
+/// cache the run records nothing and its overlays ride simulations.  2121
+/// (0.0699) when every faulty cell replayed its triple's recording; the
+/// ceiling leaves 5 % over that.
 const TRACE_BACKED_PER_REPLAYED_EVENT: f64 = 0.0735;
 
 /// [`System`], counting allocation calls and the bytes held live.
@@ -152,6 +159,24 @@ fn resident_loop(iterations: u32) -> Program {
     .expect("the loop assembles")
 }
 
+/// The recording of one fault-free simulation of the loop.
+fn loop_recording(iterations: u32, config: &PipelineConfig) -> Trace {
+    let fault_free = PipelineConfig {
+        fault_campaign: None,
+        ..config.clone()
+    };
+    let mut simulator = Simulator::new(resident_loop(iterations), fault_free);
+    simulator.attach_recorder(TraceRecorder::with_detail(
+        TraceContext::new("resident_loop", config.scheme.to_string(), "-", 0),
+        TraceDetail::Replay,
+    ));
+    let result = simulator.execute();
+    simulator
+        .take_recorder()
+        .expect("the recorder is still attached")
+        .finish(result.trace_summary())
+}
+
 /// Allocations of one full simulation of the loop, and of a replay of its
 /// recording (the program, the recording and its decoded events are built
 /// outside the counted spans).
@@ -159,46 +184,45 @@ fn loop_allocations(iterations: u32, config: &PipelineConfig) -> (u64, u64) {
     let (program, run_config) = (resident_loop(iterations), config.clone());
     let (_, simulated) = allocations_during(|| Simulator::run(program, run_config));
 
-    let mut simulator = Simulator::new(resident_loop(iterations), config.clone());
-    simulator.attach_recorder(TraceRecorder::with_detail(
-        TraceContext::new("resident_loop", config.scheme.to_string(), "-", 0),
-        TraceDetail::Replay,
-    ));
-    let result = simulator.execute();
-    let trace = simulator
-        .take_recorder()
-        .expect("the recorder is still attached")
-        .finish(result.trace_summary());
-    let events = trace.events();
-
+    let trace = loop_recording(iterations, config);
     let (_, replayed) = allocations_during(|| {
         let mut target = ReplayMemory::new(config.hierarchy);
         if let Some(fault) = config.fault_campaign {
             target = target.with_fault_campaign(fault);
         }
-        let outcome = replay_events(events, &mut target);
+        let outcome = replay_events(trace.events(), &mut target);
         (outcome, target.drain_to_memory())
     });
     (simulated, replayed)
 }
 
 /// Allocations of one fault-free simulation of the loop carrying one seed
-/// overlay per campaign in `overlays` (the program and the overlays are
-/// built outside the counted span).
+/// overlay per campaign in `overlays`, and of a replay of its recording
+/// carrying them (the program, the recording and the overlays are built
+/// outside the counted spans).
 fn overlay_loop_allocations(
     iterations: u32,
     config: &PipelineConfig,
     overlays: &[FaultCampaignConfig],
-) -> u64 {
-    let mut simulator = Simulator::new(resident_loop(iterations), config.clone());
+) -> (u64, u64) {
     let flush_on_error = matches!(config.scheme, EccScheme::SpeculateFlush { .. });
-    let overlays = SeedOverlays::new(overlays, flush_on_error);
-    allocations_during(|| {
-        simulator.attach_overlays(overlays);
+    let mut simulator = Simulator::new(resident_loop(iterations), config.clone());
+    let carried = SeedOverlays::new(overlays, flush_on_error);
+    let (_, simulated) = allocations_during(|| {
+        simulator.attach_overlays(carried);
         let result = simulator.execute();
         (result, simulator.take_overlays())
-    })
-    .1
+    });
+
+    let trace = loop_recording(iterations, config);
+    let carried = SeedOverlays::new(overlays, flush_on_error);
+    let (_, replayed) = allocations_during(|| {
+        let mut target = ReplayMemory::new(config.hierarchy);
+        target.attach_overlays(carried);
+        let outcome = replay_events(trace.events(), &mut target);
+        (outcome, target.drain_to_memory(), target.take_overlays())
+    });
+    (simulated, replayed)
 }
 
 /// Allocations of one two-core run in which both cores run the loop on
@@ -249,10 +273,14 @@ fn check_steady_state() {
                     .collect();
                 let short = overlay_loop_allocations(N, &config, &overlays);
                 let long = overlay_loop_allocations(4 * N, &config, &overlays);
+                let cell = format!("{scheme} on {platform}, 4 overlays (double {double_fraction})");
                 assert_eq!(
-                    short, long,
-                    "{scheme} on {platform}, 4 overlays (double {double_fraction}): \
-                     the overlay path allocates per iteration"
+                    short.0, long.0,
+                    "{cell}: the simulated overlay path allocates per iteration"
+                );
+                assert_eq!(
+                    short.1, long.1,
+                    "{cell}: the replayed overlay path allocates per iteration"
                 );
             }
         }
@@ -299,8 +327,8 @@ fn check_ceilings() {
          instructions = {per_instruction:.4} each, above the ceiling {FULL_PER_INSTRUCTION}"
     );
 
-    // The events the trace-backed run replays: each faulty cell replays
-    // the whole recording of its fault-free twin.
+    // The ceiling's unit: each faulty cell replaying the whole recording
+    // of its fault-free twin.
     let mut replayed_events = 0u64;
     for workload in &grid.materialize_workloads() {
         for &platform in &grid.platforms {
@@ -317,7 +345,7 @@ fn check_ceilings() {
     assert_eq!(
         outcome.grid(),
         Some(report),
-        "trace-backed replay reproduces the full report"
+        "the trace-backed run reproduces the full report"
     );
     let per_event = allocations as f64 / replayed_events as f64;
     assert!(
@@ -342,15 +370,25 @@ fn check_heap_peak() {
     );
     let recording = std::mem::size_of_val(trace.events()) as u64;
     drop(trace);
+    // A grid records only into a trace cache: each run gets a fresh one.
+    let cache = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("allocations-heap-peak");
     let peak = |schemes: &[EccScheme]| {
+        let _ = std::fs::remove_dir_all(&cache);
         let mut grid = grid.clone();
         grid.schemes = schemes.to_vec();
-        let traced = CampaignSpec::from_grid(&grid, ExecutionMode::TraceBacked { cache_dir: None });
+        let mode = ExecutionMode::TraceBacked {
+            cache_dir: Some(cache.clone()),
+        };
+        let traced = CampaignSpec::from_grid(&grid, mode);
         let traced = Campaign::new(traced.validate().expect("the traced spec validates"));
-        peak_heap_during(|| traced.run(1)).1
+        let (outcome, peak) = peak_heap_during(|| traced.run(1));
+        let stats = outcome.trace_stats().expect("trace-backed counters");
+        assert_eq!(stats.recorded, schemes.len() as u64, "a cold cache records");
+        peak
     };
     let one = peak(&[EccScheme::Laec]);
     let four = peak(&EccScheme::figure8_set());
+    let _ = std::fs::remove_dir_all(&cache);
     assert!(
         four.abs_diff(one) < recording,
         "a trace-backed grid peaks at {four} B under four schemes and {one} B under one: \

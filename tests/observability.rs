@@ -141,42 +141,40 @@ fn campaign_section_is_engine_invariant_between_full_and_trace_backed() {
         full_dump.engine_counters
     );
     assert!(traced_dump.engine_counters.contains_key("trace.recorded"));
+    // Both engines carry the same seeds as overlays, so they explain their
+    // faulty cells alike.
+    let overlay_counters = |dump: &MetricsDump| -> Vec<(String, u64)> {
+        dump.engine_counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("overlay."))
+            .map(|(name, &count)| (name.clone(), count))
+            .collect()
+    };
+    assert_eq!(overlay_counters(&full_dump), overlay_counters(&traced_dump));
 }
 
-/// The fallback explanation of one trace-backed run: the per-scheme ×
-/// divergence-kind split and the divergence-position deciles, after
-/// checking that the split sums to `trace.fallbacks` and the deciles to
-/// every positioned divergence.
-fn fallback_split(dump: &MetricsDump) -> Vec<(String, u64)> {
+/// The escape split of one run whose every faulty cell, or sample, rode a
+/// seed overlay: the `overlay.escaped.<scheme>.<reason>` counters, after
+/// checking that they and `overlay.served` sum to `total`, and that a
+/// trace-backed sampler's replays account for every seed they carried.
+fn escape_split(dump: &MetricsDump, total: u64) -> Vec<(String, u64)> {
     let counters = &dump.engine_counters;
-    let sum = |prefix: &str| -> u64 {
-        counters
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, &count)| count)
-            .sum()
-    };
-    let fallbacks = counters["trace.fallbacks"];
-    let unpositioned = sum("trace.fallbacks.") - sum("trace.div_decile.");
-    assert_eq!(
-        sum("trace.fallbacks."),
-        fallbacks,
-        "the split sums to the total"
-    );
-    assert_eq!(
-        unpositioned,
-        counters
-            .iter()
-            .filter(|(name, _)| name.ends_with(".trace"))
-            .map(|(_, &count)| count)
-            .sum::<u64>(),
-        "every divergence but a trace error has a position decile"
-    );
-    counters
+    let split: Vec<(String, u64)> = counters
         .iter()
-        .filter(|(name, _)| name.starts_with("trace.fallbacks.") || name.starts_with("trace.div_"))
+        .filter(|(name, _)| name.starts_with("overlay.escaped."))
         .map(|(name, &count)| (name.clone(), count))
-        .collect()
+        .collect();
+    let escaped: u64 = split.iter().map(|(_, count)| count).sum();
+    let served = counters.get("overlay.served").copied().unwrap_or(0);
+    assert_eq!(served + escaped, total, "the split sums to the total");
+    if dump.engine == "sampled" {
+        assert_eq!(
+            (counters["trace.replayed"], counters["trace.fallbacks"]),
+            (served, escaped),
+            "every sample rode a replay"
+        );
+    }
+    split
 }
 
 #[test]
@@ -204,17 +202,21 @@ fn fallback_split_is_thread_count_invariant_and_sums_to_the_total() {
             .validate()
             .expect("valid sampled spec")
     };
-    for spec in [grid, sampled] {
+    // 2 workloads x 2 schemes x 2 platforms x 2 seeds faulty cells; 16
+    // samples.
+    for (spec, total) in [(grid as fn() -> ValidatedSpec, 16), (sampled, 16)] {
         let one = Obs::enabled();
         let eight = Obs::enabled();
         let _ = Campaign::new(spec()).run_observed(1, &one);
         let _ = Campaign::new(spec()).run_observed(8, &eight);
-        let split = fallback_split(&one.dump());
+        let split = escape_split(&one.dump(), total);
         assert!(
-            split.iter().any(|(name, _)| name.ends_with(".load_value")),
+            split
+                .iter()
+                .any(|(name, _)| name == "overlay.escaped.no-ecc.load_value"),
             "no-ecc strikes reach loaded values: {split:?}"
         );
-        assert_eq!(split, fallback_split(&eight.dump()));
+        assert_eq!(split, escape_split(&eight.dump(), total));
     }
 }
 

@@ -1,8 +1,10 @@
 //! Differential oracle for seed overlays: a fault seed that rode a
 //! fault-free run as an overlay and never escaped reports exactly what a
-//! simulation of that seed alone reports, and a full-simulation grid
-//! (which serves its faulty cells from overlays) prints the same bytes as
-//! the trace-backed grid (which replays every seed on its own).
+//! simulation of that seed alone reports; a replay of the fault-free
+//! recording carrying the same overlays settles every seed as the
+//! simulation did; and grids that serve their faulty cells from overlays,
+//! simulated or replayed from a trace cache, print the same bytes as a
+//! forensic grid, which simulates every seed on its own.
 //!
 //! The axes cover every Figure 8 scheme plus speculate-and-flush, the
 //! write-back, write-through and contended platforms, single-bit strikes
@@ -13,14 +15,17 @@
 //! strikes and wrote wrong and uncorrectable words back to memory: none of
 //! the overlay's paths is vacuous.
 
+use std::path::PathBuf;
+
 use laec::core::campaign::{CampaignSpec, PlatformVariant, WorkloadSet};
 use laec::mem::{
     ActivationKind, CellForensics, FaultCampaignConfig, FaultOutcome, FaultPattern, FaultTarget,
-    OverlayOutcome, SeedOverlays,
+    OverlayOutcome, ReplayMemory, SeedOverlays,
 };
 use laec::prelude::{EccScheme, PipelineConfig, Simulator};
+use laec::trace::{replay_events, Trace, TraceContext, TraceDetail, TraceRecorder};
 use laec::workloads::{kernel_suite, Workload};
-use laec_bench::{run_full, run_trace_backed};
+use laec_bench::{run_full, run_full_forensic, run_trace_backed};
 
 /// Kernels of the simulation-level check: `fir_filter` and
 /// `matrix_multiply` write back struck lines, wrong words included.
@@ -99,9 +104,33 @@ impl Coverage {
     }
 }
 
-/// Runs `workload` once fault-free with one overlay per seed, then every
-/// served seed alone, and checks they agree on everything the seed's
-/// campaign cell reports.
+/// What became of each overlay a replay of `trace`, the fault-free
+/// recording of `workload` under `config`, settles.
+fn replayed_outcomes(
+    trace: &Trace,
+    workload: &Workload,
+    config: &PipelineConfig,
+    overlays: SeedOverlays,
+) -> Vec<OverlayOutcome> {
+    let mut target = ReplayMemory::new(config.hierarchy);
+    if let Some(interference) = config.bus_interference {
+        target = target.with_bus_interference(interference);
+    }
+    target.attach_overlays(overlays);
+    for &(address, value) in workload.program.data() {
+        target.preload_word(address, value);
+    }
+    replay_events(trace.events(), &mut target).expect("a fault-free replay never diverges");
+    target.drain_to_memory();
+    let overlays = target.take_overlays().expect("the overlays come back");
+    overlays.outcomes().collect()
+}
+
+/// Runs `workload` once fault-free with one overlay per seed, under a
+/// recorder, then every served seed alone, and checks they agree on
+/// everything the seed's campaign cell reports.  The replay of the
+/// recording, carrying the same overlays, must settle every seed as the
+/// simulation did.
 fn check_overlays(
     workload: &Workload,
     scheme: EccScheme,
@@ -114,10 +143,28 @@ fn check_overlays(
     let flush_on_error = matches!(scheme, EccScheme::SpeculateFlush { .. });
     let mut simulator = Simulator::new(workload.program.clone(), config.clone());
     simulator.attach_overlays(SeedOverlays::new(&campaigns, flush_on_error));
+    simulator.attach_recorder(TraceRecorder::with_detail(
+        TraceContext::new(workload.name.clone(), scheme.to_string(), "-", 0),
+        TraceDetail::Replay,
+    ));
     let fault_free = simulator.execute();
     let overlays = simulator.take_overlays().expect("the overlays come back");
     let outcomes: Vec<OverlayOutcome> = overlays.outcomes().collect();
     assert_eq!(outcomes.len(), campaigns.len());
+    let trace = simulator
+        .take_recorder()
+        .expect("the recorder comes back")
+        .finish(fault_free.trace_summary());
+    let replayed = SeedOverlays::new(&campaigns, flush_on_error);
+    assert_eq!(
+        replayed_outcomes(&trace, workload, &config, replayed),
+        outcomes,
+        "{} under {scheme} on {platform}, {:?} every {} commits: the replay \
+         settles the overlays as the simulation did",
+        workload.name,
+        campaigns[0].pattern,
+        campaigns[0].interval
+    );
     for (outcome, fault) in outcomes.into_iter().zip(campaigns) {
         let OverlayOutcome::Served(report) = outcome else {
             coverage.escaped += 1;
@@ -207,8 +254,13 @@ fn served_overlays_report_exactly_what_their_seeds_report_alone() {
     assert!(coverage.wrong_writebacks > 0, "{coverage:?}");
 }
 
+/// Grids whose faulty cells ride overlays — simulated, and replayed from
+/// a warm trace cache — print what a forensic grid prints, which
+/// simulates every seed on its own.  The state and tag targets carry no
+/// overlays and simulate every seed on every engine.
 #[test]
 fn full_grids_print_what_per_seed_replay_prints() {
+    let cache = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("seed-overlays-cache");
     for target in [FaultTarget::Data, FaultTarget::State, FaultTarget::Tag] {
         for interval in INTERVALS {
             let mut spec = CampaignSpec::smoke();
@@ -219,13 +271,18 @@ fn full_grids_print_what_per_seed_replay_prints() {
             spec.fault_seeds = vec![1, 2];
             spec.fault_interval = interval;
             spec.fault_target = target;
-            let full = run_full(&spec, 2);
-            let traced = run_trace_backed(&spec, 2, None);
-            assert_eq!(
-                full.to_json(),
-                traced.report.to_json(),
-                "{target} strikes every {interval} commits"
-            );
+            let cell = format!("{target} strikes every {interval} commits");
+            let full = run_full(&spec, 2).to_json();
+            let (per_seed, _) = run_full_forensic(&spec, 2);
+            assert_eq!(full, per_seed.to_json(), "{cell}: overlays");
+            if target == FaultTarget::Data {
+                let _ = std::fs::remove_dir_all(&cache);
+                let _ = run_trace_backed(&spec, 2, Some(&cache));
+                let warm = run_trace_backed(&spec, 2, Some(&cache));
+                assert_eq!(warm.stats.recorded, 0, "{cell}: a warm cache");
+                assert_eq!(full, warm.report.to_json(), "{cell}: replayed overlays");
+            }
         }
     }
+    let _ = std::fs::remove_dir_all(&cache);
 }

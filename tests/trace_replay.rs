@@ -8,11 +8,13 @@ use std::path::PathBuf;
 
 use laec::core::campaign::{CampaignSpec, PlatformVariant, WorkloadSet};
 use laec::core::sampling::{stratum_count, SampleExecution, SamplingPlan};
-use laec::core::spec::{self, Campaign, ExecutionMode};
+use laec::core::spec::{self, Campaign, CampaignOutcome, ExecutionMode};
+use laec::core::{cell_fingerprint, record_cell, trace_file_name};
 use laec::obs::Obs;
 use laec::pipeline::EccScheme;
+use laec::trace::TraceDetail;
 
-use laec_bench::{run_full, run_full_forensic, run_sampled, run_trace_backed};
+use laec_bench::{run_full, run_full_forensic, run_mode, run_sampled, run_trace_backed};
 
 /// Two workloads × two ECC schemes × fault seeds on the paper platform:
 /// the acceptance grid of the subsystem.
@@ -28,7 +30,7 @@ fn secded_spec() -> CampaignSpec {
 
 /// A divergence-heavy grid: the unprotected no-ECC baseline corrupts
 /// silently and the write-through platform recovers by refetch — both
-/// force replay fallbacks, which must still be byte-identical.
+/// make seeds escape their overlays, which must still be byte-identical.
 fn divergent_spec() -> CampaignSpec {
     let mut spec = CampaignSpec::smoke();
     spec.workloads = WorkloadSet::Named(vec!["vector_sum".into(), "table_lookup".into()]);
@@ -45,16 +47,19 @@ fn trace_backed_campaign_is_byte_identical_on_the_secded_grid() {
     let full = run_full(&spec, 2);
     let traced = run_trace_backed(&spec, 2, None);
     assert_eq!(traced.report.to_json(), full.to_json(), "byte-identical");
-    // 2 workloads x 2 schemes = 4 recordings, 4 x 3 faulty cells.
-    assert_eq!(traced.stats.recorded, 4);
-    assert_eq!(traced.stats.replayed + traced.stats.fallbacks, 12);
+    // Without a cache no replay would read a recording: nothing is
+    // recorded, and 4 triples carry 3 overlays each.
+    let overlays = &traced.stats.overlays;
+    assert_eq!(traced.stats.recorded, 0);
+    let escaped: u64 = overlays.escaped.values().sum();
+    assert_eq!(overlays.served + escaped, 12);
     assert!(
-        traced.stats.replayed >= 10,
+        overlays.served >= 10,
         "SECDED absorbs sparse single-bit strikes; almost every faulty cell \
-         must replay without falling back ({})",
+         must be served by its overlay ({})",
         traced.stats
     );
-    // The faulty cells really injected faults (the replay did real work).
+    // The faulty cells really injected faults (the overlays did real work).
     let injected: u64 = traced
         .report
         .cells
@@ -62,7 +67,7 @@ fn trace_backed_campaign_is_byte_identical_on_the_secded_grid() {
         .filter(|c| c.fault_seed.is_some())
         .map(|c| c.faults_injected)
         .sum();
-    assert!(injected > 0, "faults were injected during replay");
+    assert!(injected > 0, "faults were injected into the overlays");
 }
 
 #[test]
@@ -72,11 +77,70 @@ fn trace_backed_campaign_is_byte_identical_when_faults_force_fallbacks() {
     let traced = run_trace_backed(&spec, 2, None);
     assert_eq!(traced.report.to_json(), full.to_json(), "byte-identical");
     assert!(
-        traced.stats.fallbacks > 0,
-        "silent no-ECC corruption / WT refetches must trip the divergence \
-         checks somewhere in this grid ({})",
+        !traced.stats.overlays.escaped.is_empty(),
+        "silent no-ECC corruption / WT refetches must make seeds escape \
+         their overlays somewhere in this grid ({})",
         traced.stats
     );
+}
+
+#[test]
+fn warm_trace_cache_serves_a_faulty_grid_with_one_replay_per_triple() {
+    let spec = divergent_spec();
+    let cache = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-cache-faulty");
+    let _ = std::fs::remove_dir_all(&cache);
+    let triples = 8;
+    let faulty = triples * spec.fault_seeds.len() as u64;
+
+    let cold = run_trace_backed(&spec, 2, Some(&cache));
+    assert_eq!((cold.stats.recorded, cold.stats.cache_loads), (triples, 0));
+    assert_eq!((cold.stats.replayed, cold.stats.fallbacks), (0, 0));
+
+    let warm = run_trace_backed(&spec, 2, Some(&cache));
+    assert_eq!(warm.stats.cache_loads, triples, "one replay per triple");
+    assert_eq!(warm.stats.recorded, 0, "everything came from the cache");
+    // Every seed rode a replay: served from its overlay, or escaped.
+    assert_eq!(warm.stats.replayed + warm.stats.fallbacks, faulty);
+    assert!(warm.stats.fallbacks > 0, "{}", warm.stats);
+
+    let CampaignOutcome::Grid {
+        report,
+        overlay_stats: Some(full),
+        ..
+    } = run_mode(&spec, ExecutionMode::Full, 2)
+    else {
+        panic!("a full-simulation grid counts its overlays");
+    };
+    assert_eq!(warm.stats.overlays, full, "the same split as the full run");
+    assert_eq!(cold.stats.overlays, full);
+    assert_eq!(warm.stats.replayed, full.served);
+    assert_eq!(warm.report.to_json(), report.to_json());
+    assert_eq!(cold.report.to_json(), report.to_json());
+
+    // A cached trace whose replay runs to the end and then misses the
+    // recorded checksum is recorded anew, with the overlays its replay
+    // consumed rebuilt: the same bytes and the same split.
+    let workload = &spec.materialize_workloads()[0];
+    let (scheme, platform) = (spec.schemes[0], spec.platforms[0]);
+    let (_, mut trace) = record_cell(&spec, workload, scheme, platform, TraceDetail::Replay);
+    trace.header.summary.memory_checksum ^= 1;
+    let fingerprint = cell_fingerprint(&spec, scheme, platform);
+    let name = trace_file_name(
+        &workload.name,
+        &scheme.to_string(),
+        &platform.to_string(),
+        fingerprint,
+    );
+    std::fs::write(cache.join(name), trace.encode()).expect("a tampered cache file");
+    let mended = run_trace_backed(&spec, 2, Some(&cache));
+    assert_eq!(
+        (mended.stats.recorded, mended.stats.cache_loads),
+        (1, triples - 1)
+    );
+    assert_eq!(mended.stats.overlays, full);
+    assert_eq!(mended.report.to_json(), report.to_json());
+
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]
