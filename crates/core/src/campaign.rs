@@ -626,8 +626,8 @@ pub(crate) fn execute_grid(
             .zip(seeds)
             .enumerate()
             .map(|(fault, (&axis_seed, seed))| {
-                let overlay = fault_free.overlay(fault);
-                let faulty = cells.serve(triple, seed, Some(axis_seed), overlay);
+                let served = fault_free.served(fault, Some(axis_seed));
+                let faulty = cells.serve(triple, seed, Some(axis_seed), served);
                 emit(
                     first + 1 + fault,
                     &faulty.cell,

@@ -3,7 +3,7 @@
 //! different schemes.
 //!
 //! `run_cell` builds the pipelines of every campaign cell — full,
-//! forensic and recorded cells, and the sampler's baselines and fallbacks —
+//! forensic and recorded cells, and the sampler's baselines and samples —
 //! on the uniprocessor or on an N-core system.  An N-core cell runs the
 //! observed workload on core 0 (which alone carries the cell's fault
 //! campaign) and read-only background-traffic kernels on the other cores.
@@ -20,11 +20,14 @@
 //! `Cells::fault_free` simulates it, or replays it from the trace cache, or
 //! records it when the cache or the sampler keeps the recording;
 //! `Cells::overlay_run` replays a recording the sampler holds.  Every seed
-//! that stayed neutral is served from that one run (`Cells::serve`).  A
+//! that stayed neutral is served from that one run (`FaultFree::served`).  A
 //! seed that escaped, and every seed of a triple that carries no overlays
 //! (`smpN` platforms, metadata targets, forensic runs), goes through
 //! `Cells::faulty`, the one per-seed path: a simulation of that seed
 //! alone.
+
+use std::fs;
+use std::path::Path;
 
 use laec_mem::{
     CellForensics, EscapeReason, FaultCampaignConfig, FaultTarget, OverlayOutcome, ProtocolKind,
@@ -33,14 +36,14 @@ use laec_mem::{
 use laec_obs::{Obs, Phase};
 use laec_pipeline::{EccScheme, PipelineConfig, SimResult, Simulator};
 use laec_smp::{SmpSystem, StopPolicy};
-use laec_trace::{Divergence, Trace, TraceRecorder};
+use laec_trace::{Divergence, Trace, TraceDetail, TraceRecorder};
 use laec_workloads::{background_traffic, Workload};
 
 use crate::campaign::{
     cell_from_result, overlay_cell, CampaignCell, CampaignSpec, PlatformVariant,
 };
 use crate::sampling::SampleExecution;
-use crate::trace_backed::{obtain_recording, replay};
+use crate::trace_backed::{cell_fingerprint, record_overlaid, replay, trace_file_name};
 
 /// Base address of the first background core's private streaming region —
 /// far above every workload data region (inputs/outputs live below 1 MiB).
@@ -202,11 +205,6 @@ impl Origin {
             Origin::Replayed => Phase::Replay,
         }
     }
-
-    /// Whether the run was a replay rather than a simulation.
-    pub(crate) fn replayed(self) -> bool {
-        matches!(self, Origin::CacheHit | Origin::Replayed)
-    }
 }
 
 /// A triple's fault-free run.
@@ -236,12 +234,21 @@ impl FaultFree {
         }
     }
 
-    /// The overlay of the `index`-th seed the run carried, with the cell it
-    /// rode; `None` when the run carried no overlays.
-    pub(crate) fn overlay(&self, index: usize) -> Option<(&CampaignCell, OverlayOutcome)> {
-        self.overlaid
-            .get(index)
-            .map(|&outcome| (&self.cell, outcome))
+    /// The faulty cell (labelled `fault_seed`) of the `index`-th seed the
+    /// run carried, built from this run's cell when the seed stayed in its
+    /// overlay; otherwise how it must be served: simulated on its own.
+    pub(crate) fn served(
+        &self,
+        index: usize,
+        fault_seed: Option<u64>,
+    ) -> Result<CampaignCell, Served> {
+        match self.overlaid.get(index) {
+            Some(OverlayOutcome::Served(report)) => {
+                Ok(overlay_cell(&self.cell, fault_seed, report))
+            }
+            Some(&OverlayOutcome::Escaped(reason)) => Err(Served::Escaped(reason)),
+            None => Err(Served::Simulated),
+        }
     }
 }
 
@@ -287,7 +294,7 @@ pub(crate) struct Cells<'a> {
 
 impl Cells<'_> {
     /// `triple`'s workload, scheme and platform.
-    pub(crate) fn coordinates(&self, triple: Triple) -> (&Workload, EccScheme, PlatformVariant) {
+    fn coordinates(&self, triple: Triple) -> (&Workload, EccScheme, PlatformVariant) {
         (
             &self.workloads[triple.workload],
             self.spec.schemes[triple.scheme],
@@ -299,8 +306,8 @@ impl Cells<'_> {
     /// with `seeds` as overlays, where the triple carries overlays at all
     /// (see [`Cells::carries_overlays`]).  Trace-backed, with a trace cache
     /// or when `keep_recording`, the run is replayed from the cache or
-    /// recorded (see [`obtain_recording`]), and the recording is kept when
-    /// asked for; otherwise it is simulated.
+    /// recorded (see [`Cells::obtain_recording`]), and the recording is
+    /// kept when asked for; otherwise it is simulated.
     pub(crate) fn fault_free(
         &self,
         triple: Triple,
@@ -313,22 +320,12 @@ impl Cells<'_> {
         } else {
             &[]
         };
-        if let SampleExecution::TraceBacked { cache_dir } = execution {
-            if keep_recording || cache_dir.is_some() {
-                let cache_dir = cache_dir.as_deref();
-                return obtain_recording(self, triple, seeds, cache_dir, keep_recording);
+        match execution {
+            SampleExecution::TraceBacked { cache_dir } if keep_recording || cache_dir.is_some() => {
+                self.obtain_recording(triple, seeds, cache_dir.as_deref(), keep_recording)
             }
+            _ => self.simulate(triple, seeds),
         }
-        let _span = self.obs.span(Phase::FullSim);
-        let (workload, scheme, platform) = self.coordinates(triple);
-        let hooks = Hooks {
-            overlays: self.overlays(triple, seeds),
-            ..Hooks::default()
-        };
-        let config = cell_config(scheme, platform);
-        let (result, hooks) = run_cell(workload, config, platform, self.spec.protocol, hooks);
-        let cell = cell_from_result(workload, scheme, platform, None, &result);
-        FaultFree::new(cell, Origin::Simulated, None, hooks.overlays)
     }
 
     /// Runs `triple`'s fault-free cell carrying the faulty cells injected
@@ -347,12 +344,76 @@ impl Cells<'_> {
                 return FaultFree::new(cell, Origin::Replayed, None, overlays);
             }
         }
-        self.fault_free(triple, &SampleExecution::FullSim, seeds, false)
+        self.simulate(triple, seeds)
+    }
+
+    /// Simulates `triple`'s fault-free cell, without a recorder, carrying
+    /// the faulty cells injected with `seeds` as overlays.
+    fn simulate(&self, triple: Triple, seeds: &[u64]) -> FaultFree {
+        let _span = self.obs.span(Phase::FullSim);
+        let (workload, scheme, platform) = self.coordinates(triple);
+        let hooks = Hooks {
+            overlays: self.overlays(triple, seeds),
+            ..Hooks::default()
+        };
+        let config = cell_config(scheme, platform);
+        let (result, hooks) = run_cell(workload, config, platform, self.spec.protocol, hooks);
+        let cell = cell_from_result(workload, scheme, platform, None, &result);
+        FaultFree::new(cell, Origin::Simulated, None, hooks.overlays)
+    }
+
+    /// Obtains `triple`'s fault-free cell carrying the faulty cells injected
+    /// with `seeds` as overlays, and its recording when `keep`: replayed
+    /// from `cache_dir` when it holds a valid, matching trace, otherwise
+    /// recorded from a fresh simulation (persisted back to `cache_dir`
+    /// best-effort).  A cached trace whose replay fails is recorded anew,
+    /// and the overlays its replay consumed are rebuilt for the simulation.
+    fn obtain_recording(
+        &self,
+        triple: Triple,
+        seeds: &[u64],
+        cache_dir: Option<&Path>,
+        keep: bool,
+    ) -> FaultFree {
+        let (workload, scheme, platform) = self.coordinates(triple);
+        let file_name = trace_file_name(
+            &workload.name,
+            &scheme.to_string(),
+            &platform.to_string(),
+            cell_fingerprint(self.spec, scheme, platform),
+        );
+        if let Some(dir) = cache_dir {
+            if let Ok(bytes) = fs::read(dir.join(&file_name)) {
+                let _span = self.obs.span(Phase::TraceDecode);
+                let decoded = Trace::decode(&bytes);
+                // The file's bytes are not kept beside the decoded events.
+                drop(bytes);
+                if let Ok(trace) = decoded {
+                    if let Ok((cell, overlays)) = self.replay_overlaid(triple, &trace, seeds) {
+                        let recording = keep.then_some(trace);
+                        return FaultFree::new(cell, Origin::CacheHit, recording, overlays);
+                    }
+                }
+            }
+        }
+        let (cell, trace, overlays) = {
+            let _span = self.obs.span(Phase::TraceRecord);
+            let overlays = self.overlays(triple, seeds);
+            let detail = TraceDetail::Replay;
+            record_overlaid(self.spec, workload, scheme, platform, detail, overlays)
+        };
+        let cache_write_failed = cache_dir.is_some_and(|dir| {
+            fs::create_dir_all(dir)
+                .and_then(|()| fs::write(dir.join(&file_name), trace.encode()))
+                .is_err()
+        });
+        let origin = Origin::Recorded { cache_write_failed };
+        FaultFree::new(cell, origin, keep.then_some(trace), overlays)
     }
 
     /// Replays `trace`, `triple`'s fault-free recording, carrying the
     /// faulty cells injected with `seeds` as overlays (see [`replay`]).
-    pub(crate) fn replay_overlaid(
+    fn replay_overlaid(
         &self,
         triple: Triple,
         trace: &Trace,
@@ -386,28 +447,22 @@ impl Cells<'_> {
     }
 
     /// Serves the faulty cell of `triple` injected with `injection_seed`
-    /// (`fault_seed` is its fault-axis label): built from the fault-free
-    /// cell its `overlay` rode when the seed stayed in it, otherwise
-    /// simulated on its own.
+    /// (`fault_seed` is its fault-axis label): the cell its overlay served
+    /// (see [`FaultFree::served`]), otherwise simulated on its own.
     pub(crate) fn serve(
         &self,
         triple: Triple,
         injection_seed: u64,
         fault_seed: Option<u64>,
-        overlay: Option<(&CampaignCell, OverlayOutcome)>,
+        served: Result<CampaignCell, Served>,
     ) -> Faulty {
-        let served = match overlay {
-            Some((fault_free, OverlayOutcome::Served(report))) => {
-                return Faulty {
-                    cell: overlay_cell(fault_free, fault_seed, &report),
-                    forensics: CellForensics::default(),
-                    served: Served::Overlay,
-                }
+        let (cell, forensics, served) = match served {
+            Ok(cell) => (cell, CellForensics::default(), Served::Overlay),
+            Err(served) => {
+                let (cell, forensics) = self.faulty(triple, injection_seed, fault_seed);
+                (cell, forensics, served)
             }
-            Some((_, OverlayOutcome::Escaped(reason))) => Served::Escaped(reason),
-            None => Served::Simulated,
         };
-        let (cell, forensics) = self.faulty(triple, injection_seed, fault_seed);
         Faulty {
             cell,
             forensics,
@@ -424,7 +479,7 @@ impl Cells<'_> {
 
     /// Simulates one faulty cell of `triple` on its own, injected with
     /// `injection_seed`; `fault_seed` is its fault-axis label.
-    fn faulty(
+    pub(crate) fn faulty(
         &self,
         triple: Triple,
         injection_seed: u64,

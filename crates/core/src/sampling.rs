@@ -70,7 +70,7 @@ use laec_workloads::Workload;
 use serde::Serialize;
 
 use crate::campaign::{mix64, run_pool, CampaignCell, CampaignSpec};
-use crate::runner::{grid_triples, Cells, Faulty, Origin, Served, Triple};
+use crate::runner::{grid_triples, Cells, Origin, Served, Triple};
 use crate::trace_backed::TraceBackedStats;
 
 // ---------------------------------------------------------------------------
@@ -434,6 +434,10 @@ impl From<&CampaignCell> for SampleOutcome {
         }
     }
 }
+
+/// One sample of a round after its stratum's overlay run: its injection
+/// seed, and what the fold reads of its cell when its overlay served it.
+type Carried = (u64, Result<SampleOutcome, Served>);
 
 impl StratumStats {
     /// Folds one outcome in.  A sample *fails* when dirty data was lost
@@ -1015,42 +1019,33 @@ impl Sampler {
         let first_stratum = range.start;
         let strata = strata[range].to_vec();
 
-        let obs = Obs::disabled();
-        let cells = Cells {
-            spec,
-            workloads: &workloads,
-            forensic: false,
-            obs: &obs,
-        };
-        // Trace-backed, a stratum's recording is kept when its rounds will
-        // replay it, carrying their samples as overlays.
-        let fault_free = run_pool(strata.len(), threads, |index| {
-            let triple = strata[index];
-            cells.fault_free(triple, execution, &[], cells.carries_overlays(triple))
-        });
-        let mut trace_stats = TraceBackedStats::default();
-        let mut baselines = Vec::with_capacity(strata.len());
-        let mut recordings = Vec::with_capacity(strata.len());
-        for fault_free in fault_free {
-            trace_stats.count_fault_free(fault_free.origin);
-            baselines.push(Baseline::from(&fault_free.cell));
-            recordings.push(fault_free.recording);
-        }
-
         let states = vec![StratumStats::default(); strata.len()];
-        Sampler {
+        let mut sampler = Sampler {
             spec: spec.clone(),
             plan: *plan,
             workloads,
             strata,
-            baselines,
-            recordings,
+            baselines: Vec::new(),
+            recordings: Vec::new(),
             states,
-            trace_stats,
+            trace_stats: TraceBackedStats::default(),
             first_stratum,
             grid_strata,
             obs: Obs::disabled(),
+        };
+        // Trace-backed, a stratum's recording is kept when its rounds will
+        // replay it, carrying their samples as overlays.
+        let cells = sampler.cells();
+        let fault_free = run_pool(sampler.strata.len(), threads, |index| {
+            let triple = sampler.strata[index];
+            cells.fault_free(triple, execution, &[], cells.carries_overlays(triple))
+        });
+        for fault_free in fault_free {
+            sampler.trace_stats.count_fault_free(fault_free.origin);
+            sampler.baselines.push(Baseline::from(&fault_free.cell));
+            sampler.recordings.push(fault_free.recording);
         }
+        sampler
     }
 
     /// Attaches an instrumentation handle: subsequent rounds record
@@ -1128,8 +1123,9 @@ impl Sampler {
     ///
     /// Each round draws up to [`SamplingPlan::batch`] samples from every
     /// still-active stratum: one fault-free run carries them as seed
-    /// overlays, and a sample that escapes is simulated on its own.  Strata
-    /// run in parallel, but samples fold into the accumulators in
+    /// overlays, and a sample that escapes is simulated on its own.  The
+    /// strata's overlay runs run in parallel, then the samples' own
+    /// simulations, one job each, but samples fold into the accumulators in
     /// sample-index order, and the stopping rule is evaluated only after the
     /// whole round has folded — the source of the any-thread-count /
     /// any-split byte-identity guarantee.
@@ -1157,14 +1153,35 @@ impl Sampler {
                 return false;
             }
             let round_span = self.obs.span(Phase::SamplerRound);
-            let drawn = run_pool(draws.len(), threads, |index| {
+            // One job per active stratum: one fault-free run carries its
+            // samples as overlays.
+            let carried = run_pool(draws.len(), threads, |index| {
                 let (stratum, first, draw) = draws[index];
-                self.run_samples(stratum, first..first + draw)
+                self.carry_samples(stratum, first..first + draw)
             });
-            for (&(stratum, _, _), (origin, samples)) in draws.iter().zip(&drawn) {
+            // One job per sample, in fold order: a sample its overlay did
+            // not serve is simulated on its own.
+            let strata = &self.strata;
+            let round: Vec<(Triple, &Carried)> = draws
+                .iter()
+                .zip(&carried)
+                .flat_map(|(&(stratum, _, _), (_, samples))| {
+                    samples.iter().map(move |sample| (strata[stratum], sample))
+                })
+                .collect();
+            let cells = self.cells();
+            let outcomes = run_pool(round.len(), threads, |index| match round[index] {
+                (_, (_, Ok(outcome))) => *outcome,
+                (triple, &(seed, Err(_))) => {
+                    SampleOutcome::from(&cells.faulty(triple, seed, None).0)
+                }
+            });
+            let mut outcomes = outcomes.into_iter();
+            for (&(stratum, _, _), (origin, samples)) in draws.iter().zip(&carried) {
                 let scheme = self.spec.schemes[self.strata[stratum].scheme];
-                for (outcome, served) in samples {
-                    self.states[stratum].absorb(&self.baselines[stratum], outcome);
+                for ((_, served), outcome) in samples.iter().zip(outcomes.by_ref()) {
+                    self.states[stratum].absorb(&self.baselines[stratum], &outcome);
+                    let served = served.as_ref().err().unwrap_or(&Served::Overlay);
                     if let Some(origin) = *origin {
                         self.trace_stats.count_faulty(scheme, origin, served);
                     }
@@ -1208,26 +1225,31 @@ impl Sampler {
         }
     }
 
-    /// Draws the samples of `stratum` with indices `samples`: one
-    /// fault-free run carries them as seed overlays — a replay of the
-    /// stratum's recording in trace-backed mode, a simulation otherwise —
-    /// and every sample that escaped, or that no overlay carried, is
-    /// simulated on its own.  Returns the fault-free run's origin (`None`
-    /// when the stratum carries no overlays) and, in index order, what the
-    /// fold reads of each sample's cell and how it was served: a few words
-    /// per sample.
-    fn run_samples(
-        &self,
-        stratum: usize,
-        samples: std::ops::Range<u64>,
-    ) -> (Option<Origin>, Vec<(SampleOutcome, Served)>) {
-        let triple = self.strata[stratum];
-        let cells = Cells {
+    /// The cell functions of this campaign's samples.
+    fn cells(&self) -> Cells<'_> {
+        Cells {
             spec: &self.spec,
             workloads: &self.workloads,
             forensic: false,
             obs: &self.obs,
-        };
+        }
+    }
+
+    /// Draws the samples of `stratum` with indices `samples` and carries
+    /// them as seed overlays on one fault-free run of the stratum: a replay
+    /// of its recording in trace-backed mode, a simulation otherwise.
+    /// Returns the run's origin (`None` when the stratum carries no
+    /// overlays) and, in index order, each sample's injection seed with what
+    /// the fold reads of its cell when its overlay served it, or how it must
+    /// be served otherwise: simulated on its own, by
+    /// [`Sampler::run_rounds`].
+    fn carry_samples(
+        &self,
+        stratum: usize,
+        samples: std::ops::Range<u64>,
+    ) -> (Option<Origin>, Vec<Carried>) {
+        let triple = self.strata[stratum];
+        let cells = self.cells();
         let seeds: Vec<u64> = samples
             .map(|sample| sample_injection_seed(&self.spec, triple, sample))
             .collect();
@@ -1235,13 +1257,14 @@ impl Sampler {
         let fault_free = cells
             .carries_overlays(triple)
             .then(|| cells.overlay_run(triple, recording, &seeds));
-        let served = seeds.iter().enumerate().map(|(index, &seed)| {
-            let overlay = fault_free.as_ref().and_then(|run| run.overlay(index));
-            let Faulty { cell, served, .. } = cells.serve(triple, seed, None, overlay);
-            (SampleOutcome::from(&cell), served)
+        let carried = seeds.iter().enumerate().map(|(index, &seed)| {
+            let served = fault_free
+                .as_ref()
+                .map_or(Err(Served::Simulated), |run| run.served(index, None));
+            (seed, served.map(|cell| SampleOutcome::from(&cell)))
         });
-        let served = served.collect();
-        (fault_free.map(|run| run.origin), served)
+        let carried = carried.collect();
+        (fault_free.map(|run| run.origin), carried)
     }
 
     /// Builds the report from the current accumulators.  Valid at any

@@ -15,9 +15,11 @@
 //! * The sampler records each stratum's fault-free run once and replays it
 //!   once per round, carrying the round's samples.
 //!
-//! The grid executor ([`crate::campaign`]) and the sampler
-//! ([`crate::sampling`]) drive these primitives through the cell functions
-//! in [`crate::runner`].
+//! This module holds the primitives: recording a cell, replaying a
+//! recording, and naming a recording in the cache.  The cell functions in
+//! [`crate::runner`] choose, per triple, whether to simulate, record or
+//! replay, for the grid executor ([`crate::campaign`]) and the sampler
+//! ([`crate::sampling`]) alike.
 //!
 //! # The byte-identical guarantee
 //!
@@ -37,11 +39,7 @@
 //! `laec_trace::replay`).  A recording is one owner's decoded [`Trace`],
 //! encoded only when persisted (`--trace-cache`, `laec-cli trace record`).
 
-use std::fs;
-use std::path::Path;
-
 use laec_mem::{FaultCampaignConfig, ReplayMemory, SeedOverlays};
-use laec_obs::Phase;
 use laec_pipeline::EccScheme;
 use laec_trace::{
     replay_events, Divergence, Trace, TraceContext, TraceDetail, TraceError, TraceEvent,
@@ -53,7 +51,7 @@ use crate::campaign::{
     cell_from_result, fnv1a, registers_fingerprint, CampaignCell, CampaignSpec, OverlayStats,
     PlatformVariant,
 };
-use crate::runner::{cell_config, run_cell, Cells, FaultFree, Hooks, Origin, Served, Triple};
+use crate::runner::{cell_config, run_cell, Hooks, Origin, Served};
 
 /// Execution counters of one trace-backed campaign.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -97,7 +95,7 @@ impl TraceBackedStats {
         origin: Origin,
         served: &Served,
     ) {
-        if origin.replayed() {
+        if matches!(origin, Origin::CacheHit | Origin::Replayed) {
             match served {
                 Served::Overlay => self.replayed += 1,
                 Served::Escaped(_) => self.fallbacks += 1,
@@ -154,8 +152,9 @@ pub fn record_cell(
     (cell, trace)
 }
 
-/// [`record_cell`], with the run carrying `overlays`.
-fn record_overlaid(
+/// [`record_cell`], with the run carrying `overlays`, which it hands back
+/// settled.
+pub(crate) fn record_overlaid(
     spec: &CampaignSpec,
     workload: &Workload,
     scheme: EccScheme,
@@ -344,65 +343,6 @@ pub(crate) fn replay(
         slowdown: None,
     };
     Ok((cell, target.take_overlays()))
-}
-
-/// Obtains `triple`'s fault-free cell carrying the faulty cells injected
-/// with `seeds` as overlays, and its recording when `keep`: replayed from
-/// `cache_dir` when it holds a valid, matching trace, otherwise recorded
-/// from a fresh simulation (persisted back to `cache_dir` best-effort).  A
-/// cached trace whose replay fails is recorded anew, and the overlays its
-/// replay consumed are rebuilt for the simulation.
-/// [`crate::runner::Cells::fault_free`] calls it for the grid executor and
-/// the sampler alike.
-pub(crate) fn obtain_recording(
-    cells: &Cells<'_>,
-    triple: Triple,
-    seeds: &[u64],
-    cache_dir: Option<&Path>,
-    keep: bool,
-) -> FaultFree {
-    let spec = cells.spec;
-    let (workload, scheme, platform) = cells.coordinates(triple);
-    let file_name = trace_file_name(
-        &workload.name,
-        &scheme.to_string(),
-        &platform.to_string(),
-        cell_fingerprint(spec, scheme, platform),
-    );
-    if let Some(dir) = cache_dir {
-        if let Ok(bytes) = fs::read(dir.join(&file_name)) {
-            let _span = cells.obs.span(Phase::TraceDecode);
-            let decoded = Trace::decode(&bytes);
-            // The file's bytes are not kept beside the decoded events.
-            drop(bytes);
-            if let Ok(trace) = decoded {
-                let replayed = cells.replay_overlaid(triple, &trace, seeds);
-                if let Ok((cell, overlays)) = replayed {
-                    let recording = keep.then_some(trace);
-                    return FaultFree::new(cell, Origin::CacheHit, recording, overlays);
-                }
-            }
-        }
-    }
-    let (cell, trace, overlays) = {
-        let _span = cells.obs.span(Phase::TraceRecord);
-        let overlays = cells.overlays(triple, seeds);
-        record_overlaid(
-            spec,
-            workload,
-            scheme,
-            platform,
-            TraceDetail::Replay,
-            overlays,
-        )
-    };
-    let cache_write_failed = cache_dir.is_some_and(|dir| {
-        fs::create_dir_all(dir)
-            .and_then(|()| fs::write(dir.join(&file_name), trace.encode()))
-            .is_err()
-    });
-    let origin = Origin::Recorded { cache_write_failed };
-    FaultFree::new(cell, origin, keep.then_some(trace), overlays)
 }
 
 #[cfg(test)]

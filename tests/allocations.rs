@@ -19,11 +19,11 @@
 //!    often as the shorter one: everything the loop needs is allocated
 //!    while it warms up.
 //! 2. **Ceilings.**  The golden spec `specs/ci_smoke.json`, run through
-//!    `Campaign::run(1)` in full simulation and trace-backed, stays under
-//!    the committed allocations per simulated instruction and per replayed
-//!    event.  What remains at those rates is per-cell set-up (hierarchies,
-//!    the lazily allocated codeword buffer of each cache line slot, seed
-//!    overlays).
+//!    `Campaign::run(1)` in full simulation and trace-backed on a warm trace
+//!    cache, stays under the committed allocations per simulated
+//!    instruction and per replayed event.  What remains at those rates is
+//!    per-cell set-up (hierarchies, the lazily allocated codeword buffer of
+//!    each cache line slot, seed overlays, decoded recordings).
 //! 3. **Heap peak.**  A trace-backed grid holds one recording per worker:
 //!    on one thread, one workload's grid under the four Figure 8 schemes,
 //!    recorded into a fresh trace cache, peaks within one recording's bytes
@@ -52,13 +52,13 @@ use laec::trace::{replay_events, Trace, TraceContext, TraceDetail, TraceRecorder
 /// their fault-free twin's run.  The ceiling leaves 5 % over the latter.
 const FULL_PER_INSTRUCTION: f64 = 0.0115;
 
-/// Allocations of the golden spec's trace-backed run per event of its
-/// fault-free recordings times its fault seeds, what replaying each faulty
-/// cell on its own would replay.  Measured: 1094 allocations over 30360
-/// events (0.0360), the same in debug and release builds: without a trace
-/// cache the run records nothing and its overlays ride simulations.  2121
-/// (0.0699) when every faulty cell replayed its triple's recording; the
-/// ceiling leaves 5 % over that.
+/// Allocations of the golden spec's trace-backed run on a warm trace cache
+/// per event of its fault-free recordings times its fault seeds, what
+/// replaying each faulty cell on its own would replay.  Measured: 1181
+/// allocations over 30360 events (0.0389), the same in debug and release
+/// builds, with each triple's recording read, decoded and replayed once,
+/// carrying its seeds as overlays.  2121 (0.0699) when every faulty cell
+/// replayed its triple's recording; the ceiling leaves 5 % over that.
 const TRACE_BACKED_PER_REPLAYED_EVENT: f64 = 0.0735;
 
 /// [`System`], counting allocation calls and the bytes held live.
@@ -339,13 +339,35 @@ fn check_ceilings() {
             }
         }
     }
-    let traced = CampaignSpec::from_grid(&grid, ExecutionMode::TraceBacked { cache_dir: None });
+    // The counted run replays a warm trace cache, warmed outside it: each
+    // triple decodes its recording and replays it once, carrying the
+    // triple's fault seeds as overlays.
+    let cache = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("allocations-ceilings");
+    let _ = std::fs::remove_dir_all(&cache);
+    let mode = ExecutionMode::TraceBacked {
+        cache_dir: Some(cache.clone()),
+    };
+    let traced = CampaignSpec::from_grid(&grid, mode);
     let traced = Campaign::new(traced.validate().expect("the traced spec validates"));
+    let cold = traced.run(1);
+    assert_eq!(
+        cold.grid(),
+        Some(report),
+        "recording leaves the report unchanged"
+    );
     let (outcome, allocations) = allocations_during(|| traced.run(1));
+    let _ = std::fs::remove_dir_all(&cache);
     assert_eq!(
         outcome.grid(),
         Some(report),
         "the trace-backed run reproduces the full report"
+    );
+    let stats = outcome.trace_stats().expect("trace-backed counters");
+    let triples = (grid.workload_count() * grid.platforms.len() * grid.schemes.len()) as u64;
+    assert_eq!(
+        (stats.cache_loads, stats.recorded),
+        (triples, 0),
+        "every triple replays its cached recording: {stats}"
     );
     let per_event = allocations as f64 / replayed_events as f64;
     assert!(

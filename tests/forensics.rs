@@ -28,8 +28,11 @@ fn grid_spec(mode: ExecutionMode) -> ValidatedSpec {
         .schemes([EccScheme::NoEcc, EccScheme::Laec])
         .fault_seeds([1, 2])
         .fault_interval(200);
-    if matches!(mode, ExecutionMode::TraceBacked { .. }) {
-        builder = builder.trace_backed();
+    if let ExecutionMode::TraceBacked { cache_dir } = mode {
+        builder = match cache_dir {
+            Some(dir) => builder.trace_cache(dir),
+            None => builder.trace_backed(),
+        };
     }
     builder.validate().expect("valid spec")
 }
@@ -78,8 +81,18 @@ fn forensics_document_is_thread_count_invariant() {
 #[test]
 fn forensics_document_is_engine_invariant() {
     let (_, full) = Campaign::new(grid_spec(ExecutionMode::Full)).run_forensic(2, &Obs::disabled());
-    let (_, traced) = Campaign::new(grid_spec(ExecutionMode::TraceBacked { cache_dir: None }))
-        .run_forensic(2, &Obs::disabled());
+    // Trace-backed on a warm trace cache: each triple's fault-free cell is
+    // replayed, and every faulty cell simulated with its lifecycle traced.
+    let cache = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("forensics-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let mode = || ExecutionMode::TraceBacked {
+        cache_dir: Some(cache.clone()),
+    };
+    let _ = Campaign::new(grid_spec(mode())).run(2);
+    let (outcome, traced) = Campaign::new(grid_spec(mode())).run_forensic(2, &Obs::disabled());
+    let _ = std::fs::remove_dir_all(&cache);
+    let stats = outcome.trace_stats().expect("trace-backed counters");
+    assert_eq!((stats.cache_loads, stats.recorded), (2, 0), "{stats}");
     let (full, traced) = (full.expect("forensics"), traced.expect("forensics"));
     assert!(full.total_faults() > 0);
     assert_eq!(full.to_json(), traced.to_json());

@@ -29,8 +29,11 @@ fn grid_spec(mode: ExecutionMode) -> ValidatedSpec {
         .schemes([EccScheme::NoEcc, EccScheme::Laec])
         .fault_seeds([1, 2])
         .fault_interval(200);
-    if matches!(mode, ExecutionMode::TraceBacked { .. }) {
-        builder = builder.trace_backed();
+    if let ExecutionMode::TraceBacked { cache_dir } = mode {
+        builder = match cache_dir {
+            Some(dir) => builder.trace_cache(dir),
+            None => builder.trace_backed(),
+        };
     }
     builder.validate().expect("valid spec")
 }
@@ -115,8 +118,15 @@ fn campaign_section_is_engine_invariant_between_full_and_trace_backed() {
     let full = Obs::enabled();
     let traced = Obs::enabled();
     let _ = Campaign::new(grid_spec(ExecutionMode::Full)).run_observed(2, &full);
-    let _ = Campaign::new(grid_spec(ExecutionMode::TraceBacked { cache_dir: None }))
-        .run_observed(2, &traced);
+    // The trace-backed run replays a warm trace cache.
+    let cache = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs-trace-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let mode = || ExecutionMode::TraceBacked {
+        cache_dir: Some(cache.clone()),
+    };
+    let _ = Campaign::new(grid_spec(mode())).run(2);
+    let _ = Campaign::new(grid_spec(mode())).run_observed(2, &traced);
+    let _ = std::fs::remove_dir_all(&cache);
     // The engine-independent projection is identical because the reports
     // are; the engine-specific sections legitimately differ.
     assert_eq!(
@@ -140,7 +150,14 @@ fn campaign_section_is_engine_invariant_between_full_and_trace_backed() {
         "{:?}",
         full_dump.engine_counters
     );
-    assert!(traced_dump.engine_counters.contains_key("trace.recorded"));
+    // Each of the 2 triples replayed its recording, carrying its 2 seeds.
+    let counter = |name: &str| traced_dump.engine_counters[name];
+    assert_eq!(
+        (counter("trace.cache_loads"), counter("trace.recorded")),
+        (2, 0)
+    );
+    let replays = counter("trace.replayed") + counter("trace.fallbacks");
+    assert_eq!(replays, faulty_cells);
     // Both engines carry the same seeds as overlays, so they explain their
     // faulty cells alike.
     let overlay_counters = |dump: &MetricsDump| -> Vec<(String, u64)> {
@@ -153,10 +170,11 @@ fn campaign_section_is_engine_invariant_between_full_and_trace_backed() {
     assert_eq!(overlay_counters(&full_dump), overlay_counters(&traced_dump));
 }
 
-/// The escape split of one run whose every faulty cell, or sample, rode a
-/// seed overlay: the `overlay.escaped.<scheme>.<reason>` counters, after
-/// checking that they and `overlay.served` sum to `total`, and that a
-/// trace-backed sampler's replays account for every seed they carried.
+/// The escape split of one trace-backed run whose every faulty cell, or
+/// sample, rode a seed overlay on a replay: the
+/// `overlay.escaped.<scheme>.<reason>` counters, after checking that they
+/// and `overlay.served` sum to `total`, and that the replays account for
+/// every seed they carried.
 fn escape_split(dump: &MetricsDump, total: u64) -> Vec<(String, u64)> {
     let counters = &dump.engine_counters;
     let split: Vec<(String, u64)> = counters
@@ -167,48 +185,47 @@ fn escape_split(dump: &MetricsDump, total: u64) -> Vec<(String, u64)> {
     let escaped: u64 = split.iter().map(|(_, count)| count).sum();
     let served = counters.get("overlay.served").copied().unwrap_or(0);
     assert_eq!(served + escaped, total, "the split sums to the total");
-    if dump.engine == "sampled" {
-        assert_eq!(
-            (counters["trace.replayed"], counters["trace.fallbacks"]),
-            (served, escaped),
-            "every sample rode a replay"
-        );
-    }
+    assert_eq!(
+        (counters["trace.replayed"], counters["trace.fallbacks"]),
+        (served, escaped),
+        "every seed rode a replay"
+    );
     split
 }
 
 #[test]
 fn fallback_split_is_thread_count_invariant_and_sums_to_the_total() {
-    let grid = || {
-        CampaignBuilder::smoke()
-            .named_workloads(["vector_sum", "table_lookup"])
-            .schemes([EccScheme::NoEcc, EccScheme::Laec])
-            .platforms([PlatformVariant::WriteBack, PlatformVariant::WriteThrough])
-            .fault_seeds([7, 8])
-            .fault_interval(60)
-            .trace_backed()
-            .validate()
-            .expect("valid spec")
-    };
-    let sampled = || {
-        CampaignBuilder::smoke()
-            .named_workloads(["vector_sum"])
-            .schemes([EccScheme::NoEcc])
-            .fault_interval(60)
-            .sampled(16)
-            .batch(8)
-            .min_samples(8)
-            .trace_backed()
-            .validate()
-            .expect("valid sampled spec")
-    };
+    // The grid replays a warm trace cache, so its faulty cells ride
+    // replays, as the trace-backed sampler's samples do.
+    let cache = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs-escape-split");
+    let _ = std::fs::remove_dir_all(&cache);
+    let grid = CampaignBuilder::smoke()
+        .named_workloads(["vector_sum", "table_lookup"])
+        .schemes([EccScheme::NoEcc, EccScheme::Laec])
+        .platforms([PlatformVariant::WriteBack, PlatformVariant::WriteThrough])
+        .fault_seeds([7, 8])
+        .fault_interval(60)
+        .trace_cache(cache.clone())
+        .validate()
+        .expect("valid spec");
+    let _ = Campaign::new(grid.clone()).run(2);
+    let sampled = CampaignBuilder::smoke()
+        .named_workloads(["vector_sum"])
+        .schemes([EccScheme::NoEcc])
+        .fault_interval(60)
+        .sampled(16)
+        .batch(8)
+        .min_samples(8)
+        .trace_backed()
+        .validate()
+        .expect("valid sampled spec");
     // 2 workloads x 2 schemes x 2 platforms x 2 seeds faulty cells; 16
     // samples.
-    for (spec, total) in [(grid as fn() -> ValidatedSpec, 16), (sampled, 16)] {
+    for (spec, total) in [(grid, 16), (sampled, 16)] {
         let one = Obs::enabled();
         let eight = Obs::enabled();
-        let _ = Campaign::new(spec()).run_observed(1, &one);
-        let _ = Campaign::new(spec()).run_observed(8, &eight);
+        let _ = Campaign::new(spec.clone()).run_observed(1, &one);
+        let _ = Campaign::new(spec).run_observed(8, &eight);
         let split = escape_split(&one.dump(), total);
         assert!(
             split
@@ -218,6 +235,7 @@ fn fallback_split_is_thread_count_invariant_and_sums_to_the_total() {
         );
         assert_eq!(split, escape_split(&eight.dump(), total));
     }
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]
@@ -332,10 +350,18 @@ fn sampled_progress_events_stream_per_stratum_convergence() {
 #[test]
 fn execution_mode_never_changes_the_report_bytes_under_observation() {
     // The cross-engine byte-identity oracle, now with observation enabled
-    // on both sides: full-sim and trace-backed replay agree bit-for-bit
-    // even while both are being instrumented.
+    // on both sides: full-sim and trace-backed replay (of a warm trace
+    // cache) agree bit-for-bit even while both are being instrumented.
     let full = Campaign::new(grid_spec(ExecutionMode::Full)).run_observed(4, &Obs::enabled());
-    let traced = Campaign::new(grid_spec(ExecutionMode::TraceBacked { cache_dir: None }))
-        .run_observed(4, &Obs::enabled());
+    let cache = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs-mode-bytes");
+    let _ = std::fs::remove_dir_all(&cache);
+    let mode = || ExecutionMode::TraceBacked {
+        cache_dir: Some(cache.clone()),
+    };
+    let _ = Campaign::new(grid_spec(mode())).run(4);
+    let traced = Campaign::new(grid_spec(mode())).run_observed(4, &Obs::enabled());
+    let _ = std::fs::remove_dir_all(&cache);
+    let stats = traced.trace_stats().expect("trace-backed counters");
+    assert_eq!((stats.cache_loads, stats.recorded), (2, 0), "{stats}");
     assert_eq!(full.to_json(), traced.to_json());
 }

@@ -185,9 +185,18 @@ fn trace_backed_grids_without_faults_or_cache_record_nothing() {
 #[test]
 fn thread_count_does_not_change_trace_backed_reports() {
     let spec = secded_spec();
-    let one = run_trace_backed(&spec, 1, None);
-    let eight = run_trace_backed(&spec, 8, None);
+    let cache = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-cache-threads");
+    let _ = std::fs::remove_dir_all(&cache);
+    let cold = run_trace_backed(&spec, 8, Some(&cache));
+    assert_eq!(cold.stats.recorded, 4);
+    // Warm, every triple replays its recording carrying its 3 seeds.
+    let one = run_trace_backed(&spec, 1, Some(&cache));
+    let eight = run_trace_backed(&spec, 8, Some(&cache));
+    let _ = std::fs::remove_dir_all(&cache);
+    assert_eq!((one.stats.cache_loads, one.stats.recorded), (4, 0));
+    assert_eq!(one.stats.replayed + one.stats.fallbacks, 12);
     assert_eq!(one.report.to_json(), eight.report.to_json());
+    assert_eq!(one.report.to_json(), cold.report.to_json());
     assert_eq!(one.stats, eight.stats);
 }
 
