@@ -176,7 +176,8 @@ campaign FLAGS:
                       byte-identical; inspect FILE with `laec-cli stats`
     --progress        Stream JSONL progress events (campaign_start, cell,
                       round, campaign_end; each stamped with the spec
-                      fingerprint) to stderr while the campaign runs
+                      fingerprint) to stderr while the campaign runs, in
+                      place of the stderr overlay/trace summary line
     --forensics       Trace every injected fault's lifecycle (strike ->
                       activation -> outcome) and append the forensics
                       summary after the text report.  The stdout report
@@ -771,8 +772,20 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
     } else {
         (campaign.run_observed(flags.threads, &obs), None)
     };
-    if let Some(stats) = outcome.trace_stats() {
-        eprintln!("{stats}");
+    // How the faulty cells were served, on stderr, unless stderr carries
+    // the --progress JSONL stream.
+    if !flags.progress {
+        if let Some(stats) = outcome.trace_stats() {
+            eprintln!("{stats}");
+        } else if let CampaignOutcome::Grid {
+            overlay_stats: Some(stats),
+            ..
+        } = &outcome
+        {
+            if stats.served > 0 || !stats.escaped.is_empty() {
+                eprintln!("{stats}");
+            }
+        }
     }
     // The rendered bytes are exactly what `Campaign::run` would print —
     // observability must never perturb the report, only wrap it in a
@@ -1142,7 +1155,7 @@ fn cmd_campaign_sharded(flags: &Flags, validated: &ValidatedSpec, obs: &Obs) -> 
         std::fs::rename(&staging, path)
             .map_err(|e| format!("cannot replace {}: {e}", path.display()))?;
     }
-    if matches!(execution, SampleExecution::TraceBacked { .. }) {
+    if matches!(execution, SampleExecution::TraceBacked { .. }) && !flags.progress {
         eprintln!("{}", sampler.trace_stats());
     }
     if !complete {

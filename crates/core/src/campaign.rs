@@ -681,9 +681,9 @@ pub(crate) struct GridRun {
 
 /// How a campaign served its faulty cells, or its samples: from the seed
 /// overlays their fault-free run carried, simulated or replayed, or on
-/// their own after escaping.  Cells of triples that carry no overlays
-/// (`smpN` platforms, metadata targets, forensic runs) are simulated per
-/// seed and counted in neither.
+/// their own after escaping.  Cells of campaigns that carry no overlays
+/// (metadata targets, forensic runs) are simulated per seed and counted in
+/// neither.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OverlayStats {
     /// Faulty cells built from their triple's fault-free run.
@@ -707,6 +707,17 @@ impl OverlayStats {
             }
             Served::Simulated => {}
         }
+    }
+}
+
+impl std::fmt::Display for OverlayStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "overlays: {} served, {} escaped",
+            self.served,
+            self.escaped.values().sum::<u64>()
+        )
     }
 }
 

@@ -250,9 +250,9 @@ fn record_trace_counters(stats: &TraceBackedStats, obs: &Obs) {
 
 /// Seed-overlay counters, each written only where it is non-zero:
 /// `overlay.served` and `overlay.escaped.<scheme>.<reason>`.  On a grid
-/// whose every triple carries overlays (uniprocessor platforms, data
-/// strikes, no forensics) they sum to the grid's faulty cells, and on such
-/// a sampled campaign to its samples.
+/// that carries overlays (data strikes, no forensics), on any platform,
+/// they sum to the grid's faulty cells, and on such a sampled campaign to
+/// its samples.
 fn record_overlay_counters(stats: &OverlayStats, obs: &Obs) {
     if stats.served > 0 {
         obs.engine_counter_set("overlay.served", stats.served);

@@ -19,12 +19,13 @@
 //! overlays (`laec_mem::overlay`), whichever driver runs it:
 //! `Cells::fault_free` simulates it, or replays it from the trace cache, or
 //! records it when the cache or the sampler keeps the recording;
-//! `Cells::overlay_run` replays a recording the sampler holds.  Every seed
-//! that stayed neutral is served from that one run (`FaultFree::served`).  A
-//! seed that escaped, and every seed of a triple that carries no overlays
-//! (`smpN` platforms, metadata targets, forensic runs), goes through
-//! `Cells::faulty`, the one per-seed path: a simulation of that seed
-//! alone.
+//! `Cells::overlay_run` replays a recording the sampler holds.  On an
+//! `smpN` platform the overlays strike core 0, the observed core, as the
+//! cell's fault campaign does.  Every seed that stayed neutral is served
+//! from that one run (`FaultFree::served`).  A seed that escaped, and every
+//! seed of a triple that carries no overlays (metadata targets, forensic
+//! runs), goes through `Cells::faulty`, the one per-seed path: a simulation
+//! of that seed alone.
 
 use std::fs;
 use std::path::Path;
@@ -67,8 +68,8 @@ pub(crate) struct Hooks {
     /// Records the run into this recorder.  Uniprocessor cells only: a
     /// recording captures one core's access stream.
     pub recorder: Option<TraceRecorder>,
-    /// Fault seeds the (fault-free) run carries as overlays; their outcomes
-    /// are settled by the drain.  Uniprocessor cells only.
+    /// Fault seeds the (fault-free) run carries as overlays on core 0;
+    /// their outcomes are settled once every core drained.
     pub overlays: Option<SeedOverlays>,
 }
 
@@ -82,7 +83,7 @@ pub(crate) struct Hooks {
 ///
 /// # Panics
 ///
-/// Panics if an N-core cell is handed a recorder or overlays.
+/// Panics if an N-core cell is handed a recorder.
 pub(crate) fn run_cell(
     workload: &Workload,
     config: PipelineConfig,
@@ -107,9 +108,8 @@ pub(crate) fn run_cell(
         return (result, hooks);
     };
     assert!(
-        hooks.recorder.is_none() && hooks.overlays.is_none(),
-        "recordings and overlays follow one core's access stream; \
-         {platform} cells carry neither"
+        hooks.recorder.is_none(),
+        "a recording follows one core's access stream; {platform} cells carry none"
     );
     let mut programs = vec![workload.program.clone()];
     let mut configs = vec![config.clone()];
@@ -130,7 +130,11 @@ pub(crate) fn run_cell(
     if hooks.forensics {
         system.enable_forensics();
     }
+    if let Some(overlays) = hooks.overlays.take() {
+        system.attach_overlays(overlays);
+    }
     let run = system.run(StopPolicy::ObservedCoreHalts);
+    hooks.overlays = system.take_overlays();
     // laec-lint: allow(panic-in-library) -- `SmpSystem::with_protocol` is
     // handed at least one program (the observed core), so `run.cores` is
     // never empty.
@@ -303,7 +307,7 @@ impl Cells<'_> {
     }
 
     /// Runs `triple`'s fault-free cell carrying the faulty cells injected
-    /// with `seeds` as overlays, where the triple carries overlays at all
+    /// with `seeds` as overlays, where the campaign carries overlays at all
     /// (see [`Cells::carries_overlays`]).  Trace-backed, with a trace cache
     /// or when `keep_recording`, the run is replayed from the cache or
     /// recorded (see [`Cells::obtain_recording`]), and the recording is
@@ -315,11 +319,7 @@ impl Cells<'_> {
         seeds: &[u64],
         keep_recording: bool,
     ) -> FaultFree {
-        let seeds = if self.carries_overlays(triple) {
-            seeds
-        } else {
-            &[]
-        };
+        let seeds = if self.carries_overlays() { seeds } else { &[] };
         match execution {
             SampleExecution::TraceBacked { cache_dir } if keep_recording || cache_dir.is_some() => {
                 self.obtain_recording(triple, seeds, cache_dir.as_deref(), keep_recording)
@@ -424,16 +424,11 @@ impl Cells<'_> {
         replay(self.spec, trace, events, workload, None, overlays, None)
     }
 
-    /// Whether `triple`'s fault-free run can carry its seeds as overlays: a
-    /// uniprocessor cell striking the data array, without forensics (whose
-    /// records follow each seed's own run).
-    pub(crate) fn carries_overlays(&self, triple: Triple) -> bool {
-        !self.forensic
-            && self.spec.fault_target == FaultTarget::Data
-            && !matches!(
-                self.spec.platforms[triple.platform],
-                PlatformVariant::Smp(_)
-            )
+    /// Whether the campaign's fault-free runs carry their seeds as overlays:
+    /// strikes on the data array, without forensics (whose records follow
+    /// each seed's own run).
+    pub(crate) fn carries_overlays(&self) -> bool {
+        !self.forensic && self.spec.fault_target == FaultTarget::Data
     }
 
     /// One overlay per seed of `seeds` for `triple`'s fault-free run, or

@@ -1038,7 +1038,7 @@ impl Sampler {
         let cells = sampler.cells();
         let fault_free = run_pool(sampler.strata.len(), threads, |index| {
             let triple = sampler.strata[index];
-            cells.fault_free(triple, execution, &[], cells.carries_overlays(triple))
+            cells.fault_free(triple, execution, &[], cells.carries_overlays())
         });
         for fault_free in fault_free {
             sampler.trace_stats.count_fault_free(fault_free.origin);
@@ -1255,7 +1255,7 @@ impl Sampler {
             .collect();
         let recording = self.recordings[stratum].as_ref();
         let fault_free = cells
-            .carries_overlays(triple)
+            .carries_overlays()
             .then(|| cells.overlay_run(triple, recording, &seeds));
         let carried = seeds.iter().enumerate().map(|(index, &seed)| {
             let served = fault_free

@@ -110,14 +110,8 @@ impl std::fmt::Display for TraceBackedStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "traces: {} recorded, {} from cache; overlays: {} served, {} escaped; \
-             on replays: {} served, {} escaped",
-            self.recorded,
-            self.cache_loads,
-            self.overlays.served,
-            self.overlays.escaped.values().sum::<u64>(),
-            self.replayed,
-            self.fallbacks
+            "traces: {} recorded, {} from cache; {}; on replays: {} served, {} escaped",
+            self.recorded, self.cache_loads, self.overlays, self.replayed, self.fallbacks
         )
     }
 }

@@ -898,32 +898,28 @@ impl Cache {
     }
 
     /// Injects a metadata fault — a flipped coherence-state bit or tag bit — into
-    /// a random resident line, picked with `injector`.  Returns the struck
+    /// a random resident line, picked with `injector` among `slots`, the
+    /// cache's valid lines ([`Cache::valid_slots`]).  Returns the struck
     /// line's architecturally correct base address, or `None` when the cache
     /// is empty.  The flip changes only the stored metadata; a ground-truth
     /// record is kept so the *consequences* (lost writebacks, stale reads)
     /// can be classified without influencing behaviour.
-    pub fn inject_meta_fault(
+    pub(crate) fn inject_meta_fault(
         &mut self,
+        slots: &[usize],
         injector: &mut ErrorInjector,
         target: FaultTarget,
     ) -> Option<u32> {
-        let resident = self.valid_lines();
-        if resident == 0 {
-            return None;
-        }
-        let index = self.nth_valid_line(injector.next_below(resident as u64) as usize)?;
+        let k = (!slots.is_empty()).then(|| injector.next_below(slots.len() as u64))?;
+        let index = slots[k as usize];
         let set_index = index / self.ways();
-        let true_tag = match self.corrupted.iter().find(|r| r.index == index) {
+        let corrupted = self.corrupted.iter().find(|r| r.index == index);
+        let already_corrupted = corrupted.is_some();
+        let (true_tag, truly_dirty) = match corrupted {
             // Already-corrupted lines keep their original ground truth.
-            Some(record) => record.true_tag,
-            None => self.lines[index].tag,
+            Some(record) => (record.true_tag, record.truly_dirty),
+            None => (self.lines[index].tag, self.lines[index].state.is_dirty()),
         };
-        let truly_dirty = self
-            .corrupted
-            .iter()
-            .find(|r| r.index == index)
-            .map_or_else(|| self.lines[index].state.is_dirty(), |r| r.truly_dirty);
         let base = self.reconstruct_base(set_index, true_tag);
         if self.journal_enabled {
             self.journal.push(CacheEvent::MetaStrike { base, target });
@@ -947,7 +943,7 @@ impl Cache {
         }
         self.meta_faults_injected += 1;
         if self.lines[index].state.is_valid() {
-            if !self.corrupted.iter().any(|r| r.index == index) {
+            if !already_corrupted {
                 self.corrupted.push(MetaCorruption {
                     index,
                     true_tag,
@@ -1042,16 +1038,6 @@ impl Cache {
     /// Address of word `word` of the line in flat slot `slot`.
     pub(crate) fn slot_word_address(&self, slot: usize, word: u64) -> u32 {
         self.reconstruct_base(slot / self.ways(), self.lines[slot].tag) + 4 * word as u32
-    }
-
-    /// Flat index of the `n`-th valid line in flat (set-major) order.
-    fn nth_valid_line(&self, n: usize) -> Option<usize> {
-        self.lines
-            .iter()
-            .enumerate()
-            .filter(|(_, line)| line.state.is_valid())
-            .nth(n)
-            .map(|(index, _)| index)
     }
 
     /// Number of dirty lines currently resident.

@@ -39,9 +39,18 @@
 //! would differ (a silent corruption, an uncorrectable read, any detected
 //! error under speculate-and-flush), or a write-through store that would
 //! merge a wrong value into the DL1 copy only.  Its caller simulates it
-//! alone.  Overlays model the uniprocessor's data array only: the campaign
-//! engines never attach them to an N-core system, a metadata-target
-//! campaign or a forensic run.
+//! alone.
+//!
+//! Overlays strike core 0's data array: the uniprocessor's only core, and
+//! the observed core of an N-core campaign cell, which alone carries the
+//! cell's fault campaign.  On an N-core hierarchy every hook above reacts
+//! to core 0 only, and a load or store by any other core to a DL1 line
+//! where a seed holds live words escapes the seed
+//! ([`EscapeReason::Remote`]): every snoop, supply, invalidation or bus
+//! update that could carry the seed's words between caches starts with such
+//! an access.  The checksum deltas settle against the final memory image,
+//! after every core drained.  The campaign engines attach no overlays to a
+//! metadata-target campaign or a forensic run.
 //!
 //! After warm-up the overlays allocate nothing per access or per strike.
 
@@ -57,6 +66,8 @@ use crate::memory::{word_hash, MainMemory};
 const WORD_BUCKETS: usize = 4096;
 /// Line buckets of the live-word filter.
 const LINE_BUCKETS: usize = 512;
+/// The core whose DL1 the seeds strike (see the module docs).
+const STRUCK_CORE: usize = 0;
 
 /// Why a seed left its overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -72,6 +83,9 @@ pub enum EscapeReason {
     /// A write-through store would merge a wrong value into the DL1 copy
     /// while the L2 copy takes the right one.
     Merge,
+    /// Another core loaded or stored into a DL1 line where the seed holds
+    /// live words.
+    Remote,
 }
 
 impl EscapeReason {
@@ -83,6 +97,7 @@ impl EscapeReason {
             EscapeReason::Uncorrectable => "uncorrectable",
             EscapeReason::SchemeTiming => "scheme_timing",
             EscapeReason::Merge => "merge",
+            EscapeReason::Remote => "remote",
         }
     }
 }
@@ -225,11 +240,12 @@ impl Overlay {
     }
 }
 
-/// The fault seeds one fault-free uniprocessor run carries (see the module
+/// The fault seeds one fault-free run carries on core 0 (see the module
 /// docs).  Attach with
 /// [`MemorySystem::attach_overlays`](crate::MemorySystem::attach_overlays)
-/// before the run; after the end-of-run drain,
-/// [`SeedOverlays::outcomes`] tells what became of each seed.
+/// before the run; once every core drained, take them back with
+/// [`MemorySystem::take_overlays`](crate::MemorySystem::take_overlays),
+/// and [`SeedOverlays::outcomes`] tells what became of each seed.
 #[derive(Debug)]
 pub struct SeedOverlays {
     overlays: Vec<Overlay>,
@@ -298,7 +314,8 @@ impl SeedOverlays {
     }
 
     /// What became of each seed, in the order of the campaigns given to
-    /// [`SeedOverlays::new`].  Meaningful after the end-of-run drain.
+    /// [`SeedOverlays::new`].  Meaningful once every core drained and the
+    /// hierarchy handed the overlays back.
     pub fn outcomes(&self) -> impl Iterator<Item = OverlayOutcome> + '_ {
         self.overlays.iter().map(|overlay| match overlay.escaped {
             Some(reason) => OverlayOutcome::Escaped(reason),
@@ -311,12 +328,16 @@ impl SeedOverlays {
         })
     }
 
-    /// `count` committed instructions in a row (a simulation commits one
-    /// at a time, a replay a recorded run at once): an injection
-    /// opportunity each for every seed still in its overlay, and a strike
-    /// at every due commit, against the fault-free `dl1` as it stands.
+    /// `count` instructions `core` committed in a row (a simulation commits
+    /// one at a time, a replay a recorded run at once).  On core 0 they are
+    /// an injection opportunity each for every seed still in its
+    /// overlay, with a strike at every due commit, against the fault-free
+    /// `dl1` as it stands.
     #[inline]
-    pub(crate) fn commit(&mut self, mut count: u64, dl1: &Cache) {
+    pub(crate) fn commit(&mut self, core: usize, mut count: u64, dl1: &Cache) {
+        if core != STRUCK_CORE {
+            return;
+        }
         while self.next_due - self.elapsed <= count {
             count -= self.next_due - self.elapsed;
             self.elapsed = self.next_due;
@@ -361,12 +382,43 @@ impl SeedOverlays {
         }
     }
 
-    /// A load of `address` that returned `shared` from the fault-free
-    /// hierarchy (a DL1 hit, or the refill of a miss).
+    /// `core`'s load of `address`, which returned `shared` from the
+    /// fault-free hierarchy (a DL1 hit, or the refill of a miss); `dl1` is
+    /// `core`'s.
     #[inline]
-    pub(crate) fn load(&mut self, dl1: &Cache, address: u32, shared: u32) {
-        if self.marks.live != 0 && self.marks.word_hit(address) {
+    pub(crate) fn load(&mut self, core: usize, dl1: &Cache, address: u32, shared: u32) {
+        if self.marks.live == 0 {
+            return;
+        }
+        if core != STRUCK_CORE {
+            self.remote(address);
+        } else if self.marks.word_hit(address) {
             self.resolve_load(dl1, address, shared);
+        }
+    }
+
+    /// An access by a core other than core 0 to `address`.
+    #[inline]
+    fn remote(&mut self, address: u32) {
+        if self.marks.line_hit(address) {
+            self.resolve_remote(address);
+        }
+    }
+
+    /// Every seed holding a live word in the DL1 line of `address` escapes:
+    /// whatever the access does to that line (a snoop, a supply, an
+    /// invalidation, a bus update) could move the seed's words between
+    /// caches.
+    fn resolve_remote(&mut self, address: u32) {
+        let shift = self.marks.line_shift;
+        for overlay in &mut self.overlays {
+            if overlay
+                .words
+                .iter()
+                .any(|word| (word.address ^ address) >> shift == 0)
+            {
+                overlay.escape(EscapeReason::Remote, &mut self.marks);
+            }
         }
     }
 
@@ -398,12 +450,17 @@ impl SeedOverlays {
         }
     }
 
-    /// A store of the bytes `byte_mask` selects to `address`, before it
-    /// merges into `dl1` (or, on a miss, into the copy it fetches or
-    /// forwards to).
+    /// `core`'s store of the bytes `byte_mask` selects to `address`, before
+    /// it merges into `dl1`, `core`'s (or, on a miss, into the copy it
+    /// fetches or forwards to).
     #[inline]
-    pub(crate) fn store(&mut self, dl1: &Cache, address: u32, byte_mask: u8) {
-        if self.marks.live != 0 && self.marks.word_hit(address) {
+    pub(crate) fn store(&mut self, core: usize, dl1: &Cache, address: u32, byte_mask: u8) {
+        if self.marks.live == 0 {
+            return;
+        }
+        if core != STRUCK_CORE {
+            self.remote(address);
+        } else if self.marks.word_hit(address) {
             self.resolve_store(dl1, address, byte_mask);
         }
     }
@@ -438,11 +495,11 @@ impl SeedOverlays {
         }
     }
 
-    /// A fill of the line holding `address` into `dl1`, before it evicts
-    /// its victim.
+    /// A fill of the line holding `address` into `dl1`, `core`'s, before it
+    /// evicts its victim.
     #[inline]
-    pub(crate) fn evict(&mut self, dl1: &Cache, address: u32) {
-        if self.marks.live == 0 {
+    pub(crate) fn evict(&mut self, core: usize, dl1: &Cache, address: u32) {
+        if self.marks.live == 0 || core != STRUCK_CORE {
             return;
         }
         if let Some(victim) = dl1.victim_probe(address) {
@@ -452,10 +509,10 @@ impl SeedOverlays {
         }
     }
 
-    /// The end-of-run drain of `dl1`, before it writes its dirty lines
-    /// back.
-    pub(crate) fn drain(&mut self, dl1: &Cache) {
-        if self.marks.live != 0 {
+    /// The end-of-run drain of `dl1`, `core`'s, before it writes its dirty
+    /// lines back.
+    pub(crate) fn drain(&mut self, core: usize, dl1: &Cache) {
+        if self.marks.live != 0 && core == STRUCK_CORE {
             self.leave_dl1(dl1, 0, u32::MAX);
         }
     }
@@ -485,7 +542,8 @@ impl SeedOverlays {
         }
     }
 
-    /// After the drain: each seed's checksum delta over the final `memory`.
+    /// Once every core drained: each seed's checksum delta over the final
+    /// `memory`.
     pub(crate) fn settle(&mut self, memory: &MainMemory) {
         for overlay in &mut self.overlays {
             overlay.checksum_delta = overlay.words.iter().fold(0u64, |delta, word| {

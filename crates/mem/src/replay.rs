@@ -73,8 +73,8 @@ impl ReplayMemory {
         self.system.attach_overlays(overlays);
     }
 
-    /// Detaches the seed overlays; take them after
-    /// [`ReplayMemory::drain_to_memory`], which settles their outcomes.
+    /// Detaches the seed overlays, settled against the memory image; take
+    /// them after [`ReplayMemory::drain_to_memory`].
     pub fn take_overlays(&mut self) -> Option<SeedOverlays> {
         self.system.take_overlays()
     }

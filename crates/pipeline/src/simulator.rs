@@ -212,8 +212,9 @@ impl Simulator {
         self.mem.attach_overlays(overlays);
     }
 
-    /// Detaches the seed overlays after the run, if any were attached.
-    /// Call after [`Simulator::execute`], whose drain settles them.
+    /// Detaches the seed overlays after the run, if any were attached,
+    /// settled against the final memory image.  Call after
+    /// [`Simulator::execute`].
     pub fn take_overlays(&mut self) -> Option<SeedOverlays> {
         self.mem.take_overlays()
     }

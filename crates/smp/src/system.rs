@@ -13,7 +13,7 @@
 //! producer it waits for is always scheduled.
 
 use laec_isa::Program;
-use laec_mem::{CellForensics, CoherenceStats, MemorySystem, ProtocolKind};
+use laec_mem::{CellForensics, CoherenceStats, MemorySystem, ProtocolKind, SeedOverlays};
 use laec_pipeline::{Core, PipelineConfig, SimResult};
 
 /// When the system stops stepping.
@@ -127,6 +127,19 @@ impl SmpSystem {
     /// [`SmpRunResult::forensics`].
     pub fn enable_forensics(&mut self) {
         self.memory.enable_forensics();
+    }
+
+    /// Carries `overlays`, fault seeds striking the DL1 of core 0 — the
+    /// observed core — through this fault-free run (see
+    /// `laec_mem::overlay`).  Call before the run.
+    pub fn attach_overlays(&mut self, overlays: SeedOverlays) {
+        self.memory.attach_overlays(overlays);
+    }
+
+    /// Detaches the seed overlays after the run, if any were attached,
+    /// settled against the final memory image every core drained into.
+    pub fn take_overlays(&mut self) -> Option<SeedOverlays> {
+        self.memory.take_overlays()
     }
 
     /// Runs the system under `stop`, then drains every core (in core-id

@@ -15,7 +15,9 @@
 //!    recording.  So does a two-core system whose
 //!    cores both run the loop on the same lines — every iteration
 //!    write-shares and snoops — under MESI, Dragon and MOESI, with and
-//!    without strikes on core 0.  The longer run must allocate exactly as
+//!    without strikes on core 0, and fault-free carrying four seed
+//!    overlays on core 0, which core 1's accesses make escape as `remote`.
+//!    The longer run must allocate exactly as
 //!    often as the shorter one: everything the loop needs is allocated
 //!    while it warms up.
 //! 2. **Ceilings.**  The golden spec `specs/ci_smoke.json`, run through
@@ -38,7 +40,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use laec::core::campaign::{CampaignSpec as GridSpec, WorkloadSet};
 use laec::core::record_cell;
 use laec::isa::Program;
-use laec::mem::{FaultCampaignConfig, ProtocolKind, ReplayMemory, SeedOverlays};
+use laec::mem::{
+    EscapeReason, FaultCampaignConfig, OverlayOutcome, ProtocolKind, ReplayMemory, SeedOverlays,
+};
 use laec::prelude::{Campaign, CampaignSpec, EccScheme, ExecutionMode, PipelineConfig};
 use laec::prelude::{PlatformVariant, Simulator};
 use laec::smp::{SmpSystem, StopPolicy};
@@ -226,22 +230,36 @@ fn overlay_loop_allocations(
 }
 
 /// Allocations of one two-core run in which both cores run the loop on
-/// the same lines; only core 0 carries `config`'s strikes.
+/// the same lines; only core 0 carries `config`'s strikes, and the seed
+/// overlays of `overlays`, if any (built outside the counted span).  Also
+/// returns how many of the overlays escaped as `remote`.
 fn shared_loop_allocations(
     iterations: u32,
     config: &PipelineConfig,
     protocol: ProtocolKind,
-) -> u64 {
+    overlays: &[FaultCampaignConfig],
+) -> (u64, usize) {
     let programs = vec![resident_loop(iterations), resident_loop(iterations)];
     let unstruck = PipelineConfig {
         fault_campaign: None,
         ..config.clone()
     };
     let configs = vec![config.clone(), unstruck];
-    let (_, allocations) = allocations_during(|| {
-        SmpSystem::with_protocol(programs, configs, protocol).run(StopPolicy::AllHalt)
+    let flush_on_error = matches!(config.scheme, EccScheme::SpeculateFlush { .. });
+    let carried = (!overlays.is_empty()).then(|| SeedOverlays::new(overlays, flush_on_error));
+    let ((_, carried), allocations) = allocations_during(|| {
+        let mut system = SmpSystem::with_protocol(programs, configs, protocol);
+        if let Some(carried) = carried {
+            system.attach_overlays(carried);
+        }
+        (system.run(StopPolicy::AllHalt), system.take_overlays())
     });
-    allocations
+    let remote = carried
+        .iter()
+        .flat_map(SeedOverlays::outcomes)
+        .filter(|outcome| *outcome == OverlayOutcome::Escaped(EscapeReason::Remote))
+        .count();
+    (allocations, remote)
 }
 
 fn check_steady_state() {
@@ -296,16 +314,28 @@ fn check_shared_steady_state() {
                 for fault in [None, Some(FaultCampaignConfig::single_bit(0x5EED, 200))] {
                     let mut config = platform.apply_config(PipelineConfig::for_scheme(scheme));
                     config.fault_campaign = fault;
-                    let short = shared_loop_allocations(N, &config, protocol);
-                    let long = shared_loop_allocations(4 * N, &config, protocol);
+                    let short = shared_loop_allocations(N, &config, protocol, &[]);
+                    let long = shared_loop_allocations(4 * N, &config, protocol, &[]);
                     assert_eq!(
-                        short,
-                        long,
+                        short.0,
+                        long.0,
                         "two {protocol} cores, {scheme} on {platform}, strikes {}: \
                          the shared step path allocates per iteration",
                         fault.is_some()
                     );
                 }
+                let config = platform.apply_config(PipelineConfig::for_scheme(scheme));
+                let overlays: Vec<FaultCampaignConfig> = (1..=4)
+                    .map(|seed| FaultCampaignConfig::single_bit(0x5EED + seed, 200))
+                    .collect();
+                let short = shared_loop_allocations(N, &config, protocol, &overlays);
+                let long = shared_loop_allocations(4 * N, &config, protocol, &overlays);
+                let cell = format!("two {protocol} cores, {scheme} on {platform}, 4 overlays");
+                assert_eq!(
+                    short.0, long.0,
+                    "{cell}: the overlay path on core 0 allocates per iteration"
+                );
+                assert!(long.1 > 0, "{cell}: core 1's accesses escape a seed");
             }
         }
     }

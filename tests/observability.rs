@@ -239,6 +239,45 @@ fn fallback_split_is_thread_count_invariant_and_sums_to_the_total() {
 }
 
 #[test]
+fn smp_escape_split_is_thread_count_invariant_and_sums_to_the_faulty_cells() {
+    // An smp2 grid carries its seeds as overlays on core 0 in full
+    // simulation: 2 workloads x 2 schemes x 2 seeds faulty cells.
+    let spec = CampaignBuilder::smoke()
+        .named_workloads(["vector_sum", "table_lookup"])
+        .schemes([EccScheme::NoEcc, EccScheme::Laec])
+        .platforms([PlatformVariant::smp(2)])
+        .fault_seeds([7, 8])
+        .fault_interval(60)
+        .validate()
+        .expect("valid spec");
+    let split = |threads: usize| {
+        let obs = Obs::enabled();
+        let _ = Campaign::new(spec.clone()).run_observed(threads, &obs);
+        let counters = obs.dump().engine_counters;
+        let served = counters.get("overlay.served").copied().unwrap_or(0);
+        let escaped: Vec<(String, u64)> = counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("overlay.escaped."))
+            .collect();
+        (served, escaped)
+    };
+    let (served, escaped) = split(1);
+    let total = served + escaped.iter().map(|(_, count)| count).sum::<u64>();
+    assert_eq!(
+        total, 8,
+        "the split explains every faulty cell: {escaped:?}"
+    );
+    assert!(served > 0, "some seeds are served: {escaped:?}");
+    assert!(
+        escaped
+            .iter()
+            .any(|(name, _)| name == "overlay.escaped.no-ecc.load_value"),
+        "no-ecc strikes reach loaded values: {escaped:?}"
+    );
+    assert_eq!((served, escaped), split(8));
+}
+
+#[test]
 fn wall_clock_timings_are_excluded_from_every_compared_section() {
     let obs = Obs::enabled();
     let _ = Campaign::new(grid_spec(ExecutionMode::Full)).run_observed(2, &obs);
