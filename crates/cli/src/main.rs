@@ -1159,10 +1159,13 @@ fn cmd_campaign_sharded(flags: &Flags, validated: &ValidatedSpec, obs: &Obs) -> 
         eprintln!("{}", sampler.trace_stats());
     }
     if !complete {
-        eprintln!(
-            "campaign incomplete after {} round(s); checkpoint saved — continue with --resume",
-            flags.shard_rounds.unwrap_or(0),
-        );
+        // Under --progress, stderr is the JSONL event stream.
+        if !flags.progress {
+            eprintln!(
+                "campaign incomplete after {} round(s); checkpoint saved — continue with --resume",
+                flags.shard_rounds.unwrap_or(0),
+            );
+        }
         // The metrics dump of an incomplete shard carries the context and
         // this shard's timings; the deterministic sections are projected
         // only from a *finished* campaign, so they stay empty here and the

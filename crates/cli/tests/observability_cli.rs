@@ -2,6 +2,7 @@
 //!
 //! * `--metrics-out`/`--progress` never change the stdout report bytes,
 //! * `--progress` streams valid JSONL (one event object per stderr line),
+//!   also when a sharded sampler stops before the campaign finishes,
 //! * the metrics file round-trips through `laec-cli stats`, whose
 //!   `--counters` section is byte-identical across `--threads` values,
 //! * `trace info` reports the per-core event-type histogram,
@@ -78,6 +79,42 @@ fn progress_stream_is_valid_jsonl_on_stderr() {
     }
     assert!(lines[0].contains("campaign_start"));
     assert!(lines[7].contains("campaign_end"));
+}
+
+#[test]
+fn an_unfinished_sharded_sampler_keeps_its_progress_stream_pure_jsonl() {
+    let checkpoint = scratch("shard.ckpt");
+    let observed = cli(&[
+        "campaign",
+        "--smoke",
+        "--workloads",
+        "vector_sum",
+        "--schemes",
+        "no-ecc",
+        "--fault-interval",
+        "60",
+        "--sample",
+        "64",
+        "--batch",
+        "8",
+        "--min-samples",
+        "8",
+        "--shard-rounds",
+        "1",
+        "--checkpoint",
+        checkpoint.to_str().expect("utf-8 temp path"),
+        "--progress",
+    ]);
+    assert!(observed.status.success());
+    assert!(checkpoint.is_file(), "the shard saved its checkpoint");
+    std::fs::remove_file(checkpoint).expect("cleanup");
+    let stderr = String::from_utf8(observed.stderr).expect("UTF-8 stderr");
+    assert!(!stderr.is_empty(), "the shard streamed its events");
+    for line in stderr.lines() {
+        let event = serde_json::parse(line)
+            .unwrap_or_else(|_| panic!("not one JSON object: {line}\nstream:\n{stderr}"));
+        assert!(event.get("event").is_some(), "not an event: {line}");
+    }
 }
 
 #[test]

@@ -8,6 +8,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifies a code family and geometry without carrying the code itself.
 ///
@@ -107,6 +108,25 @@ impl CodeKind {
             CodeKind::Hsiao39_32 => Box::new(crate::hsiao::Hsiao39_32::new()),
             CodeKind::Hsiao72_64 => Box::new(crate::hsiao::Hsiao72_64::new()),
         }
+    }
+
+    /// The one shared instance of the code this kind describes, built on
+    /// first use.  Codes are immutable, so every cache protected by the
+    /// same kind can share one instead of rebuilding it (a Hsiao code
+    /// enumerates and sorts its columns when built).
+    ///
+    /// ```
+    /// use laec_ecc::CodeKind;
+    /// let code = CodeKind::Hsiao39_32.shared();
+    /// assert_eq!(code.kind(), CodeKind::Hsiao39_32);
+    /// assert!(std::ptr::addr_eq(code, CodeKind::Hsiao39_32.shared()));
+    /// ```
+    #[must_use]
+    pub fn shared(self) -> &'static (dyn EccCode + Send + Sync) {
+        static CODES: OnceLock<Vec<Box<dyn EccCode + Send + Sync>>> = OnceLock::new();
+        let codes = CODES.get_or_init(|| CodeKind::all().iter().map(|k| k.instantiate()).collect());
+        // `all` lists the kinds in declaration order (pinned by a test).
+        codes[self as usize].as_ref()
     }
 
     /// All kinds, useful for sweeps and exhaustive tests.
@@ -449,6 +469,20 @@ pub(crate) fn parity64(x: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::Hsiao39_32;
+
+    #[test]
+    fn shared_codes_are_one_instance_per_kind_equal_to_a_fresh_one() {
+        for (position, &kind) in CodeKind::all().iter().enumerate() {
+            assert_eq!(kind as usize, position, "`all` is in declaration order");
+            let shared = kind.shared();
+            assert!(std::ptr::addr_eq(shared, kind.shared()));
+            assert_eq!(shared.kind(), kind);
+            let fresh = kind.instantiate();
+            for data in [0, 1, 0xDEAD_BEEF, u64::from(u32::MAX)] {
+                assert_eq!(shared.encode(data), fresh.encode(data), "{kind}");
+            }
+        }
+    }
 
     #[test]
     fn code_kind_geometry() {

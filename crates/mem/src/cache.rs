@@ -27,7 +27,7 @@ struct Line {
     state: LineState,
     tag: u32,
     /// Boxed rather than a `Vec`: the length never changes after the first
-    /// fill, and the 8 bytes saved per line add up over an L2's 8192 slots.
+    /// fill, and the 8 bytes saved per line add up over an L2's filled sets.
     words: Box<[Codeword]>,
     /// Bit *i* set ⇔ `words[i]` was produced by `Codeword::encode` and has
     /// not been fault-flipped since.  A pristine codeword provably decodes
@@ -40,10 +40,9 @@ struct Line {
 }
 
 impl Line {
-    /// An invalid line.  The word storage stays unallocated until the first
-    /// fill: a campaign constructs a fresh `MemorySystem` per grid cell, and
-    /// most L2 lines of most cells are never touched, so eager allocation
-    /// (~8k vectors per hierarchy) would dominate short runs.
+    /// An invalid line.  The word storage stays unallocated until the
+    /// line's first fill: a set's first fill appends all its ways, and most
+    /// of them may never be filled in a short run.
     fn empty() -> Self {
         Line {
             state: LineState::Invalid,
@@ -75,9 +74,11 @@ impl Line {
 
 /// Decodes one stored word: a `pristine` codeword (encoded and not struck
 /// since) provably decodes to `(data, Clean)`, so it skips the syndrome
-/// computation; any other runs the decoder.  The cache and the seed
-/// overlays ([`crate::overlay`]) decode every stored word through this one
-/// function.
+/// computation; any other runs the decoder.  The data needs no masking:
+/// stored words are 32-bit values or decoder outputs, and every
+/// [`laec_ecc::CodeKind`] covers at least 32 data bits.  The cache and the
+/// seed overlays ([`crate::overlay`]) decode every stored word through this
+/// one function.
 pub(crate) fn decode_stored(
     codeword: Codeword,
     pristine: bool,
@@ -85,7 +86,7 @@ pub(crate) fn decode_stored(
 ) -> Decoded {
     if pristine {
         let decoded = Decoded {
-            data: codeword.data() & code.data_mask(),
+            data: codeword.data(),
             outcome: Outcome::Clean,
         };
         debug_assert_eq!(decoded, codeword.decode(code));
@@ -217,7 +218,7 @@ pub struct EvictedLine {
 /// corrupted bits, exactly like hardware would).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MetaCorruption {
-    /// Flat line index (`set * ways + way`).
+    /// The struck line's slot.
     index: usize,
     /// The tag the line carried before any tag-bit strike.
     true_tag: u32,
@@ -239,10 +240,17 @@ struct MetaCorruption {
 #[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
-    /// All lines, flattened set-major (`lines[set * ways + way]`): one
-    /// allocation per cache instead of one per set, which matters because
-    /// campaigns construct a fresh hierarchy per grid cell.
+    /// The lines of every set filled so far: one block of `ways` lines per
+    /// set, appended on the set's first fill, in one vector.  Campaigns
+    /// build a fresh hierarchy per grid cell, and most of an L2's 8 192
+    /// lines stay untouched in a cell, so an untouched set costs one entry
+    /// of `blocks` to build, drain and drop.  A line is named by its
+    /// position here, its *slot*.
     lines: Vec<Line>,
+    /// Per set, the slot of its block's first line, or [`UNFILLED`].
+    blocks: Vec<u32>,
+    /// Per block, in `lines` order, the set it holds.
+    block_sets: Vec<u32>,
     /// Precomputed address-decomposition geometry.  `CacheConfig::sets()`
     /// re-validates the whole configuration on every call, which is far too
     /// expensive for the per-access hot path.
@@ -250,7 +258,9 @@ pub struct Cache {
     index_bits: u32,
     set_mask: u32,
     way_count: usize,
-    code: Box<dyn EccCode + Send + Sync>,
+    /// The protecting code: one instance per [`laec_ecc::CodeKind`],
+    /// shared by every cache.
+    code: &'static (dyn EccCode + Send + Sync),
     /// Which coherence decision table governs this cache's snoop responses
     /// and the width of its state metadata.  Defaults to MESI; a
     /// uniprocessor never takes a protocol-dependent transition, so the
@@ -292,15 +302,16 @@ impl Cache {
         // any simulation state exists.
         config.validate().expect("invalid cache geometry");
         let sets = config.sets();
-        let lines = (0..sets * config.ways).map(|_| Line::empty()).collect();
         Cache {
             config,
-            lines,
+            lines: Vec::new(),
+            blocks: vec![UNFILLED; sets as usize],
+            block_sets: Vec::new(),
             offset_bits: config.line_bytes.trailing_zeros(),
             index_bits: sets.trailing_zeros(),
             set_mask: sets - 1,
             way_count: config.ways as usize,
-            code: config.protection.instantiate(),
+            code: config.protection.shared(),
             protocol: ProtocolKind::Mesi,
             stats: CacheStats::new(),
             access_counter: 0,
@@ -331,8 +342,8 @@ impl Cache {
     }
 
     /// The code protecting every stored word.
-    pub(crate) fn code(&self) -> &(dyn EccCode + Send + Sync) {
-        self.code.as_ref()
+    pub(crate) fn code(&self) -> &'static (dyn EccCode + Send + Sync) {
+        self.code
     }
 
     /// Accumulated statistics.
@@ -388,24 +399,34 @@ impl Cache {
         self.way_count
     }
 
-    /// The lines of one set, as a flat-index range.
-    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
-        set * self.ways()..(set + 1) * self.ways()
+    /// The slots of one set's lines: empty until the set's first fill.
+    fn set_slots(&self, set: usize) -> std::ops::Range<usize> {
+        match self.blocks[set] {
+            UNFILLED => 0..0,
+            first => first as usize..first as usize + self.ways(),
+        }
     }
 
-    fn find_way(&self, address: u32) -> Option<usize> {
-        let set = self.set_index(address);
+    /// The set whose block holds `slot`.
+    fn set_of(&self, slot: usize) -> usize {
+        self.block_sets[slot / self.ways()] as usize
+    }
+
+    /// The slot of the valid line holding `address`, if it is resident.
+    fn find(&self, address: u32) -> Option<usize> {
+        let slots = self.set_slots(self.set_index(address));
         let tag = self.tag(address);
-        self.lines[self.set_range(set)]
+        let way = self.lines[slots.clone()]
             .iter()
-            .position(|line| line.state.is_valid() && line.tag == tag)
+            .position(|line| line.state.is_valid() && line.tag == tag)?;
+        Some(slots.start + way)
     }
 
     /// `true` if the word at `address` is resident, without disturbing LRU or
     /// statistics.
     #[must_use]
     pub fn probe(&self, address: u32) -> bool {
-        self.find_way(address).is_some()
+        self.find(address).is_some()
     }
 
     /// Reads the (decoded) word at `address` without updating LRU state,
@@ -421,10 +442,9 @@ impl Cache {
     /// before a destructive operation (store merge, eviction) consumes it.
     #[must_use]
     pub fn probe_decoded(&self, address: u32) -> Option<(u32, Outcome)> {
-        let way = self.find_way(address)?;
-        let set = self.set_index(address);
+        let index = self.find(address)?;
         let word = self.word_index(address);
-        let decoded = self.lines[set * self.ways() + way].decode_word(word, self.code.as_ref());
+        let decoded = self.lines[index].decode_word(word, self.code);
         Some((decoded.data as u32, decoded.outcome))
     }
 
@@ -436,7 +456,7 @@ impl Cache {
     #[must_use]
     pub fn victim_probe(&self, address: u32) -> Option<u32> {
         let set = self.set_index(address);
-        let lines = &self.lines[self.set_range(set)];
+        let lines = &self.lines[self.set_slots(set)];
         if lines.iter().any(|line| !line.state.is_valid()) {
             return None;
         }
@@ -454,22 +474,21 @@ impl Cache {
     /// place and the outcome is recorded in the statistics.
     pub fn read_word(&mut self, address: u32) -> Option<ReadHit> {
         self.access_counter += 1;
-        let Some(way) = self.find_way(address) else {
+        let Some(index) = self.find(address) else {
             self.stats.read_misses += 1;
             if !self.corrupted.is_empty() {
                 self.record_shadowed_miss(address);
             }
             return None;
         };
-        let set = self.set_index(address);
         if !self.corrupted.is_empty() {
-            let index = set * self.ways() + way;
             if let Some(record) = self.corrupted.iter().find(|r| r.index == index) {
                 if record.true_tag != self.lines[index].tag {
                     // The hit only happened because the stored tag was
                     // flipped onto this address: the data belongs elsewhere.
                     self.stale_reads += 1;
                     if self.journal_enabled {
+                        let set = self.set_index(address);
                         let base = self.reconstruct_base(set, record.true_tag);
                         self.journal.push(CacheEvent::MetaOutcome {
                             base,
@@ -483,14 +502,13 @@ impl Cache {
         self.stats.read_hits += 1;
         let word = self.word_index(address);
         let counter = self.access_counter;
-        let index = set * self.ways() + way;
         let line = &mut self.lines[index];
         line.last_used = counter;
-        let decoded = line.decode_word(word, self.code.as_ref());
+        let decoded = line.decode_word(word, self.code);
         self.stats.ecc.record(decoded.outcome);
         if decoded.outcome.is_corrected() {
             // Scrub: rewrite the corrected word so the error does not linger.
-            line.words[word] = Codeword::encode(self.code.as_ref(), decoded.data);
+            line.words[word] = Codeword::encode(self.code, decoded.data);
             line.pristine |= 1u64 << word;
         }
         Some(ReadHit {
@@ -506,7 +524,7 @@ impl Cache {
     fn record_shadowed_miss(&mut self, address: u32) {
         let set = self.set_index(address);
         let tag = self.tag(address);
-        let range = self.set_range(set);
+        let range = self.set_slots(set);
         for record in &self.corrupted {
             if range.contains(&record.index)
                 && record.true_tag == tag
@@ -538,24 +556,22 @@ impl Cache {
     /// level.
     pub fn write_word_masked(&mut self, address: u32, value: u32, byte_mask: u8) -> bool {
         self.access_counter += 1;
-        let Some(way) = self.find_way(address) else {
+        let Some(index) = self.find(address) else {
             self.stats.write_misses += 1;
             return false;
         };
         self.stats.write_hits += 1;
-        let set = self.set_index(address);
         let word = self.word_index(address);
         let counter = self.access_counter;
         let dirty_on_write = self.config.write_policy == WritePolicy::WriteBack;
         let mask = expand_byte_mask(byte_mask);
-        let index = set * self.ways() + way;
         let line = &mut self.lines[index];
         line.last_used = counter;
-        let decoded = line.decode_word(word, self.code.as_ref());
+        let decoded = line.decode_word(word, self.code);
         self.stats.ecc.record(decoded.outcome);
         let old = decoded.data as u32;
         let merged = (old & !mask) | (value & mask);
-        line.words[word] = Codeword::encode(self.code.as_ref(), u64::from(merged));
+        line.words[word] = Codeword::encode(self.code, u64::from(merged));
         line.pristine |= 1u64 << word;
         if dirty_on_write {
             line.state = LineState::Modified;
@@ -564,10 +580,10 @@ impl Cache {
                 // write: the line is dirty again and will be written back.
                 let tag = self.lines[index].tag;
                 if self.journal_enabled {
-                    let ways = self.ways();
+                    let set = self.set_of(index);
                     for record in &self.corrupted {
                         if record.index == index && record.true_tag == tag {
-                            let base = self.reconstruct_base(record.index / ways, record.true_tag);
+                            let base = self.reconstruct_base(set, record.true_tag);
                             self.journal.push(CacheEvent::MetaOutcome {
                                 base,
                                 outcome: FaultOutcome::Masked,
@@ -596,8 +612,7 @@ impl Cache {
     /// the request extends past it (a caller line larger than ours); the
     /// caller falls back to per-word reads.
     pub fn read_line_words(&mut self, base: u32, count: u32) -> Option<LineWords> {
-        let way = self.find_way(base)?;
-        let set = self.set_index(base);
+        let index = self.find(base)?;
         let first = self.word_index(base);
         if first + count as usize > self.config.words_per_line() as usize {
             return None;
@@ -605,8 +620,7 @@ impl Cache {
         self.access_counter += u64::from(count);
         self.stats.read_hits += u64::from(count);
         let counter = self.access_counter;
-        let code = self.code.as_ref();
-        let index = set * self.ways() + way;
+        let code = self.code;
         let line = &mut self.lines[index];
         line.last_used = counter;
         let mut out = LineWords::new();
@@ -642,9 +656,17 @@ impl Cache {
         let tag = self.tag(address);
         let counter = self.access_counter;
 
+        // The set's first fill appends its block of invalid lines.
+        if self.blocks[set] == UNFILLED {
+            self.blocks[set] = self.lines.len() as u32;
+            self.block_sets.push(set as u32);
+            self.lines
+                .extend(std::iter::repeat_with(Line::empty).take(self.ways()));
+        }
         // Prefer an invalid way; otherwise evict the LRU way.
+        let slots = self.set_slots(set);
         let way = {
-            let lines = &self.lines[self.set_range(set)];
+            let lines = &self.lines[slots.clone()];
             lines
                 .iter()
                 .position(|line| !line.state.is_valid())
@@ -661,11 +683,11 @@ impl Cache {
                 })
         };
 
-        let index = set * self.ways() + way;
+        let index = slots.start + way;
         let evicted = {
             let line = &self.lines[index];
             if line.state.is_valid() {
-                let (words, uncorrectable) = line.decode_all(self.code.as_ref());
+                let (words, uncorrectable) = line.decode_all(self.code);
                 Some(EvictedLine {
                     base_address: self.reconstruct_base(set, line.tag),
                     words,
@@ -686,7 +708,7 @@ impl Cache {
             self.retire_corruption(index);
         }
 
-        let code = self.code.as_ref();
+        let code = self.code;
         let line = &mut self.lines[index];
         line.state = LineState::Exclusive;
         line.tag = tag;
@@ -710,9 +732,7 @@ impl Cache {
     /// `true` if it was resident.  Used by the WT+parity recovery path: a
     /// detected parity error simply drops the line and refetches it.
     pub fn invalidate(&mut self, address: u32) -> bool {
-        if let Some(way) = self.find_way(address) {
-            let set = self.set_index(address);
-            let index = set * self.ways() + way;
+        if let Some(index) = self.find(address) {
             if !self.corrupted.is_empty() {
                 self.retire_corruption(index);
             }
@@ -738,7 +758,7 @@ impl Cache {
                 self.lost_writebacks += 1;
             }
             if self.journal_enabled {
-                let base = self.reconstruct_base(index / self.ways(), record.true_tag);
+                let base = self.reconstruct_base(self.set_of(index), record.true_tag);
                 let (outcome, activation) = if lost {
                     // The eviction/flush that retired the record is the
                     // moment the dirty data missed its writeback.
@@ -761,9 +781,7 @@ impl Cache {
     /// Marks the line containing `address` clean (after an explicit
     /// writeback), returning `true` if it was resident.
     pub fn clean(&mut self, address: u32) -> bool {
-        if let Some(way) = self.find_way(address) {
-            let set = self.set_index(address);
-            let index = set * self.ways() + way;
+        if let Some(index) = self.find(address) {
             if self.lines[index].state.is_dirty() {
                 self.lines[index].state = LineState::Exclusive;
             }
@@ -777,8 +795,8 @@ impl Cache {
     /// not resident).  Does not disturb LRU state or statistics.
     #[must_use]
     pub fn coherence_state(&self, address: u32) -> LineState {
-        match self.find_way(address) {
-            Some(way) => self.lines[self.set_index(address) * self.ways() + way].state,
+        match self.find(address) {
+            Some(index) => self.lines[index].state,
             None => LineState::Invalid,
         }
     }
@@ -788,8 +806,7 @@ impl Cache {
     /// if the line was resident.  Use [`Cache::invalidate`] to drop a line.
     pub fn set_coherence_state(&mut self, address: u32, state: LineState) -> bool {
         debug_assert_ne!(state, LineState::Invalid, "use invalidate() to drop");
-        if let Some(way) = self.find_way(address) {
-            let index = self.set_index(address) * self.ways() + way;
+        if let Some(index) = self.find(address) {
             self.lines[index].state = state;
             true
         } else {
@@ -809,14 +826,12 @@ impl Cache {
         // A copy hidden behind a flipped tag is missed here too: it survives
         // the invalidation and keeps serving aliased reads (counted at read
         // time) — exactly the coherence hole a tag strike opens.
-        let Some(way) = self.find_way(address) else {
+        let Some(index) = self.find(address) else {
             return SnoopResult::default();
         };
-        let set = self.set_index(address);
-        let index = set * self.ways() + way;
         let was_modified = self.lines[index].state.is_dirty();
         let (supplied, uncorrectable) = if was_modified {
-            let (words, uncorrectable) = self.lines[index].decode_all(self.code.as_ref());
+            let (words, uncorrectable) = self.lines[index].decode_all(self.code);
             (Some(words), uncorrectable)
         } else {
             (None, false)
@@ -858,17 +873,15 @@ impl Cache {
         byte_mask: u8,
         next: LineState,
     ) -> bool {
-        let Some(way) = self.find_way(address) else {
+        let Some(index) = self.find(address) else {
             return false;
         };
-        let set = self.set_index(address);
         let word = self.word_index(address);
         let mask = expand_byte_mask(byte_mask);
-        let index = set * self.ways() + way;
         let line = &mut self.lines[index];
-        let old = line.decode_word(word, self.code.as_ref()).data as u32;
+        let old = line.decode_word(word, self.code).data as u32;
         let merged = (old & !mask) | (value & mask);
-        line.words[word] = Codeword::encode(self.code.as_ref(), u64::from(merged));
+        line.words[word] = Codeword::encode(self.code, u64::from(merged));
         line.pristine |= 1u64 << word;
         line.state = next;
         if !self.corrupted.is_empty() {
@@ -879,10 +892,10 @@ impl Cache {
             // address).
             let tag = self.lines[index].tag;
             if self.journal_enabled {
-                let ways = self.ways();
+                let set = self.set_of(index);
                 for record in &self.corrupted {
                     if record.index == index && record.true_tag == tag {
-                        let base = self.reconstruct_base(record.index / ways, record.true_tag);
+                        let base = self.reconstruct_base(set, record.true_tag);
                         self.journal.push(CacheEvent::MetaOutcome {
                             base,
                             outcome: FaultOutcome::Masked,
@@ -912,7 +925,7 @@ impl Cache {
     ) -> Option<u32> {
         let k = (!slots.is_empty()).then(|| injector.next_below(slots.len() as u64))?;
         let index = slots[k as usize];
-        let set_index = index / self.ways();
+        let set_index = self.set_of(index);
         let corrupted = self.corrupted.iter().find(|r| r.index == index);
         let already_corrupted = corrupted.is_some();
         let (true_tag, truly_dirty) = match corrupted {
@@ -1000,17 +1013,15 @@ impl Cache {
     /// returning `true` if the word was resident (faults cannot be injected
     /// into non-resident lines).
     pub fn inject_fault(&mut self, address: u32, plan: &FlipPlan) -> bool {
-        let Some(way) = self.find_way(address) else {
+        let Some(index) = self.find(address) else {
             return false;
         };
-        let set = self.set_index(address);
         let word = self.word_index(address);
-        let index = set * self.ways() + way;
         if self.journal_enabled {
             // Ground truth for SDC classification: the decoded value before
             // the strike (unknowable only when the word was already
             // undecodable from an earlier unresolved strike).
-            let decoded = self.lines[index].decode_word(word, self.code.as_ref());
+            let decoded = self.lines[index].decode_word(word, self.code);
             let true_value = if decoded.outcome.is_usable() {
                 Some(decoded.data as u32)
             } else {
@@ -1026,18 +1037,23 @@ impl Cache {
         true
     }
 
-    /// Snapshots the flat indices of the valid lines, in flat (set-major)
-    /// order, into `slots`: what a data strike draws its word from.  A
-    /// reused `slots` allocates only for the first snapshot.
+    /// Snapshots the slots of the valid lines, in set-major order (by set,
+    /// then by way), into `slots`: what a data strike draws its word from.
+    /// A reused `slots` allocates only for the first snapshot.
     pub(crate) fn valid_slots(&self, slots: &mut Vec<usize>) {
         slots.clear();
         slots.reserve(self.lines.len());
-        slots.extend((0..self.lines.len()).filter(|&slot| self.lines[slot].state.is_valid()));
+        for set in 0..self.blocks.len() {
+            let valid = self
+                .set_slots(set)
+                .filter(|&slot| self.lines[slot].state.is_valid());
+            slots.extend(valid);
+        }
     }
 
-    /// Address of word `word` of the line in flat slot `slot`.
+    /// Address of word `word` of the line in slot `slot`.
     pub(crate) fn slot_word_address(&self, slot: usize, word: u64) -> u32 {
-        self.reconstruct_base(slot / self.ways(), self.lines[slot].tag) + 4 * word as u32
+        self.reconstruct_base(self.set_of(slot), self.lines[slot].tag) + 4 * word as u32
     }
 
     /// Number of dirty lines currently resident.
@@ -1058,29 +1074,37 @@ impl Cache {
             .count()
     }
 
-    /// Writes back the next dirty line at or after flat line index
-    /// `*cursor` and moves the cursor past it, or returns `None` once no
-    /// dirty line remains.  Calling it from cursor 0 until it returns
-    /// `None` flushes every dirty line (used at program end so the memory
-    /// image can be compared across schemes), one line at a time, so no
-    /// list of lines is ever built.
+    /// Writes back the next dirty line at or after line `*cursor` in
+    /// set-major order (`set * ways + way`) and moves the cursor past it,
+    /// or returns `None` once no dirty line remains.  Calling it from
+    /// cursor 0 until it returns `None` flushes every dirty line (used at
+    /// program end so the memory image can be compared across schemes),
+    /// one line at a time, so no list of lines is ever built; sets never
+    /// filled are skipped whole.
     pub fn flush_next_dirty(&mut self, cursor: &mut usize) -> Option<EvictedLine> {
-        while let Some(line) = self.lines.get(*cursor) {
-            let index = *cursor;
-            *cursor += 1;
-            if line.state.is_dirty() {
-                let (words, uncorrectable) = line.decode_all(self.code.as_ref());
-                let base_address = self.reconstruct_base(index / self.ways(), line.tag);
-                self.lines[index].state = LineState::Exclusive;
-                self.stats.writebacks += 1;
-                return Some(EvictedLine {
-                    base_address,
-                    words,
-                    dirty: true,
-                    uncorrectable,
-                });
+        let ways = self.ways();
+        let (mut set, mut first_way) = (*cursor / ways, *cursor % ways);
+        while set < self.blocks.len() {
+            for (way, index) in self.set_slots(set).enumerate().skip(first_way) {
+                let line = &self.lines[index];
+                if line.state.is_dirty() {
+                    let (words, uncorrectable) = line.decode_all(self.code);
+                    let base_address = self.reconstruct_base(set, line.tag);
+                    self.lines[index].state = LineState::Exclusive;
+                    self.stats.writebacks += 1;
+                    *cursor = set * ways + way + 1;
+                    return Some(EvictedLine {
+                        base_address,
+                        words,
+                        dirty: true,
+                        uncorrectable,
+                    });
+                }
             }
+            set += 1;
+            first_way = 0;
         }
+        *cursor = self.blocks.len() * ways;
         // Architecturally-dirty lines whose corrupted metadata hid them from
         // this flush have now missed their last chance to reach memory.
         if !self.corrupted.is_empty() {
@@ -1097,6 +1121,9 @@ impl Cache {
             | ((set_index as u32) << self.offset_bits())
     }
 }
+
+/// The `Cache::blocks` entry of a set never filled.
+const UNFILLED: u32 = u32::MAX;
 
 /// All-pristine mask for a line of `words` words (the `pristine` bitmask is
 /// a u64, which `CacheConfig::validate`'s line-size bounds keep sufficient).

@@ -166,6 +166,18 @@ impl MemorySystem {
         }
     }
 
+    /// Zeroes every traffic counter — each core's, its DL1's, the L2's
+    /// and the coherence counters — and keeps the caches' contents, e.g.
+    /// after a warm-up phase.
+    pub fn reset_stats(&mut self) {
+        for side in &mut self.cores {
+            side.stats = MemStats::new();
+            side.dl1.reset_stats();
+        }
+        self.l2.reset_stats();
+        self.coherence = CoherenceStats::default();
+    }
+
     /// Number of cores (private DL1s).
     #[must_use]
     pub fn cores(&self) -> usize {
@@ -1018,7 +1030,7 @@ impl MemorySystem {
 
 /// Draws a data strike against `dl1`, whose valid lines `slots` holds
 /// ([`Cache::valid_slots`]), without applying it: a random resident word
-/// — counting lines in slot order and the words of a line in address
+/// — counting lines in set-major order and the words of a line in address
 /// order — and the flips the campaign's strike pattern lands on it, or
 /// `None` when the DL1 holds nothing to strike.  Injection into the cache
 /// ([`MemorySystem::inject_random_dl1_fault`]) and the seed overlays both

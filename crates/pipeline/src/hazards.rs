@@ -67,7 +67,9 @@ impl LookaheadDecision {
 }
 
 /// Summary of the immediately preceding dynamic instruction, as far as the
-/// look-ahead decision is concerned.
+/// look-ahead decision is concerned.  The default — no load, no
+/// destination — stands for "no previous instruction" at the start of a
+/// program, and blocks nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PreviousInstruction {
     /// `true` if it was a load.
@@ -93,8 +95,9 @@ impl PreviousInstruction {
 
 /// Decides whether `load` can be anticipated.
 ///
-/// * `previous` — the immediately preceding *dynamic* instruction (or `None`
-///   at the start of the program, when anticipation is always safe),
+/// * `previous` — the immediately preceding *dynamic* instruction
+///   ([`PreviousInstruction::default`] at the start of the program, when
+///   anticipation is always safe),
 /// * `address_ready_cycle` — the cycle at whose end the last producer of the
 ///   load's address registers makes its value bypassable,
 /// * `ra_work_cycle` — the cycle in which the load would perform its
@@ -102,20 +105,18 @@ impl PreviousInstruction {
 #[must_use]
 pub fn decide_lookahead(
     load: &Instruction,
-    previous: Option<&PreviousInstruction>,
+    previous: &PreviousInstruction,
     address_ready_cycle: u64,
     ra_work_cycle: u64,
 ) -> LookaheadDecision {
     debug_assert!(load.is_load(), "look-ahead only applies to loads");
-    if let Some(previous) = previous {
-        if let Some(def) = previous.def {
-            if load.address_uses().contains(def) {
-                return LookaheadDecision::blocked(LookaheadBlock::DataHazard);
-            }
+    if let Some(def) = previous.def {
+        if load.address_uses().contains(def) {
+            return LookaheadDecision::blocked(LookaheadBlock::DataHazard);
         }
-        if previous.is_load && !previous.anticipated {
-            return LookaheadDecision::blocked(LookaheadBlock::ResourceHazard);
-        }
+    }
+    if previous.is_load && !previous.anticipated {
+        return LookaheadDecision::blocked(LookaheadBlock::ResourceHazard);
     }
     if address_ready_cycle >= ra_work_cycle {
         return LookaheadDecision::blocked(LookaheadBlock::OperandNotReady);
@@ -148,7 +149,7 @@ mod tests {
 
     #[test]
     fn first_instruction_can_always_anticipate() {
-        let decision = decide_lookahead(&load(1), None, 0, 10);
+        let decision = decide_lookahead(&load(1), &PreviousInstruction::default(), 0, 10);
         assert!(decision.anticipated);
         assert_eq!(decision.blocked, None);
     }
@@ -157,7 +158,7 @@ mod tests {
     fn data_hazard_blocks_when_previous_produces_the_base() {
         // Fig. 7(b): `r1 = r4 + r6; r3 = load(r1 + r2)` — no look-ahead.
         let previous = PreviousInstruction::from_instruction(&alu(1), false);
-        let decision = decide_lookahead(&load(1), Some(&previous), 0, 10);
+        let decision = decide_lookahead(&load(1), &previous, 0, 10);
         assert_eq!(decision.blocked, Some(LookaheadBlock::DataHazard));
     }
 
@@ -166,14 +167,14 @@ mod tests {
         // Fig. 7(a): the previous instruction writes a register the load does
         // not use for its address.
         let previous = PreviousInstruction::from_instruction(&alu(9), false);
-        let decision = decide_lookahead(&load(1), Some(&previous), 0, 10);
+        let decision = decide_lookahead(&load(1), &previous, 0, 10);
         assert!(decision.anticipated);
     }
 
     #[test]
     fn preceding_plain_load_is_a_resource_hazard() {
         let previous = PreviousInstruction::from_instruction(&load(5), false);
-        let decision = decide_lookahead(&load(1), Some(&previous), 0, 10);
+        let decision = decide_lookahead(&load(1), &previous, 0, 10);
         assert_eq!(decision.blocked, Some(LookaheadBlock::ResourceHazard));
     }
 
@@ -182,7 +183,7 @@ mod tests {
         // Back-to-back anticipated loads pipeline cleanly: the earlier load
         // uses the DL1 port one cycle before the later one needs it.
         let previous = PreviousInstruction::from_instruction(&load(5), true);
-        let decision = decide_lookahead(&load(1), Some(&previous), 0, 10);
+        let decision = decide_lookahead(&load(1), &previous, 0, 10);
         assert!(decision.anticipated);
     }
 
@@ -197,7 +198,7 @@ mod tests {
             offset: 0,
         };
         let previous = PreviousInstruction::from_instruction(&producer, true);
-        let decision = decide_lookahead(&load(3), Some(&previous), 0, 10);
+        let decision = decide_lookahead(&load(3), &previous, 0, 10);
         assert_eq!(decision.blocked, Some(LookaheadBlock::DataHazard));
     }
 
@@ -206,10 +207,10 @@ mod tests {
         // The base register is produced by an older load whose value only
         // becomes available at cycle 12; RA work would happen at cycle 10.
         let previous = PreviousInstruction::from_instruction(&alu(9), false);
-        let decision = decide_lookahead(&load(1), Some(&previous), 12, 10);
+        let decision = decide_lookahead(&load(1), &previous, 12, 10);
         assert_eq!(decision.blocked, Some(LookaheadBlock::OperandNotReady));
         // Once the value is ready strictly before the RA work cycle, go.
-        let decision = decide_lookahead(&load(1), Some(&previous), 9, 10);
+        let decision = decide_lookahead(&load(1), &previous, 9, 10);
         assert!(decision.anticipated);
     }
 
@@ -218,7 +219,7 @@ mod tests {
         // Base r0: no address registers at all, so only the resource hazard
         // can block.
         let previous = PreviousInstruction::from_instruction(&alu(1), false);
-        let decision = decide_lookahead(&load(0), Some(&previous), 0, 1);
+        let decision = decide_lookahead(&load(0), &previous, 0, 1);
         assert!(decision.anticipated);
     }
 }

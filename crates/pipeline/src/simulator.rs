@@ -93,46 +93,23 @@ impl SimResult {
 /// Stage-entry slots per instruction: the deepest pipeline's stage count.
 const MAX_STAGES: usize = Stage::WITH_ECC_STAGE.len();
 
-/// Timing footprint of the previously processed dynamic instruction.
-#[derive(Debug, Clone, Copy)]
+/// Positions of the stages `step` addresses directly.  Both stage tables
+/// ([`Stage::BASELINE`] and [`Stage::WITH_ECC_STAGE`]) share them: the ECC
+/// stage sits after Memory, so a scheme changes only the pipeline's depth.
+const REGISTER_ACCESS: usize = 2;
+const EXECUTE: usize = 3;
+const MEMORY: usize = 4;
+
+/// Timing footprint of the previously processed dynamic instruction.  Before
+/// the first instruction it is all zeroes: no stage is occupied (every
+/// structural constraint reads 0) and the summary names no load and no
+/// destination, which lets every look-ahead through.
+#[derive(Debug, Clone, Copy, Default)]
 struct PrevTiming {
-    /// Entry cycle per stage; only the first `StageLayout::depth` slots
-    /// are meaningful.
-    entry: [u64; MAX_STAGES],
-    leave_last: u64,
+    /// Entry cycle per stage, then the cycle it left the last stage: only
+    /// the first `Core::depth + 1` slots are meaningful.
+    entry: [u64; MAX_STAGES + 1],
     summary: PreviousInstruction,
-}
-
-/// The scheme's pipeline depth and the positions of the stages `step`
-/// addresses directly, looked up once per core: the scheme never changes
-/// mid-run.  Bytes, so the lookup adds four bytes to every [`Core`].
-#[derive(Debug, Clone, Copy)]
-struct StageLayout {
-    depth: u8,
-    register_access: u8,
-    execute: u8,
-    memory: u8,
-}
-
-impl StageLayout {
-    fn new(scheme: EccScheme) -> Self {
-        let stages = scheme.stages();
-        let position = |stage| stage_index(stages, stage) as u8;
-        StageLayout {
-            depth: stages.len() as u8,
-            register_access: position(Stage::RegisterAccess),
-            execute: position(Stage::Execute),
-            memory: position(Stage::Memory),
-        }
-    }
-}
-
-/// Recently retired producers, for the dependent-load statistic.
-#[derive(Debug, Clone, Copy)]
-struct RecentProducer {
-    def: Option<Reg>,
-    was_load: bool,
-    counted: bool,
 }
 
 /// One core's pipeline: the program, architectural and timing state, and
@@ -144,7 +121,9 @@ pub struct Core {
     /// The core index every access, strike and drain names.
     index: usize,
     config: PipelineConfig,
-    layout: StageLayout,
+    /// The scheme's pipeline depth (7 or 8 stages), looked up once: the
+    /// scheme never changes mid-run.
+    depth: usize,
     program: Program,
     regs: RegisterFile,
     stats: PipelineStats,
@@ -153,13 +132,16 @@ pub struct Core {
     /// Cycle at whose end each architectural register's newest value becomes
     /// bypassable.
     reg_ready: [u64; NUM_REGS],
-    prev: Option<PrevTiming>,
+    prev: PrevTiming,
     redirect_cycle: u64,
     /// Completion cycles of stores still draining from the write buffer.
     wb_completions: VecDeque<u64>,
     /// Cycle at which the write-buffer drain engine frees up.
     wb_free_at: u64,
-    recent: VecDeque<RecentProducer>,
+    /// The dependent-load window over the two newest instructions, newest
+    /// first: an instruction's destination while it is a load whose value
+    /// no later instruction has used yet, else `None`.
+    unconsumed_loads: [Option<Reg>; 2],
     pc: u32,
     halted: bool,
     hit_instruction_limit: bool,
@@ -239,8 +221,7 @@ impl Simulator {
         for &address in addresses {
             let _ = self.mem.load(0, address, 0);
         }
-        // Forget the warm-up traffic in the statistics.
-        self.core.stats.mem = self.mem.core_stats(0);
+        self.mem.reset_stats();
     }
 
     /// Pre-sets an architectural register before the run (test/example setup).
@@ -269,18 +250,18 @@ impl Core {
         let chronogram = Chronogram::new(config.trace_instructions);
         Core {
             index,
-            layout: StageLayout::new(config.scheme),
+            depth: config.scheme.stages().len(),
             program,
             regs: RegisterFile::new(),
             stats: PipelineStats::new(),
             chronogram,
             fault_campaign,
             reg_ready: [0; NUM_REGS],
-            prev: None,
+            prev: PrevTiming::default(),
             redirect_cycle: 1,
             wb_completions: VecDeque::new(),
             wb_free_at: 0,
-            recent: VecDeque::with_capacity(2),
+            unconsumed_loads: [None; 2],
             pc: 0,
             halted: false,
             hit_instruction_limit: false,
@@ -348,15 +329,17 @@ impl Core {
 
     /// Processes one dynamic instruction: timing, function and statistics.
     fn step(&mut self, mem: &mut MemorySystem, instruction: Instruction) {
-        let n = usize::from(self.layout.depth);
-        let idx_ra = usize::from(self.layout.register_access);
-        let idx_ex = usize::from(self.layout.execute);
-        let idx_m = usize::from(self.layout.memory);
+        let n = self.depth;
+        let uses = instruction.uses();
+        let def = instruction.def();
+        let is_load = instruction.is_load();
+        let is_store = instruction.is_store();
 
         // --- structural timing skeleton (fetch through execute) ------------
-        let mut entry = [0u64; MAX_STAGES];
+        // Slot `n` holds the cycle the instruction leaves the last stage.
+        let mut entry = [0u64; MAX_STAGES + 1];
         entry[0] = self.structural(0).max(self.redirect_cycle).max(1);
-        for s in 1..=idx_ex {
+        for s in 1..=EXECUTE {
             entry[s] = (entry[s - 1] + 1).max(self.structural(s));
         }
         if let Some(recorder) = mem.recorder() {
@@ -364,21 +347,28 @@ impl Core {
         }
 
         // --- dependent-load statistic (Table II row 2) ----------------------
-        self.update_dependent_loads(&instruction);
+        // A load is "dependent" if an instruction at dynamic distance 1 or 2
+        // uses its destination.
+        for unconsumed in &mut self.unconsumed_loads {
+            if unconsumed.is_some_and(|def| uses.contains(def)) {
+                *unconsumed = None;
+                self.stats.dependent_loads += 1;
+            }
+        }
 
         // --- LAEC look-ahead decision ---------------------------------------
         let mut lookahead = false;
-        if self.config.scheme.supports_look_ahead() && instruction.is_load() {
+        if self.config.scheme.supports_look_ahead() && is_load {
             let address_ready = instruction
                 .address_uses()
                 .iter()
                 .map(|r| self.reg_ready[usize::from(r)])
                 .max()
                 .unwrap_or(0);
-            let ra_work_cycle = entry[idx_ex].saturating_sub(1);
+            let ra_work_cycle = entry[EXECUTE].saturating_sub(1);
             let decision = decide_lookahead(
                 &instruction,
-                self.prev.as_ref().map(|p| &p.summary),
+                &self.prev.summary,
                 address_ready,
                 ra_work_cycle,
             );
@@ -396,15 +386,15 @@ impl Core {
         }
 
         // --- memory-stage entry: operand, write-buffer constraints ----------
-        let mut memory_entry = (entry[idx_ex] + 1).max(self.structural(idx_m));
+        let mut memory_entry = (entry[EXECUTE] + 1).max(self.structural(MEMORY));
         let natural_memory_entry = memory_entry;
 
         // Operand readiness: Execute work happens at `memory_entry - 1` and
         // needs every source bypassable by the end of the previous cycle.
         // Anticipated loads consume their address register in Register Access
         // instead (eligibility already guaranteed readiness there).
-        if !(lookahead && instruction.is_load()) {
-            for reg in instruction.uses().iter() {
+        if !lookahead {
+            for reg in uses.iter() {
                 memory_entry = memory_entry.max(self.reg_ready[usize::from(reg)] + 2);
             }
         }
@@ -421,7 +411,7 @@ impl Core {
 
         // Write-buffer interaction (paper §III.B).
         let before_wb = memory_entry;
-        if instruction.is_load() {
+        if is_load {
             if self.wb_free_at > memory_entry {
                 memory_entry = self.wb_free_at;
                 self.stats.write_buffer_drain_stall_cycles += memory_entry - before_wb;
@@ -433,7 +423,7 @@ impl Core {
                     );
                 }
             }
-        } else if instruction.is_store() {
+        } else if is_store {
             self.retire_drained_stores(memory_entry);
             if self.wb_completions.len() >= self.config.hierarchy.write_buffer_entries as usize {
                 memory_entry = memory_entry.max(self.wb_free_at);
@@ -450,27 +440,26 @@ impl Core {
                 self.wb_completions.clear();
             }
         }
-        entry[idx_m] = memory_entry;
+        entry[MEMORY] = memory_entry;
 
-        // --- functional execution + memory-stage duration -------------------
+        // --- execution: memory access, architectural update, control flow --
         let mut memory_duration = 1u64;
-        let mut loaded_value: Option<u32> = None;
         let mut load_hit = false;
-
+        let mut next_pc = self.pc + 1;
         match instruction {
             Instruction::Load {
                 width,
+                rd,
                 base,
                 offset,
-                ..
             } => {
                 self.stats.loads += 1;
                 let address = semantics::effective_address(self.regs.read(base), offset);
-                let response = mem.load(self.index, address & !3, entry[idx_m]);
+                let response = mem.load(self.index, address & !3, memory_entry);
                 if let Some(recorder) = mem.recorder() {
                     recorder.record_mem_read(
                         address & !3,
-                        entry[idx_m],
+                        memory_entry,
                         response.value,
                         response.dl1_hit,
                         response.extra_cycles,
@@ -492,55 +481,30 @@ impl Core {
                         self.stats.flush_cycles += u64::from(flush_penalty);
                     }
                 }
-                loaded_value = Some(semantics::extract_loaded(response.value, address, width));
+                let value = semantics::extract_loaded(response.value, address, width);
+                self.regs.write(rd, value);
             }
             Instruction::Store {
                 width,
                 src,
                 base,
                 offset,
-                ..
             } => {
                 self.stats.stores += 1;
                 let address = semantics::effective_address(self.regs.read(base), offset);
                 let value = self.regs.read(src);
                 let (merged, mask) = store_word_and_mask(address, width, value);
-                let drain_start = self.wb_free_at.max(entry[idx_m]);
+                let drain_start = self.wb_free_at.max(memory_entry);
                 if let Some(recorder) = mem.recorder() {
                     recorder.record_mem_write(address & !3, drain_start, merged, mask);
                 }
                 let response = mem.store(self.index, address & !3, merged, mask, drain_start);
                 let occupancy = 1 + u64::from(response.extra_cycles);
                 self.wb_free_at = drain_start + occupancy;
+                // Every older entry still queued completes after
+                // `memory_entry`, and so does this one: nothing retires yet.
                 self.wb_completions.push_back(self.wb_free_at);
-                self.retire_drained_stores(entry[idx_m]);
             }
-            _ => {}
-        }
-        self.stats.memory_occupancy_stall_cycles += memory_duration - 1;
-
-        // --- remaining stages ------------------------------------------------
-        entry[idx_m + 1] = (entry[idx_m] + memory_duration).max(self.structural(idx_m + 1));
-        for s in (idx_m + 2)..n {
-            entry[s] = (entry[s - 1] + 1).max(self.structural(s));
-        }
-        let leave_last = entry[n - 1] + 1;
-        self.last_retire = self.last_retire.max(entry[n - 1]);
-
-        // --- destination readiness (bypass network) --------------------------
-        if let Some(def) = instruction.def() {
-            let ready = if instruction.is_load() {
-                self.load_result_ready(&entry, idx_m, n, load_hit, lookahead)
-            } else {
-                // ALU results (and call link values) come out of Execute.
-                entry[idx_m] - 1
-            };
-            self.reg_ready[usize::from(def)] = ready;
-        }
-
-        // --- control flow and architectural update ----------------------------
-        let mut next_pc = self.pc + 1;
-        match instruction {
             Instruction::Alu {
                 op,
                 rd,
@@ -554,10 +518,7 @@ impl Core {
                 };
                 self.regs.write(rd, semantics::eval_alu(op, a, b));
             }
-            Instruction::Load { rd, .. } => {
-                self.regs.write(rd, loaded_value.unwrap_or(0));
-            }
-            Instruction::Store { .. } | Instruction::Nop => {}
+            Instruction::Nop => {}
             Instruction::Branch {
                 cond,
                 rs1,
@@ -569,28 +530,48 @@ impl Core {
                 if taken {
                     self.stats.taken_control += 1;
                     next_pc = target;
-                    self.redirect_fetch(entry[idx_m], entry[0]);
+                    self.redirect_fetch(memory_entry, entry[0]);
                 }
             }
             Instruction::Jump { target } => {
                 self.stats.taken_control += 1;
                 next_pc = target;
-                self.redirect_fetch(entry[idx_ra] + 1, entry[0]);
+                self.redirect_fetch(entry[REGISTER_ACCESS] + 1, entry[0]);
             }
             Instruction::Call { target, link } => {
                 self.stats.taken_control += 1;
                 self.regs.write(link, self.pc + 1);
                 next_pc = target;
-                self.redirect_fetch(entry[idx_ra] + 1, entry[0]);
+                self.redirect_fetch(entry[REGISTER_ACCESS] + 1, entry[0]);
             }
             Instruction::JumpReg { target } => {
                 self.stats.taken_control += 1;
                 next_pc = self.regs.read(target);
-                self.redirect_fetch(entry[idx_m], entry[0]);
+                self.redirect_fetch(memory_entry, entry[0]);
             }
             Instruction::Halt => {
                 self.halted = true;
             }
+        }
+        self.stats.memory_occupancy_stall_cycles += memory_duration - 1;
+
+        // --- remaining stages ------------------------------------------------
+        entry[MEMORY + 1] = (memory_entry + memory_duration).max(self.structural(MEMORY + 1));
+        for s in (MEMORY + 2)..n {
+            entry[s] = (entry[s - 1] + 1).max(self.structural(s));
+        }
+        entry[n] = entry[n - 1] + 1;
+        self.last_retire = self.last_retire.max(entry[n - 1]);
+
+        // --- destination readiness (bypass network) --------------------------
+        if let Some(def) = def {
+            let ready = if is_load {
+                self.load_result_ready(&entry, load_hit, lookahead)
+            } else {
+                // ALU results (and call link values) come out of Execute.
+                memory_entry - 1
+            };
+            self.reg_ready[usize::from(def)] = ready;
         }
 
         // --- bookkeeping -------------------------------------------------------
@@ -601,7 +582,7 @@ impl Core {
                 index: self.pc,
                 text: instruction.to_string(),
                 stages: stages.zip(entry).collect(),
-                retired: leave_last,
+                retired: entry[n],
                 lookahead,
             });
         }
@@ -614,37 +595,33 @@ impl Core {
             }
         }
         mem.commit_overlays(self.index, 1);
-        self.push_recent(&instruction);
-        self.prev = Some(PrevTiming {
+        self.unconsumed_loads = [def.filter(|_| is_load), self.unconsumed_loads[0]];
+        self.prev = PrevTiming {
             entry,
-            leave_last,
-            summary: PreviousInstruction::from_instruction(&instruction, lookahead),
-        });
+            summary: PreviousInstruction {
+                is_load,
+                anticipated: lookahead,
+                def,
+            },
+        };
         self.stats.instructions += 1;
         self.pc = next_pc;
     }
 
     /// Cycle at whose end the loaded value becomes bypassable, per scheme
     /// (see the crate-level derivation and the paper's Figs. 2–5, 7).
-    fn load_result_ready(
-        &self,
-        entry: &[u64],
-        idx_m: usize,
-        n: usize,
-        hit: bool,
-        lookahead: bool,
-    ) -> u64 {
-        let end_of_memory = entry[idx_m + 1] - 1;
+    fn load_result_ready(&self, entry: &[u64], hit: bool, lookahead: bool) -> u64 {
+        let end_of_memory = entry[MEMORY + 1] - 1;
         match self.config.scheme {
             EccScheme::NoEcc | EccScheme::ExtraCycle | EccScheme::SpeculateFlush { .. } => {
                 end_of_memory
             }
             EccScheme::ExtraStage | EccScheme::Laec => {
-                let idx_ecc = idx_m + 1;
-                debug_assert!(idx_ecc + 1 < n, "ECC pipelines have a stage after ECC");
+                let ecc = MEMORY + 1;
+                debug_assert!(ecc + 1 < self.depth, "ECC pipelines have a stage after ECC");
                 if hit && !lookahead {
                     // Checked data leaves the dedicated ECC stage.
-                    entry[idx_ecc + 1] - 1
+                    entry[ecc + 1] - 1
                 } else {
                     // Misses arrive already checked from the L2; anticipated
                     // hits finish their check in the Memory stage.
@@ -657,16 +634,7 @@ impl Core {
     /// Structural constraint: entry into stage `s` must wait until the
     /// previous instruction has left it.
     fn structural(&self, s: usize) -> u64 {
-        match &self.prev {
-            None => 0,
-            Some(prev) => {
-                if s + 1 < usize::from(self.layout.depth) {
-                    prev.entry[s + 1]
-                } else {
-                    prev.leave_last
-                }
-            }
-        }
+        self.prev.entry[s + 1]
     }
 
     /// Applies a front-end redirect after taken control flow resolving at
@@ -691,33 +659,6 @@ impl Core {
             }
         }
     }
-
-    /// Updates the dependent-load statistic: a load is "dependent" if an
-    /// instruction at dynamic distance 1 or 2 uses its destination.
-    fn update_dependent_loads(&mut self, instruction: &Instruction) {
-        let uses = instruction.uses();
-        for producer in self.recent.iter_mut() {
-            if producer.was_load && !producer.counted {
-                if let Some(def) = producer.def {
-                    if uses.contains(def) {
-                        producer.counted = true;
-                        self.stats.dependent_loads += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn push_recent(&mut self, instruction: &Instruction) {
-        if self.recent.len() == 2 {
-            self.recent.pop_back();
-        }
-        self.recent.push_front(RecentProducer {
-            def: instruction.def(),
-            was_load: instruction.is_load(),
-            counted: false,
-        });
-    }
 }
 
 /// Positions `value` within its aligned word and builds the byte-enable mask
@@ -738,16 +679,6 @@ fn store_word_and_mask(address: u32, width: laec_isa::MemWidth, value: u32) -> (
             ((value & 0xFF) << shift, 1 << (address & 0x3))
         }
     }
-}
-
-fn stage_index(stages: &[Stage], stage: Stage) -> usize {
-    stages
-        .iter()
-        .position(|&s| s == stage)
-        // laec-lint: allow(panic-in-library) -- every pipeline variant's
-        // stage table contains all `Stage` variants (asserted by tier-1
-        // tests), so the lookup cannot miss.
-        .expect("stage present in every pipeline variant")
 }
 
 #[cfg(test)]
@@ -832,6 +763,44 @@ mod tests {
             .iter()
             .find(|e| e.text.starts_with("ld r3"))
             .expect("load traced")
+    }
+
+    #[test]
+    fn both_stage_tables_share_the_stage_positions_step_uses() {
+        for stages in [&Stage::BASELINE[..], &Stage::WITH_ECC_STAGE[..]] {
+            assert_eq!(stages[REGISTER_ACCESS], Stage::RegisterAccess);
+            assert_eq!(stages[EXECUTE], Stage::Execute);
+            assert_eq!(stages[MEMORY], Stage::Memory);
+        }
+        assert_eq!(Stage::WITH_ECC_STAGE[MEMORY + 1], Stage::EccCheck);
+    }
+
+    #[test]
+    fn prefill_traffic_is_not_counted() {
+        let program = Program::assemble(
+            r#"
+                addi r1, r0, 0x100
+                ld   r2, [r1 + 0]
+                halt
+            "#,
+        )
+        .unwrap();
+        let mut simulator = Simulator::new(program, PipelineConfig::laec());
+        simulator.prefill_dl1(&[0x100]);
+        let result = simulator.execute();
+        assert_eq!(
+            result.stats.load_hits, 1,
+            "the load hits the prefilled line"
+        );
+        let mem = result.stats.mem;
+        assert_eq!(
+            (
+                mem.dl1.read_misses,
+                mem.bus_transactions,
+                mem.memory_accesses
+            ),
+            (0, 0, 0)
+        );
     }
 
     #[test]
