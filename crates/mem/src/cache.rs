@@ -100,10 +100,16 @@ pub(crate) fn decode_stored(
 /// lines at [`CacheConfig::MAX_LINE_BYTES`].
 pub const MAX_LINE_WORDS: usize = CacheConfig::MAX_LINE_BYTES as usize / 4;
 
-/// One cache line's words, held inline.  Fills, victims, flushes and
-/// cache-to-cache supplies carry lines in this fixed-capacity buffer, so a
-/// miss moves data without touching the heap.  It dereferences to the
-/// `[u32]` of its words.
+/// Words a [`LineWords`] holds inline: a whole line of the 32-byte
+/// geometry every shipped [`CacheConfig`] uses.
+const INLINE_WORDS: usize = 8;
+
+/// One cache line's words.  Fills, victims, flushes and cache-to-cache
+/// supplies carry lines in this buffer, and a miss moves several of them,
+/// so it is small: a line of up to eight words (32 bytes) stays inline and
+/// a miss moves data without touching the heap; a longer line (up to
+/// [`MAX_LINE_WORDS`]) moves to the heap.  It dereferences to the `[u32]`
+/// of its words.
 ///
 /// ```
 /// use laec_mem::LineWords;
@@ -112,11 +118,17 @@ pub const MAX_LINE_WORDS: usize = CacheConfig::MAX_LINE_BYTES as usize / 4;
 /// assert_eq!(line.len(), 3);
 /// assert_eq!(line[1], 2);
 /// assert_eq!(line.as_slice(), [1, 2, 3]);
+/// let long: LineWords = (0..64).collect();
+/// assert_eq!(long.len(), 64);
+/// assert_eq!(long[63], 63);
 /// ```
 #[derive(Clone)]
 pub struct LineWords {
-    words: [u32; MAX_LINE_WORDS],
+    /// The words while there are at most [`INLINE_WORDS`] of them.
+    inline: [u32; INLINE_WORDS],
     len: usize,
+    /// Every word once there are more.
+    spilled: Vec<u32>,
 }
 
 impl LineWords {
@@ -124,8 +136,9 @@ impl LineWords {
     #[must_use]
     pub fn new() -> Self {
         LineWords {
-            words: [0; MAX_LINE_WORDS],
+            inline: [0; INLINE_WORDS],
             len: 0,
+            spilled: Vec::new(),
         }
     }
 
@@ -135,14 +148,30 @@ impl LineWords {
     ///
     /// Panics if the buffer already holds [`MAX_LINE_WORDS`] words.
     pub fn push(&mut self, word: u32) {
-        self.words[self.len] = word;
+        assert!(
+            self.len < MAX_LINE_WORDS,
+            "a line holds at most {MAX_LINE_WORDS} words"
+        );
+        if self.len < INLINE_WORDS {
+            self.inline[self.len] = word;
+        } else {
+            if self.len == INLINE_WORDS {
+                self.spilled.reserve_exact(MAX_LINE_WORDS);
+                self.spilled.extend_from_slice(&self.inline);
+            }
+            self.spilled.push(word);
+        }
         self.len += 1;
     }
 
     /// The words pushed so far.
     #[must_use]
     pub fn as_slice(&self) -> &[u32] {
-        &self.words[..self.len]
+        if self.len <= INLINE_WORDS {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
+        }
     }
 }
 
@@ -639,7 +668,8 @@ impl Cache {
     /// Fills the line containing `address` with `line_words` (one entry per
     /// 32-bit word of the line), evicting the LRU way if necessary.
     ///
-    /// Returns the evicted line when one had to be displaced.
+    /// Returns the displaced line when it was dirty or held an
+    /// uncorrectable word; a clean, intact victim is dropped.
     ///
     /// # Panics
     ///
@@ -684,24 +714,25 @@ impl Cache {
         };
 
         let index = slots.start + way;
-        let evicted = {
-            let line = &self.lines[index];
-            if line.state.is_valid() {
+        let line = &self.lines[index];
+        let mut evicted = None;
+        if line.state.is_valid() {
+            let dirty = line.state.is_dirty();
+            self.stats.evictions += 1;
+            if dirty {
+                self.stats.writebacks += 1;
+            }
+            // A clean victim whose words are all pristine decodes cleanly:
+            // the caller has nothing to write back or report, so it is not
+            // decoded.
+            if dirty || line.pristine != pristine_mask(line.words.len()) {
                 let (words, uncorrectable) = line.decode_all(self.code);
-                Some(EvictedLine {
+                evicted = (dirty || uncorrectable).then(|| EvictedLine {
                     base_address: self.reconstruct_base(set, line.tag),
                     words,
-                    dirty: line.state.is_dirty(),
+                    dirty,
                     uncorrectable,
-                })
-            } else {
-                None
-            }
-        };
-        if let Some(evicted) = &evicted {
-            self.stats.evictions += 1;
-            if evicted.dirty {
-                self.stats.writebacks += 1;
+                });
             }
         }
         if !self.corrupted.is_empty() {
@@ -725,7 +756,7 @@ impl Cache {
             }
         }
         line.pristine = pristine_mask(line.words.len());
-        evicted.filter(|e| e.dirty || e.uncorrectable)
+        evicted
     }
 
     /// Invalidates the line containing `address` (no writeback), returning
@@ -1251,6 +1282,37 @@ mod tests {
         assert!(evicted.dirty);
         assert_eq!(evicted.words[0], 0xAB);
         assert_eq!(cache.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn clean_victims_are_reported_only_when_struck_uncorrectably() {
+        let mut cache = Cache::new(small_config());
+        cache.fill(0x00, &line(1));
+        cache.fill(0x20, &line(2));
+        // A struck but correctable clean victim has nothing to report.
+        cache.inject_fault(0x04, &FlipPlan::single_data(3));
+        assert_eq!(cache.fill(0x40, &line(3)), None);
+        // An uncorrectable one is reported, decoded as stored.
+        cache.inject_fault(0x24, &FlipPlan::double_data(3, 17));
+        let evicted = cache.fill(0x00, &line(4)).expect("uncorrectable victim");
+        assert_eq!(evicted.base_address, 0x20);
+        assert!(evicted.uncorrectable && !evicted.dirty);
+        assert_eq!(evicted.words[0], 2);
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.stats().writebacks, 0);
+    }
+
+    #[test]
+    fn long_lines_spill_their_words_to_the_heap() {
+        let mut cache = Cache::new(CacheConfig {
+            size_bytes: 1024,
+            line_bytes: 256,
+            ..small_config()
+        });
+        let words: Vec<u32> = (0..64).collect();
+        cache.fill(0x1000, &words);
+        let read = cache.read_line_words(0x1000, 64).expect("resident");
+        assert_eq!(read.as_slice(), words.as_slice());
     }
 
     #[test]

@@ -131,9 +131,9 @@ impl CacheConfig {
             ));
         }
         if self.line_bytes > Self::MAX_LINE_BYTES {
-            // The per-line pristine-word bitmask in `cache::Line` and the
-            // inline `LineWords` buffer cover at most 64 words; real
-            // embedded caches stay well under this.
+            // The per-line pristine-word bitmask in `cache::Line` and
+            // `LineWords` cover at most 64 words; real embedded caches stay
+            // well under this.
             return Err(format!(
                 "line size {} exceeds the supported maximum of {} bytes",
                 self.line_bytes,
