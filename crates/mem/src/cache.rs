@@ -273,8 +273,10 @@ pub struct Cache {
     /// set, appended on the set's first fill, in one vector.  Campaigns
     /// build a fresh hierarchy per grid cell, and most of an L2's 8 192
     /// lines stay untouched in a cell, so an untouched set costs one entry
-    /// of `blocks` to build, drain and drop.  A line is named by its
-    /// position here, its *slot*.
+    /// of `blocks` to build, drain and drop.  The vector reserves room for
+    /// every set up front without writing it, so it never moves: growing
+    /// it would briefly hold the old and the new buffer, more than the
+    /// whole cache.  A line is named by its position here, its *slot*.
     lines: Vec<Line>,
     /// Per set, the slot of its block's first line, or [`UNFILLED`].
     blocks: Vec<u32>,
@@ -333,9 +335,9 @@ impl Cache {
         let sets = config.sets();
         Cache {
             config,
-            lines: Vec::new(),
+            lines: Vec::with_capacity(sets as usize * config.ways as usize),
             blocks: vec![UNFILLED; sets as usize],
-            block_sets: Vec::new(),
+            block_sets: Vec::with_capacity(sets as usize),
             offset_bits: config.line_bytes.trailing_zeros(),
             index_bits: sets.trailing_zeros(),
             set_mask: sets - 1,
