@@ -81,18 +81,6 @@ pub struct PreviousInstruction {
     pub def: Option<laec_isa::Reg>,
 }
 
-impl PreviousInstruction {
-    /// Builds the summary from an instruction and its own look-ahead outcome.
-    #[must_use]
-    pub fn from_instruction(instruction: &Instruction, anticipated: bool) -> Self {
-        PreviousInstruction {
-            is_load: instruction.is_load(),
-            anticipated,
-            def: instruction.def(),
-        }
-    }
-}
-
 /// Decides whether `load` can be anticipated.
 ///
 /// * `previous` — the immediately preceding *dynamic* instruction
@@ -147,6 +135,16 @@ mod tests {
         }
     }
 
+    /// The summary the pipeline keeps of `instruction`, executed with
+    /// look-ahead iff `anticipated`.
+    fn summary_of(instruction: &Instruction, anticipated: bool) -> PreviousInstruction {
+        PreviousInstruction {
+            is_load: instruction.is_load(),
+            anticipated,
+            def: instruction.def(),
+        }
+    }
+
     #[test]
     fn first_instruction_can_always_anticipate() {
         let decision = decide_lookahead(&load(1), &PreviousInstruction::default(), 0, 10);
@@ -157,7 +155,7 @@ mod tests {
     #[test]
     fn data_hazard_blocks_when_previous_produces_the_base() {
         // Fig. 7(b): `r1 = r4 + r6; r3 = load(r1 + r2)` — no look-ahead.
-        let previous = PreviousInstruction::from_instruction(&alu(1), false);
+        let previous = summary_of(&alu(1), false);
         let decision = decide_lookahead(&load(1), &previous, 0, 10);
         assert_eq!(decision.blocked, Some(LookaheadBlock::DataHazard));
     }
@@ -166,14 +164,14 @@ mod tests {
     fn unrelated_previous_producer_does_not_block() {
         // Fig. 7(a): the previous instruction writes a register the load does
         // not use for its address.
-        let previous = PreviousInstruction::from_instruction(&alu(9), false);
+        let previous = summary_of(&alu(9), false);
         let decision = decide_lookahead(&load(1), &previous, 0, 10);
         assert!(decision.anticipated);
     }
 
     #[test]
     fn preceding_plain_load_is_a_resource_hazard() {
-        let previous = PreviousInstruction::from_instruction(&load(5), false);
+        let previous = summary_of(&load(5), false);
         let decision = decide_lookahead(&load(1), &previous, 0, 10);
         assert_eq!(decision.blocked, Some(LookaheadBlock::ResourceHazard));
     }
@@ -182,7 +180,7 @@ mod tests {
     fn preceding_anticipated_load_is_not_a_resource_hazard() {
         // Back-to-back anticipated loads pipeline cleanly: the earlier load
         // uses the DL1 port one cycle before the later one needs it.
-        let previous = PreviousInstruction::from_instruction(&load(5), true);
+        let previous = summary_of(&load(5), true);
         let decision = decide_lookahead(&load(1), &previous, 0, 10);
         assert!(decision.anticipated);
     }
@@ -197,7 +195,7 @@ mod tests {
             base: Reg::new(1),
             offset: 0,
         };
-        let previous = PreviousInstruction::from_instruction(&producer, true);
+        let previous = summary_of(&producer, true);
         let decision = decide_lookahead(&load(3), &previous, 0, 10);
         assert_eq!(decision.blocked, Some(LookaheadBlock::DataHazard));
     }
@@ -206,7 +204,7 @@ mod tests {
     fn stale_operand_blocks_anticipation() {
         // The base register is produced by an older load whose value only
         // becomes available at cycle 12; RA work would happen at cycle 10.
-        let previous = PreviousInstruction::from_instruction(&alu(9), false);
+        let previous = summary_of(&alu(9), false);
         let decision = decide_lookahead(&load(1), &previous, 12, 10);
         assert_eq!(decision.blocked, Some(LookaheadBlock::OperandNotReady));
         // Once the value is ready strictly before the RA work cycle, go.
@@ -218,7 +216,7 @@ mod tests {
     fn absolute_addressing_needs_no_operands() {
         // Base r0: no address registers at all, so only the resource hazard
         // can block.
-        let previous = PreviousInstruction::from_instruction(&alu(1), false);
+        let previous = summary_of(&alu(1), false);
         let decision = decide_lookahead(&load(0), &previous, 0, 1);
         assert!(decision.anticipated);
     }
