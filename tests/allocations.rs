@@ -50,9 +50,10 @@ use laec::trace::{replay_events, Trace, TraceContext, TraceDetail, TraceRecorder
 
 /// Allocations per simulated instruction of the golden spec in full
 /// simulation, counting the instructions of every reported cell.
-/// Measured: 1165 allocations over 174078 instructions (0.0067), the same
-/// in debug and release builds; 1096 (0.0063) before the caches stored
-/// their lines per set, filled on first use, in a growing vector; 1903
+/// Measured: 1059 allocations over 174078 instructions (0.0061), the same
+/// in debug and release builds, with each cache's line vector reserved
+/// whole up front; 1165 (0.0067) while it grew as sets were first filled,
+/// and 1096 (0.0063) before the caches stored their lines per set; 1903
 /// (0.0109) when every faulty cell was simulated on its own, before seed
 /// overlays served most of them from their fault-free twin's run.  The
 /// ceiling leaves 5 % over the latter.
@@ -60,11 +61,12 @@ const FULL_PER_INSTRUCTION: f64 = 0.0115;
 
 /// Allocations of the golden spec's trace-backed run on a warm trace cache
 /// per event of its fault-free recordings times its fault seeds, what
-/// replaying each faulty cell on its own would replay.  Measured: 1254
-/// allocations over 30360 events (0.0413), the same in debug and release
+/// replaying each faulty cell on its own would replay.  Measured: 1146
+/// allocations over 30360 events (0.0377), the same in debug and release
 /// builds, with each triple's recording read, decoded and replayed once,
-/// carrying its seeds as overlays; 1181 (0.0389) before the caches stored
-/// their lines per set.  2121 (0.0699) when every faulty cell
+/// carrying its seeds as overlays; 1254 (0.0413) while each cache's line
+/// vector grew as sets were first filled, and 1181 (0.0389) before the
+/// caches stored their lines per set.  2121 (0.0699) when every faulty cell
 /// replayed its triple's recording; the ceiling leaves 5 % over that.
 const TRACE_BACKED_PER_REPLAYED_EVENT: f64 = 0.0735;
 
